@@ -164,11 +164,15 @@ def cmd_figure4(args: argparse.Namespace) -> int:
     rule_ids = [rid.strip() for rid in args.rules.split(",") if rid.strip()]
     if not rule_ids:
         return _fail("--rules must name at least one rule")
+    try:
+        workers = enumeration.worker_count()
+    except ValueError as exc:
+        return _fail(str(exc))
     print("n,rule,irresolute,total,fraction")
     for n in range(4, args.max_n + 1, 2):
         for rule_id in rule_ids:
             try:
-                row = enumeration.irresoluteness(rule_id, n)
+                row = enumeration.irresoluteness(rule_id, n, workers=workers)
             except (rules.UnsupportedRuleError, rules.BoundExceededError) as exc:
                 return _fail(str(exc))
             print(row.csv())
@@ -298,6 +302,8 @@ def cmd_search(args: argparse.Namespace) -> int:
     except KeyError:
         known = ", ".join(sorted(SEARCH_PREDICATES))
         return _fail(f"unknown predicate {args.predicate!r} (known: {known})")
+    if args.bound < 1:
+        return _fail(f"--bound must be at least 1, got {args.bound}")
     hits = enumeration.search(predicate, args.bound, mode=args.mode)
     for profile in hits:
         print(format_profile(profile))

@@ -154,10 +154,6 @@ def margin(m: Margins, x: int, y: int) -> int:
     return -m_bc
 
 
-def make_margins(m_ab: int, m_ac: int, m_bc: int) -> Margins:
-    return (m_ab, m_ac, m_bc)
-
-
 def condorcet_winner(m: Margins) -> Optional[int]:
     """The candidate with strictly positive margin over both others, if any."""
     m_ab, m_ac, m_bc = m

@@ -1,19 +1,17 @@
 """Exhaustive iteration and counting over anonymous three-candidate profiles.
 
-The scan behind the irresoluteness figures is exact integer arithmetic end to
-end: all ``C(n+5, 5)`` anonymous profiles with ``n`` voters are visited, the
-pairwise margins are computed in blocked numpy batches, and fractions are
-rendered to decimals only at the output boundary.
-
-Two access paths are provided:
+Counts are exact integer arithmetic end to end; fractions are rendered to
+decimals only at the output boundary.  Two access paths are provided:
 
 * :class:`ProfileCursor` — a deterministic colexicographic stream of count
-  vectors with ``rank``/``unrank`` support so the range can be split into
-  contiguous sub-ranges for parallel work (used by the scalar paths and by
+  vectors with ``rank``/``unrank`` support (used by the scalar paths and by
   any caller that needs the canonical profile order).
-* :func:`irresoluteness` — blocked, vectorised counting.  Margin-determined
-  rules are evaluated straight from the margin matrix; rules without a
-  hand-written kernel fall back to a lookup table keyed by margin triple.
+* :func:`irresoluteness` — exact counting of the profiles with several
+  winners.  A margin-determined rule is decided once per margin triple, by a
+  numpy kernel or by the scalar rule, and each triple is weighted by the
+  closed-form number of profiles sharing it.  Positional rules and the
+  artificial rule are counted by a blocked numpy scan of all ``C(n+5, 5)``
+  profiles, optionally threaded; the search-tree rules by a cursor sweep.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
@@ -31,14 +28,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import rules as _rules
-from .core import (
-    ORDER_MARGIN_VECTOR,
-    ORDER_RANKING,
-    PERMUTATIONS,
-    Profile,
-    mcgarvey,
-    permute_profile,
-)
+from .core import ORDER_MARGIN_VECTOR, ORDER_RANKING, Profile, mcgarvey
 
 #: Environment variable consulted for the default worker count.
 WORKERS_ENV_VAR = "TRIVOTE_WORKERS"
@@ -199,37 +189,49 @@ def profiles_up_to(bound: int, min_n: int = 1) -> Iterator[Profile]:
 
 
 # ---------------------------------------------------------------------------
-# Blocked counting
+# Counting over margin cells
 # ---------------------------------------------------------------------------
+#
+# Let d_i be the surplus of an order over its reverse in the pairs (abc, cba),
+# (acb, bca) and (cab, bac).  Then m_ab = d1+d2+d3, m_ac = d1+d2-d3 and
+# m_bc = d1-d2-d3, and the profiles with surplus d put |d_i| + 2 t_i voters on
+# pair i with t1+t2+t3 = J = (n - |d|_1) / 2: C(J+2, 2) of them share the
+# margin triple.  With u = d2+d3 and v = d2-d3, |d2| + |d3| = max(|u|, |v|), so
+# the cells with a given d1 are the grid u, v in {-r, -r+2, ..., r} with
+# r = n - |d1|, and their margins are (d1+u, d1+v, d1-u).
 
-_V = np.array(ORDER_MARGIN_VECTOR, dtype=np.int64)  # (6, 3) order -> margins
+#: cells per chunk; whole d1 slabs are grouped up to this size, so small
+#: electorates take a few numpy calls and memory stays O(n^2) for large ones
+_CELL_CHUNK = 1 << 16
 
-
-@functools.lru_cache(maxsize=32)
-def _compositions4(m: int) -> np.ndarray:
-    """All compositions of ``m`` into 4 ordered parts, shape (C(m+3,3), 4)."""
-    rows = []
-    for c3 in range(m + 1):
-        for c2 in range(m - c3 + 1):
-            for c1 in range(m - c3 - c2 + 1):
-                rows.append((m - c3 - c2 - c1, c1, c2, c3))
-    return np.asarray(rows, dtype=np.int64).reshape(-1, 4)
-
-
-def _blocks(n: int) -> Iterator[tuple[int, int, int]]:
-    """Block coordinates (m, c4, c5) with m = n - c4 - c5.
-
-    Blocks are grouped by m so consecutive blocks share one cached
-    composition template; within a block the first four counts range over
-    all compositions of m.
-    """
-    for s in range(n + 1):
-        for c5 in range(s + 1):
-            yield n - s, s - c5, c5
+#: two voters with reverse orders stand in for the all-zero margin cell,
+#: which ``mcgarvey`` maps to the empty profile
+_TIED_PAIR: Profile = (1, 0, 0, 0, 0, 1)
 
 
-def _block_margins(template: np.ndarray, c4: int, c5: int) -> np.ndarray:
-    return template @ _V[:4] + c4 * _V[4] + c5 * _V[5]
+def _cell_chunk(n: int, d1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Margins and profile counts of every ``n``-voter cell in the ``d1`` slabs."""
+    side = n + 1 - np.abs(d1)
+    sizes = side * side
+    slab = np.repeat(np.arange(d1.size), sizes)
+    index = np.arange(sizes.sum()) - (np.cumsum(sizes) - sizes)[slab]
+    side = side[slab]
+    u = 2 * (index // side) - (side - 1)
+    v = 2 * (index % side) - (side - 1)
+    d1 = d1[slab]
+    j = (side - 1 - np.maximum(np.abs(u), np.abs(v))) // 2
+    return np.stack((d1 + u, d1 + v, d1 - u), axis=1), (j + 1) * (j + 2) // 2
+
+
+def _margin_cells(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Chunks ``(margins, weights)`` of the margin triples reachable with
+    ``n`` voters: ``weights[i]`` profiles have the margins ``margins[i]``."""
+    lo, cells = -n, 0
+    for d1 in range(-n, n + 1):
+        cells += (n + 1 - abs(d1)) ** 2
+        if cells >= _CELL_CHUNK or d1 == n:
+            yield _cell_chunk(n, np.arange(lo, d1 + 1, dtype=np.int64))
+            lo, cells = d1 + 1, 0
 
 
 # --- margin kernels: boolean "irresolute" flags per row --------------------
@@ -315,6 +317,19 @@ def _kernel_strict_nanson(m: np.ndarray) -> np.ndarray:
     return all_zero | ((nneg == 1) & (pair_margin == 0))
 
 
+def _kernel_baldwin(m: np.ndarray) -> np.ndarray:
+    scores = _borda_columns(m)
+    low = np.minimum(np.minimum(scores[0], scores[1]), scores[2])
+    out_a, out_b, out_c = (s == low for s in scores)
+    # Each branch deletes one Borda minimizer and elects the head-to-head
+    # winner(s) of the two survivors.  When all three scores tie the branches
+    # together elect every candidate, as the scalar rule does directly.
+    elected_a = (out_b & (m[:, 1] >= 0)) | (out_c & (m[:, 0] >= 0))
+    elected_b = (out_a & (m[:, 2] >= 0)) | (out_c & (m[:, 0] <= 0))
+    elected_c = (out_a & (m[:, 2] <= 0)) | (out_b & (m[:, 1] <= 0))
+    return elected_a.astype(np.int8) + elected_b + elected_c >= 2
+
+
 _MARGIN_KERNELS: dict[str, Callable[[np.ndarray, int], np.ndarray]] = {
     "maximin": lambda m, n: _kernel_maximin(m),
     "leximin": _kernel_leximin,
@@ -323,7 +338,50 @@ _MARGIN_KERNELS: dict[str, Callable[[np.ndarray, int], np.ndarray]] = {
     "copeland": lambda m, n: _kernel_copeland(m),
     "nanson": lambda m, n: _kernel_nanson(m),
     "strict_nanson": lambda m, n: _kernel_strict_nanson(m),
+    "baldwin": lambda m, n: _kernel_baldwin(m),
 }
+
+
+def _scalar_cell_flags(rule_id: str, m: np.ndarray) -> np.ndarray:
+    """Irresolute flags from the scalar rule, one evaluation per margin cell."""
+    profiles = (mcgarvey(t) if any(t) else _TIED_PAIR for t in m.tolist())
+    return np.array([len(_rules.evaluate_uncached(rule_id, p)) >= 2 for p in profiles])
+
+
+def _margin_cell_count(rule_id: str, n: int) -> int:
+    """Profiles on which a margin-determined rule is irresolute."""
+    kernel = _MARGIN_KERNELS.get(rule_id, lambda m, n: _scalar_cell_flags(rule_id, m))
+    return sum(int(weights[kernel(m, n)].sum()) for m, weights in _margin_cells(n))
+
+
+# ---------------------------------------------------------------------------
+# Blocked profile scan (positional and artificial rules)
+# ---------------------------------------------------------------------------
+
+_V = np.array(ORDER_MARGIN_VECTOR, dtype=np.int64)  # (6, 3) order -> margins
+
+
+@functools.lru_cache(maxsize=32)
+def _compositions4(m: int) -> np.ndarray:
+    """All compositions of ``m`` into 4 ordered parts, shape (C(m+3,3), 4)."""
+    rows = []
+    for c3 in range(m + 1):
+        for c2 in range(m - c3 + 1):
+            for c1 in range(m - c3 - c2 + 1):
+                rows.append((m - c3 - c2 - c1, c1, c2, c3))
+    return np.asarray(rows, dtype=np.int64).reshape(-1, 4)
+
+
+def _blocks(n: int) -> Iterator[tuple[int, int, int]]:
+    """Block coordinates (m, c4, c5) with m = n - c4 - c5.
+
+    Blocks are grouped by m so consecutive blocks share one cached
+    composition template; within a block the first four counts range over
+    all compositions of m.
+    """
+    for s in range(n + 1):
+        for c5 in range(s + 1):
+            yield n - s, s - c5, c5
 
 
 # --- positional kernels (need the count columns, not just margins) ---------
@@ -349,7 +407,7 @@ def _positional_irresolute(
 
 
 def _artificial_irresolute(
-    template: np.ndarray, c4: int, c5: int, margins_block: np.ndarray, n: int
+    template: np.ndarray, c4: int, c5: int, n: int
 ) -> np.ndarray:
     table = _rules.artificial_table(n)
     points = np.zeros((6, 3), dtype=np.int64)
@@ -359,7 +417,7 @@ def _artificial_irresolute(
         points[order, ranking[1]] = second_points
     scores = template @ points[:4] + c4 * points[4] + c5 * points[5]
 
-    m = margins_block
+    m = template @ _V[:4] + c4 * _V[4] + c5 * _V[5]
     sa = np.minimum(m[:, 0], m[:, 1])
     sb = np.minimum(-m[:, 0], m[:, 2])
     sc = np.minimum(-m[:, 1], -m[:, 2])
@@ -373,55 +431,22 @@ def _artificial_irresolute(
     return count >= 2
 
 
-# --- margin lookup table for everything else --------------------------------
-
-
-class _MarginTable:
-    """Caches ``|f| >= 2`` per margin triple for a margin-determined rule."""
-
-    def __init__(self, rule_id: str, n: int):
-        self._rule_id = rule_id
-        self._base = 2 * n + 1
-        self._offset = n
-        self._cache: dict[int, bool] = {}
-        self._lock = threading.Lock()
-
-    def _lookup(self, key: int) -> bool:
-        base, offset = self._base, self._offset
-        m_bc = key % base - offset
-        m_ac = key // base % base - offset
-        m_ab = key // (base * base) - offset
-        triple = (m_ab, m_ac, m_bc)
-        # mcgarvey((0,0,0)) is the empty profile; use a two-voter tie instead.
-        profile = mcgarvey(triple) if any(triple) else (1, 0, 0, 0, 0, 1)
-        return len(_rules.evaluate_uncached(self._rule_id, profile)) >= 2
-
-    def irresolute(self, margins_block: np.ndarray) -> np.ndarray:
-        base, offset = self._base, self._offset
-        keys = (
-            (margins_block[:, 0] + offset) * base * base
-            + (margins_block[:, 1] + offset) * base
-            + (margins_block[:, 2] + offset)
-        )
-        unique, inverse = np.unique(keys, return_inverse=True)
-        values = np.empty(unique.shape, dtype=bool)
-        with self._lock:
-            for i, key in enumerate(unique.tolist()):
-                cached = self._cache.get(key)
-                if cached is None:
-                    cached = self._lookup(key)
-                    self._cache[key] = cached
-                values[i] = cached
-        return values[inverse]
-
-
-def _worker_count(workers: Optional[int]) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+def worker_count(workers: Optional[int] = None) -> int:
+    """Threads for the blocked scan: ``workers``, else ``TRIVOTE_WORKERS``,
+    else all usable CPUs, and never more than those.  Raises ``ValueError``
+    when the variable holds anything but a positive integer."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    available = len(affinity(0)) if affinity else os.cpu_count() or 1
+    if workers is None:
+        text = os.environ.get(WORKERS_ENV_VAR)
+        if not text:
+            return available
+        workers = int(text) if text.strip().isdecimal() else 0
+        if workers < 1:
+            raise ValueError(
+                f"{WORKERS_ENV_VAR} must be a positive integer, got {text!r}"
+            )
+    return max(1, min(workers, available))
 
 
 @dataclass(frozen=True)
@@ -449,12 +474,6 @@ class FrequencyRow:
         return f"{self.n},{self.rule},{self.irresolute},{self.total},{self.fraction_str()}"
 
 
-def _scalar_irresolute_count(rule_id: str, cursor: ProfileCursor) -> int:
-    return sum(
-        1 for profile in cursor if len(_rules.evaluate_uncached(rule_id, profile)) >= 2
-    )
-
-
 def irresoluteness(
     rule_id: str,
     n: int,
@@ -480,61 +499,38 @@ def irresoluteness(
     if rule_id in ("dodgson", "young"):
         # Search-tree rules have no margin kernel and a small voter bound;
         # a scalar sweep over the cursor is instant at that scale.
-        count = _scalar_irresolute_count(rule_id, ProfileCursor(n))
+        count = sum(
+            len(_rules.evaluate_uncached(rule_id, p)) >= 2 for p in ProfileCursor(n)
+        )
+        return FrequencyRow(n, rule_id, count - tied, total)
+    if resolved in _rules.PAIRWISE_RULE_IDS:
+        # Python-level cell loops gain nothing from threads, so ``workers``
+        # only applies to the blocked scan below.
+        count = _margin_cell_count(resolved, n)
         return FrequencyRow(n, rule_id, count - tied, total)
     if resolved.startswith("scoring:"):
         points = _scoring_points(_rules.parse_scoring_id(resolved))
-        block_flags = lambda t, c4, c5, m: _positional_irresolute(t, c4, c5, points)
+        block_flags = lambda t, c4, c5: _positional_irresolute(t, c4, c5, points)
     elif resolved == "plurality":
         points = _scoring_points(_rules.PLURALITY_VECTOR)
-        block_flags = lambda t, c4, c5, m: _positional_irresolute(t, c4, c5, points)
+        block_flags = lambda t, c4, c5: _positional_irresolute(t, c4, c5, points)
     elif resolved == "artificial":
-        block_flags = lambda t, c4, c5, m: _artificial_irresolute(t, c4, c5, m, n)
-    elif resolved in _MARGIN_KERNELS:
-        kernel = _MARGIN_KERNELS[resolved]
-        block_flags = lambda t, c4, c5, m: kernel(m, n)
-    elif resolved in _rules.PAIRWISE_RULE_IDS:
-        table = _MarginTable(resolved, n)
-        block_flags = lambda t, c4, c5, m: table.irresolute(m)
+        block_flags = lambda t, c4, c5: _artificial_irresolute(t, c4, c5, n)
     else:
         raise _rules.UnsupportedRuleError(f"unknown rule id: {rule_id!r}")
 
     def scan_block(coords: tuple[int, int, int]) -> int:
         m_total, c4, c5 = coords
-        template = _compositions4(m_total)
-        margins_block = _block_margins(template, c4, c5)
-        return int(np.count_nonzero(block_flags(template, c4, c5, margins_block)))
+        return int(np.count_nonzero(block_flags(_compositions4(m_total), c4, c5)))
 
     coords = list(_blocks(n))
-    worker_total = min(_worker_count(workers), len(coords))
+    worker_total = min(worker_count(workers), len(coords))
     if worker_total <= 1:
         count = sum(scan_block(c) for c in coords)
     else:
         with ThreadPoolExecutor(max_workers=worker_total) as pool:
             count = sum(pool.map(scan_block, coords))
     return FrequencyRow(n, rule_id, count - tied, total)
-
-
-def irresoluteness_via_orbits(
-    rule_id: str, n: int, exclude_all_tied: Optional[bool] = None
-) -> FrequencyRow:
-    """Recount by scanning one representative per relabelling orbit.
-
-    Each profile is counted through the lexicographically least member of its
-    orbit under candidate permutations, weighted by the orbit size.  For a
-    neutral rule this must reproduce :func:`irresoluteness` exactly.
-    """
-    resolved = _rules.RULE_ALIASES.get(rule_id, rule_id)
-    if exclude_all_tied is None:
-        exclude_all_tied = resolved in EXCLUDE_ALL_TIED
-    count = 0
-    for profile in ProfileCursor(n):
-        orbit = {permute_profile(profile, sigma) for sigma in PERMUTATIONS}
-        if profile == min(orbit):
-            if len(_rules.evaluate(rule_id, profile)) >= 2:
-                count += len(orbit)
-    tied = all_tied_count(n) if exclude_all_tied else 0
-    return FrequencyRow(n, rule_id, count - tied, profile_count(n))
 
 
 # ---------------------------------------------------------------------------

@@ -233,6 +233,16 @@ def test_figure4_rejects_odd_or_small_n(capsys):
     assert run(capsys, "figure4", "--max-n", "2")[0] == 2
 
 
+@pytest.mark.parametrize("rules_arg", ["maximin,nanson,leximin,black", "plurality"])
+@pytest.mark.parametrize("value", ["abc", "0", "-1"])
+def test_figure4_rejects_a_bad_worker_setting(capsys, monkeypatch, rules_arg, value):
+    monkeypatch.setenv("TRIVOTE_WORKERS", value)
+    code, out, err = run(capsys, "figure4", "--rules", rules_arg, "--max-n", "4")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "TRIVOTE_WORKERS" in err
+
+
 def test_figure4_unknown_rule(capsys):
     code, _, _ = run(capsys, "figure4", "--rules", "banana", "--max-n", "4")
     assert code == 2
@@ -318,6 +328,16 @@ def test_search_artificial_predicates(capsys):
     )
     assert code == 1
     assert out.splitlines()[0] == "1abc+1acb+2bac"
+
+
+@pytest.mark.parametrize("bound", ["-3", "0"])
+def test_search_rejects_a_bound_below_one(capsys, bound):
+    code, out, err = run(
+        capsys, "search", "weak-scoring-overrides-condorcet", "--bound", bound
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"--bound must be at least 1, got {bound}\n"
 
 
 def test_search_list_and_unknown(capsys):

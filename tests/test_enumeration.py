@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,6 @@ from trivote.enumeration import (
     colex_successor,
     enumerate_profiles,
     irresoluteness,
-    irresoluteness_via_orbits,
     profile_count,
     profile_rank,
     profile_unrank,
@@ -78,6 +78,46 @@ def test_profiles_up_to_orders_by_voter_count_then_colex():
     seen = list(profiles_up_to(3))
     assert len(seen) == 6 + 21 + 56
     assert [sum(p) for p in seen] == sorted(sum(p) for p in seen)
+
+
+# ---------------------------------------------------------------------------
+# margin cells and their profile counts
+# ---------------------------------------------------------------------------
+
+
+def cell_histogram(n):
+    histogram = Counter()
+    for m, weights in enumeration._margin_cells(n):
+        for triple, weight in zip(m.tolist(), weights.tolist()):
+            histogram[tuple(triple)] += weight
+    return histogram
+
+
+def test_cell_weights_sum_to_the_profile_count():
+    for n in range(13):
+        total = sum(int(w.sum()) for _, w in enumeration._margin_cells(n))
+        assert total == profile_count(n), n
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_cell_histogram_matches_brute_force_margins(n):
+    brute = Counter(core.margins(p) for p in enumerate_profiles(n))
+    assert cell_histogram(n) == brute
+
+
+def test_cells_arrive_in_bounded_chunks():
+    chunks = list(enumeration._margin_cells(60))
+    assert len(chunks) > 1
+    slab = 61 * 61
+    assert all(len(m) < enumeration._CELL_CHUNK + slab for m, _ in chunks)
+    assert sum(len(m) for m, _ in chunks) == len(cell_histogram(60))
+
+
+@pytest.mark.parametrize("n", [39, 40])
+def test_baldwin_kernel_matches_the_scalar_rule_on_every_cell(n):
+    for m, _ in enumeration._margin_cells(n):
+        expected = [len(rules.baldwin_margins(tuple(t))) >= 2 for t in m.tolist()]
+        assert enumeration._kernel_baldwin(m).tolist() == expected
 
 
 # ---------------------------------------------------------------------------
@@ -177,17 +217,14 @@ def test_irresoluteness_fraction_strictly_decreases(rule_id):
 # the vectorized kernels against the scalar rules
 # ---------------------------------------------------------------------------
 
-KERNEL_RULE_IDS = (
-    "maximin", "leximin", "nanson", "strict_nanson", "black", "copeland",
-    "borda", "plurality", "artificial", "top_cycle", "uc_mckelvey", "banks",
-    "uc_gillies", "defensible", "llull", "stable_voting", "split_cycle",
-    "kemeny", "scoring:3,2,0", "scoring:1,1/2,0",
+KERNEL_RULE_IDS = rules.PAIRWISE_RULE_IDS + (
+    "plurality", "artificial", "scoring:3,2,0", "scoring:1,1/2,0",
 )
 
 
 @pytest.mark.parametrize("rule_id", KERNEL_RULE_IDS)
 def test_kernel_count_matches_scalar_sweep(rule_id):
-    for n in (3, 4, 6):
+    for n in (3, 4, 6, 7):
         row = irresoluteness(rule_id, n, exclude_all_tied=False)
         scalar = sum(
             1
@@ -195,6 +232,27 @@ def test_kernel_count_matches_scalar_sweep(rule_id):
             if len(rules.evaluate_uncached(rule_id, p)) >= 2
         )
         assert row.irresolute == scalar, (rule_id, n)
+
+
+# irresolute profiles (completely tied ones included) at 59 and 60 voters, as
+# counted profile by profile by the blocked numpy scan of all C(n+5, 5)
+# profiles, which counted these rules before the margin-cell method
+BLOCK_SCAN_COUNTS = {
+    "maximin": {59: 74910, 60: 326526},
+    "leximin": {59: 3300, 60: 18366},
+    "black": {59: 24090, 60: 45426},
+    "borda": {59: 126390, 60: 135126},
+    "copeland": {59: 474672, 60: 633888},
+    "nanson": {59: 3300, 60: 234126},
+    "strict_nanson": {59: 3300, 60: 263886},
+    "baldwin": {59: 24090, 60: 353586},
+}
+
+
+@pytest.mark.parametrize("rule_id", sorted(BLOCK_SCAN_COUNTS))
+def test_margin_cell_counts_match_the_frozen_block_scan(rule_id):
+    for n, expected in BLOCK_SCAN_COUNTS[rule_id].items():
+        assert irresoluteness(rule_id, n, exclude_all_tied=False).irresolute == expected
 
 
 def test_search_tree_rules_count_by_scalar_sweep():
@@ -215,7 +273,50 @@ def test_parallel_and_serial_counts_agree():
 
 def test_worker_env_override(monkeypatch):
     monkeypatch.setenv("TRIVOTE_WORKERS", "3")
-    assert irresoluteness("maximin", 10) == irresoluteness("maximin", 10, workers=1)
+    assert irresoluteness("plurality", 10) == irresoluteness("plurality", 10, workers=1)
+
+
+def test_worker_count_is_capped_by_the_usable_cpus(monkeypatch):
+    monkeypatch.setattr(
+        enumeration.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False
+    )
+    monkeypatch.delenv("TRIVOTE_WORKERS", raising=False)
+    assert enumeration.worker_count() == 4
+    assert enumeration.worker_count(2) == 2
+    assert enumeration.worker_count(20_301) == 4
+    assert enumeration.worker_count(0) == 1
+    monkeypatch.setenv("TRIVOTE_WORKERS", "3")
+    assert enumeration.worker_count() == 3
+    monkeypatch.setenv("TRIVOTE_WORKERS", "64")
+    assert enumeration.worker_count() == 4
+    assert enumeration.worker_count(1) == 1
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", "²"])
+def test_worker_count_rejects_a_malformed_environment_value(monkeypatch, value):
+    monkeypatch.setenv("TRIVOTE_WORKERS", value)
+    with pytest.raises(ValueError, match="TRIVOTE_WORKERS"):
+        enumeration.worker_count()
+
+
+def irresoluteness_via_orbits(rule_id, n, exclude_all_tied=None):
+    """Recount by scanning one representative per relabelling orbit.
+
+    Each profile is counted through the lexicographically least member of its
+    orbit under candidate permutations, weighted by the orbit size.  For a
+    neutral rule this must reproduce :func:`irresoluteness` exactly.
+    """
+    resolved = rules.RULE_ALIASES.get(rule_id, rule_id)
+    if exclude_all_tied is None:
+        exclude_all_tied = resolved in EXCLUDE_ALL_TIED
+    count = 0
+    for profile in ProfileCursor(n):
+        orbit = {core.permute_profile(profile, sigma) for sigma in core.PERMUTATIONS}
+        if profile == min(orbit):
+            if len(rules.evaluate(rule_id, profile)) >= 2:
+                count += len(orbit)
+    tied = all_tied_count(n) if exclude_all_tied else 0
+    return FrequencyRow(n, rule_id, count - tied, profile_count(n))
 
 
 @pytest.mark.parametrize("rule_id", ["maximin", "leximin", "black", "borda"])
