@@ -13,15 +13,13 @@ checkers are finite searches, not proofs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import rules as _rules
 from .core import (
     CANDIDATE_NAMES,
     CANDIDATES,
     ChoiceSet,
-    EMPTY_PROFILE,
-    Margins,
     ORDER_NAMES,
     ORDER_RANK_OF,
     ORDER_RANKING,
@@ -102,6 +100,9 @@ def _finish(
     violations: Iterator[Witness],
     max_witnesses: Optional[int],
 ) -> AxiomReport:
+    # a violated verdict needs a witness, so no cap can print none
+    if max_witnesses is not None and max_witnesses < 1:
+        raise ValueError(f"max_witnesses must be at least 1, got {max_witnesses}")
     collected: list[Witness] = []
     for witness in violations:
         collected.append(witness)
@@ -615,12 +616,7 @@ def verify_optimist_equivalence(
     if bound < 2:
         raise ValueError(f"bound must be at least 2, got {bound}")
     if rule_ids is None:
-        rule_ids = [
-            rule
-            for rule in _rules.ALL_RULE_IDS
-            if rule not in ("dodgson", "young")
-            or bound <= _rules.SEARCH_RULE_MAX_VOTERS
-        ]
+        rule_ids = [r for r, rule in _rules.RULES.items() if bound <= rule.max_voters]
     axiom = "optimist_equivalence"
 
     def violations() -> Iterator[Witness]:

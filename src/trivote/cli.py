@@ -24,7 +24,6 @@ from .core import (
     ORDER_NAMES,
     PERMUTATIONS,
     Profile,
-    ORDER_RANKING,
     choice_set_to_str,
     condorcet_winner,
     format_profile,
@@ -216,16 +215,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
 # search
 # ---------------------------------------------------------------------------
 
-_RANKING_INDEX = {ranking: order for order, ranking in enumerate(ORDER_RANKING)}
-
-
-def _single_swap_improvements(order: int):
-    """(new order, promoted candidate) for each adjacent swap of one ballot."""
-    first, second, third = ORDER_RANKING[order]
-    yield _RANKING_INDEX[(second, first, third)], second
-    yield _RANKING_INDEX[(first, third, second)], third
-
-
 def _weak_scoring_overrides_condorcet(profile: Profile) -> bool:
     winner = condorcet_winner(margins(profile))
     if winner is None:
@@ -254,18 +243,10 @@ def _artificial_neutrality_violation(profile: Profile) -> bool:
 
 def _nanson_positive_responsiveness_violation(profile: Profile) -> bool:
     winners = rules.evaluate("nanson", profile)
-    for order, count in enumerate(profile):
-        if count == 0:
-            continue
-        for new_order, promoted in _single_swap_improvements(order):
-            if promoted not in winners:
-                continue
-            improved = list(profile)
-            improved[order] -= 1
-            improved[new_order] += 1
-            if rules.evaluate("nanson", tuple(improved)) != frozenset({promoted}):
-                return True
-    return False
+    return any(
+        promoted in winners and rules.evaluate("nanson", improved) != frozenset({promoted})
+        for improved, promoted, _, _ in axioms._single_swaps(profile)
+    )
 
 
 #: named predicates for ``search``: id -> (predicate, description)

@@ -4,14 +4,16 @@ Counts are exact integer arithmetic end to end; fractions are rendered to
 decimals only at the output boundary.  Two access paths are provided:
 
 * :class:`ProfileCursor` — a deterministic colexicographic stream of count
-  vectors with ``rank``/``unrank`` support (used by the scalar paths and by
-  any caller that needs the canonical profile order).
+  vectors (used by the scalar paths and by any caller that needs the
+  canonical profile order).
 * :func:`irresoluteness` — exact counting of the profiles with several
-  winners.  A margin-determined rule is decided once per margin triple, by a
-  numpy kernel or by the scalar rule, and each triple is weighted by the
-  closed-form number of profiles sharing it.  Positional rules and the
-  artificial rule are counted by a blocked numpy scan of all ``C(n+5, 5)``
-  profiles, optionally threaded; the search-tree rules by a cursor sweep.
+  winners, by what the rule reads (``rules.resolve``).  A margin-determined
+  rule is decided once per margin triple, by a numpy kernel or by its margin
+  function, and each triple is weighted by the closed-form number of profiles
+  sharing it.  Positional rules, and whole-profile rules with a block kernel
+  (the artificial rule), are counted by a blocked numpy scan of all
+  ``C(n+5, 5)`` profiles, optionally threaded; any other whole-profile rule
+  by a cursor sweep.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import rules as _rules
-from .core import ORDER_MARGIN_VECTOR, ORDER_RANKING, Profile, mcgarvey
+from .core import ORDER_MARGIN_VECTOR, ORDER_RANKING, Profile
 
 #: Environment variable consulted for the default worker count.
 WORKERS_ENV_VAR = "TRIVOTE_WORKERS"
@@ -88,93 +90,24 @@ def colex_successor(profile: Profile) -> Optional[Profile]:
     return None
 
 
-def profile_rank(profile: Profile) -> int:
-    """Zero-based position of ``profile`` in the colex order for its total."""
-    rank = 0
-    mass = profile[0]
-    for j in range(1, 6):
-        mass += profile[j]
-        # Profiles that agree above index j but carry less weight at j come
-        # earlier; the hockey-stick identity collapses the sum over their
-        # possible j-counts.
-        rank += math.comb(mass + j, j) - math.comb(mass - profile[j] + j, j)
-    return rank
-
-
-def profile_unrank(n: int, rank: int) -> Profile:
-    """Inverse of :func:`profile_rank` for profiles with ``n`` voters."""
-    if not 0 <= rank < profile_count(n):
-        raise ValueError(f"rank {rank} out of range for {n} voters")
-    counts = [0] * 6
-    mass = n
-    remaining = rank
-    for j in range(5, 0, -1):
-        value = 0
-        while True:
-            below = math.comb(mass + j, j) - math.comb(mass - value + j, j)
-            if below <= remaining:
-                break
-            value -= 1  # pragma: no cover - loop below never overshoots
-        # Walk value upward until the block containing `remaining` is found.
-        while (
-            value < mass
-            and math.comb(mass + j, j) - math.comb(mass - value - 1 + j, j)
-            <= remaining
-        ):
-            value += 1
-        remaining -= math.comb(mass + j, j) - math.comb(mass - value + j, j)
-        counts[j] = value
-        mass -= value
-    counts[0] = mass
-    return tuple(counts)
-
-
 @dataclass(frozen=True)
 class ProfileCursor:
-    """A contiguous colex range of anonymous profiles with ``n`` voters.
-
-    ``start`` and ``stop`` are colex ranks (``stop`` exclusive); the default
-    cursor covers the full range.  Iteration yields plain count tuples.
-    """
+    """All anonymous profiles with ``n`` voters, in colex order from
+    ``(n, 0, 0, 0, 0, 0)``.  Iteration yields plain count tuples."""
 
     n: int
-    start: int = 0
-    stop: Optional[int] = None
 
     def __post_init__(self) -> None:
-        total = profile_count(self.n)
-        stop = total if self.stop is None else self.stop
-        if not 0 <= self.start <= stop <= total:
-            raise ValueError(
-                f"invalid cursor range [{self.start}, {stop}) for n={self.n}"
-            )
-        object.__setattr__(self, "stop", stop)
+        profile_count(self.n)  # rejects a negative voter count
 
     def __len__(self) -> int:
-        return self.stop - self.start  # type: ignore[operator]
+        return profile_count(self.n)
 
     def __iter__(self) -> Iterator[Profile]:
-        remaining = len(self)
-        if remaining == 0:
-            return
-        profile: Optional[Profile] = profile_unrank(self.n, self.start)
-        while remaining and profile is not None:
+        profile: Optional[Profile] = (self.n, 0, 0, 0, 0, 0)
+        while profile is not None:
             yield profile
-            remaining -= 1
             profile = colex_successor(profile)
-
-    def split(self, k: int) -> list["ProfileCursor"]:
-        """Split into ``k`` contiguous sub-cursors of near-equal length."""
-        if k < 1:
-            raise ValueError(f"cannot split into {k} parts")
-        size, extra = divmod(len(self), k)
-        parts = []
-        lo = self.start
-        for i in range(k):
-            hi = lo + size + (1 if i < extra else 0)
-            parts.append(ProfileCursor(self.n, lo, hi))
-            lo = hi
-        return parts
 
 
 def enumerate_profiles(n: int) -> Iterator[Profile]:
@@ -203,10 +136,6 @@ def profiles_up_to(bound: int, min_n: int = 1) -> Iterator[Profile]:
 #: cells per chunk; whole d1 slabs are grouped up to this size, so small
 #: electorates take a few numpy calls and memory stays O(n^2) for large ones
 _CELL_CHUNK = 1 << 16
-
-#: two voters with reverse orders stand in for the all-zero margin cell,
-#: which ``mcgarvey`` maps to the empty profile
-_TIED_PAIR: Profile = (1, 0, 0, 0, 0, 1)
 
 
 def _cell_chunk(n: int, d1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -342,15 +271,12 @@ _MARGIN_KERNELS: dict[str, Callable[[np.ndarray, int], np.ndarray]] = {
 }
 
 
-def _scalar_cell_flags(rule_id: str, m: np.ndarray) -> np.ndarray:
-    """Irresolute flags from the scalar rule, one evaluation per margin cell."""
-    profiles = (mcgarvey(t) if any(t) else _TIED_PAIR for t in m.tolist())
-    return np.array([len(_rules.evaluate_uncached(rule_id, p)) >= 2 for p in profiles])
-
-
-def _margin_cell_count(rule_id: str, n: int) -> int:
-    """Profiles on which a margin-determined rule is irresolute."""
-    kernel = _MARGIN_KERNELS.get(rule_id, lambda m, n: _scalar_cell_flags(rule_id, m))
+def _margin_cell_count(rule_id: str, margin_rule: Callable, n: int) -> int:
+    """Profiles on which a margin-determined rule is irresolute; a rule with
+    no kernel is evaluated once per margin cell."""
+    kernel = _MARGIN_KERNELS.get(rule_id) or (
+        lambda m, n: np.array([len(margin_rule(tuple(t))) >= 2 for t in m.tolist()])
+    )
     return sum(int(weights[kernel(m, n)].sum()) for m, weights in _margin_cells(n))
 
 
@@ -431,6 +357,12 @@ def _artificial_irresolute(
     return count >= 2
 
 
+#: whole-profile rules counted by the blocked scan: id -> block flags
+_BLOCK_KERNELS: dict[str, Callable[[np.ndarray, int, int, int], np.ndarray]] = {
+    "artificial": _artificial_irresolute,
+}
+
+
 def worker_count(workers: Optional[int] = None) -> int:
     """Threads for the blocked scan: ``workers``, else ``TRIVOTE_WORKERS``,
     else all usable CPUs, and never more than those.  Raises ``ValueError``
@@ -489,35 +421,30 @@ def irresoluteness(
     if n < 1:
         raise ValueError(f"voter count must be positive, got {n}")
     total = profile_count(n)
-    resolved = _rules.RULE_ALIASES.get(rule_id, rule_id)
+    resolved, rule = _rules.resolve(rule_id)
     if exclude_all_tied is None:
         exclude_all_tied = resolved in EXCLUDE_ALL_TIED
     # Completely tied profiles make every implemented rule irresolute, so
     # excluding them is a closed-form subtraction rather than a scan filter.
     tied = all_tied_count(n) if exclude_all_tied else 0
 
-    if rule_id in ("dodgson", "young"):
-        # Search-tree rules have no margin kernel and a small voter bound;
-        # a scalar sweep over the cursor is instant at that scale.
+    if rule.reads == _rules.MARGINS:
+        # Python-level cell loops gain nothing from threads, so ``workers``
+        # only applies to the blocked scan below.
+        count = _margin_cell_count(resolved, rule.compute, n)
+        return FrequencyRow(n, rule_id, count - tied, total)
+    if rule.reads == _rules.SCORES:
+        points = _scoring_points(rule.compute)
+        block_flags = lambda t, c4, c5: _positional_irresolute(t, c4, c5, points)
+    elif resolved in _BLOCK_KERNELS:
+        block_flags = lambda t, c4, c5: _BLOCK_KERNELS[resolved](t, c4, c5, n)
+    else:
+        # A whole-profile rule without a block kernel (the bounded search
+        # rules) is swept profile by profile; its voter cap keeps n small.
         count = sum(
             len(_rules.evaluate_uncached(rule_id, p)) >= 2 for p in ProfileCursor(n)
         )
         return FrequencyRow(n, rule_id, count - tied, total)
-    if resolved in _rules.PAIRWISE_RULE_IDS:
-        # Python-level cell loops gain nothing from threads, so ``workers``
-        # only applies to the blocked scan below.
-        count = _margin_cell_count(resolved, n)
-        return FrequencyRow(n, rule_id, count - tied, total)
-    if resolved.startswith("scoring:"):
-        points = _scoring_points(_rules.parse_scoring_id(resolved))
-        block_flags = lambda t, c4, c5: _positional_irresolute(t, c4, c5, points)
-    elif resolved == "plurality":
-        points = _scoring_points(_rules.PLURALITY_VECTOR)
-        block_flags = lambda t, c4, c5: _positional_irresolute(t, c4, c5, points)
-    elif resolved == "artificial":
-        block_flags = lambda t, c4, c5: _artificial_irresolute(t, c4, c5, n)
-    else:
-        raise _rules.UnsupportedRuleError(f"unknown rule id: {rule_id!r}")
 
     def scan_block(coords: tuple[int, int, int]) -> int:
         m_total, c4, c5 = coords

@@ -1,24 +1,31 @@
 """Voting rules over three-candidate profiles.
 
-Three evaluation paths coexist:
+Every rule is declared once, in :data:`RULES`, in presentation order.  An
+entry says what the rule reads of a profile and what computes it:
 
-* definitional rules computed from the margin graph (maximin, leximin,
-  Copeland, Nanson variants, Black, Baldwin, top cycle, defensible set) or
-  from the full profile (scoring rules, the artificial rule);
-* a table-driven engine (``table_rule``) covering the purely ordinal rules
-  whose outputs are fixed by the graph classification alone;
-* an oracle cluster of independent implementations (split cycle, beat path,
-  ranked pairs, Kemeny, Dodgson, Young) that must coincide with maximin on
-  three candidates and is used to cross-validate it.
+* ``MARGINS`` -- a function of the margin triple alone: the definitional
+  rules (maximin, leximin, Copeland, Nanson variants, Black, Baldwin, Borda,
+  top cycle, defensible set), the rules read off the 12-class output table
+  (``table_rule``), and the maximin cluster of independent implementations
+  (split cycle, beat path, ranked pairs, Kemeny), which coincide with
+  maximin on three candidates;
+* ``SCORES`` -- a positional score vector (plurality, and any
+  ``scoring:s1,s2,s3`` id);
+* ``PROFILE`` -- a function of the whole profile: the artificial rule and the
+  bounded Dodgson and Young searches.  These two differ from maximin on some
+  profiles with a zero margin.
 
-``evaluate(rule_id, profile)`` dispatches by rule id string and memoizes.
+``resolve`` maps an id (aliases and ``scoring:`` ids included) to its entry;
+``evaluate(rule_id, profile)`` dispatches through it and memoizes.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
+from typing import Any, Callable, NamedTuple
 
 from . import core
 from .core import (
@@ -150,13 +157,17 @@ def nanson_margins(m: Margins, strict: bool = False) -> ChoiceSet:
             remaining = frozenset(x for x in remaining if scores[x] > 0)
 
 
+def borda_margins(m: Margins) -> ChoiceSet:
+    """Argmax of the Borda scores, which are sums of margins."""
+    return _argmax(dict(zip(CANDIDATES, borda_scores(m))))
+
+
 def black_margins(m: Margins) -> ChoiceSet:
     """The Condorcet winner if one exists, otherwise the Borda argmax."""
     w = condorcet_winner(m)
     if w is not None:
         return frozenset({w})
-    beta = borda_scores(m)
-    return _argmax({x: beta[x] for x in CANDIDATES})
+    return borda_margins(m)
 
 
 def baldwin_margins(m: Margins) -> ChoiceSet:
@@ -184,7 +195,8 @@ def baldwin_margins(m: Margins) -> ChoiceSet:
 
 
 # ---------------------------------------------------------------------------
-# oracle cluster: independent implementations that must equal maximin
+# the maximin cluster: independent implementations that equal maximin on
+# three candidates (Dodgson and Young, below, only off zero-margin profiles)
 
 
 def split_cycle_margins(m: Margins) -> ChoiceSet:
@@ -289,15 +301,9 @@ def dodgson(profile: Profile) -> ChoiceSet:
 
     Breadth-first search over profiles at the same electorate size, one
     adjacent transposition in one voter's order per step; the winners are the
-    Condorcet winners of the first layer containing any.
+    Condorcet winners of the first layer containing any.  ``evaluate`` caps
+    the electorate at :data:`SEARCH_RULE_MAX_VOTERS`.
     """
-    n = core.total_voters(profile)
-    if n < 1:
-        raise ValueError("dodgson needs at least one voter")
-    if n > SEARCH_RULE_MAX_VOTERS:
-        raise BoundExceededError(
-            f"dodgson supports at most {SEARCH_RULE_MAX_VOTERS} voters, got {n}"
-        )
     frontier = [profile]
     seen = {profile}
     while frontier:
@@ -326,14 +332,10 @@ def dodgson(profile: Profile) -> ChoiceSet:
 
 
 def young(profile: Profile) -> ChoiceSet:
-    """Candidates made Condorcet winner by retaining the most voters."""
-    n = core.total_voters(profile)
-    if n < 1:
-        raise ValueError("young needs at least one voter")
-    if n > SEARCH_RULE_MAX_VOTERS:
-        raise BoundExceededError(
-            f"young supports at most {SEARCH_RULE_MAX_VOTERS} voters, got {n}"
-        )
+    """Candidates made Condorcet winner by retaining the most voters.
+
+    ``evaluate`` caps the electorate at :data:`SEARCH_RULE_MAX_VOTERS`.
+    """
     best_size = 0
     winners: set[int] = set()
     for sub in itertools.product(*(range(c + 1) for c in profile)):
@@ -350,25 +352,6 @@ def young(profile: Profile) -> ChoiceSet:
     return frozenset(winners)
 
 
-_ORACLE_VARIANTS = {
-    "split_cycle": split_cycle_margins,
-    "beat_path": beat_path_margins,
-    "ranked_pairs": ranked_pairs_margins,
-    "kemeny": kemeny_margins,
-}
-
-
-def maximin_equivalents(variant: str, profile: Profile) -> ChoiceSet:
-    """Evaluate one of the rules known to coincide with maximin."""
-    if variant in _ORACLE_VARIANTS:
-        return _ORACLE_VARIANTS[variant](margins(profile))
-    if variant == "dodgson":
-        return dodgson(profile)
-    if variant == "young":
-        return young(profile)
-    raise UnsupportedRuleError(f"unknown maximin-equivalent variant: {variant!r}")
-
-
 # ---------------------------------------------------------------------------
 # profile-level rules
 
@@ -377,32 +360,8 @@ def maximin(profile: Profile) -> ChoiceSet:
     return maximin_margins(margins(profile))
 
 
-def leximin(profile: Profile) -> ChoiceSet:
-    return leximin_margins(margins(profile))
-
-
-def nanson(profile: Profile, strict: bool = False) -> ChoiceSet:
-    return nanson_margins(margins(profile), strict=strict)
-
-
-def black(profile: Profile) -> ChoiceSet:
-    return black_margins(margins(profile))
-
-
 def baldwin(profile: Profile) -> ChoiceSet:
     return baldwin_margins(margins(profile))
-
-
-def copeland(profile: Profile) -> ChoiceSet:
-    return copeland_margins(margins(profile))
-
-
-def top_cycle_def(profile: Profile) -> ChoiceSet:
-    return top_cycle_margins(margins(profile))
-
-
-def defensible_set(profile: Profile) -> ChoiceSet:
-    return defensible_margins(margins(profile))
 
 
 def scoring_rule(profile: Profile, vector: tuple) -> ChoiceSet:
@@ -415,10 +374,6 @@ def scoring_rule(profile: Profile, vector: tuple) -> ChoiceSet:
         for x in CANDIDATES:
             totals[x] += count * v[core.ORDER_RANK_OF[o][x]]
     return _argmax(totals)
-
-
-BORDA_VECTOR = (2, 0, -2)
-PLURALITY_VECTOR = (1, 0, 0)
 
 
 def _rank_counts(profile: Profile) -> tuple[dict[int, int], dict[int, int]]:
@@ -516,24 +471,29 @@ CLASS_REPRESENTATIVES = {
 }
 
 
-def table_rule(rule_id: str, profile: Profile) -> ChoiceSet:
-    """Evaluate an ordinal rule through the 12-class output table."""
-    canonical = RULE_ALIASES.get(rule_id, rule_id)
-    if canonical not in _TABLE:
-        raise UnsupportedRuleError(f"{rule_id!r} is not a table rule")
-    cls = core.classify(margins(profile))
-    if cls.kind == "condorcet_winner":
-        return frozenset({cls.winner})
-    cell = _CELLS[_TABLE[canonical][core.CLASS_LETTERS.index(cls.kind)]]
-    return frozenset(x for x in CANDIDATES if cls.relabel[x] in cell)
-
-
 def table_cells(rule_id: str) -> tuple[str, ...]:
     """Canonical table row for an ordinal rule, one cell per class letter."""
     canonical = RULE_ALIASES.get(rule_id, rule_id)
     if canonical not in _TABLE:
         raise UnsupportedRuleError(f"{rule_id!r} is not a table rule")
     return _TABLE[canonical]
+
+
+def _read_table(cells: tuple[str, ...], m: Margins) -> ChoiceSet:
+    cls = core.classify(m)
+    if cls.kind == "condorcet_winner":
+        return frozenset({cls.winner})
+    cell = _CELLS[cells[core.CLASS_LETTERS.index(cls.kind)]]
+    return frozenset(x for x in CANDIDATES if cls.relabel[x] in cell)
+
+
+def _table_reader(rule_id: str) -> Callable[[Margins], ChoiceSet]:
+    return functools.partial(_read_table, _TABLE[rule_id])
+
+
+def table_rule(rule_id: str, profile: Profile) -> ChoiceSet:
+    """Evaluate an ordinal rule through the 12-class output table."""
+    return _read_table(table_cells(rule_id), margins(profile))
 
 
 # ---------------------------------------------------------------------------
@@ -577,55 +537,53 @@ def artificial_rule(profile: Profile) -> ChoiceSet:
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# the rule table
 
-_MARGIN_RULES = {
-    "maximin": maximin_margins,
-    "leximin": leximin_margins,
-    "copeland": copeland_margins,
-    "top_cycle": top_cycle_margins,
-    "defensible": defensible_margins,
-    "nanson": nanson_margins,
-    "strict_nanson": functools.partial(nanson_margins, strict=True),
-    "black": black_margins,
-    "baldwin": baldwin_margins,
-    "split_cycle": split_cycle_margins,
-    "beat_path": beat_path_margins,
-    "ranked_pairs": ranked_pairs_margins,
-    "kemeny": kemeny_margins,
-}
+#: what a rule reads of a profile
+MARGINS, SCORES, PROFILE = "margins", "scores", "profile"
 
-_TABLE_ONLY = ("uc_mckelvey", "banks", "uc_gillies", "llull", "stable_voting")
+
+class Rule(NamedTuple):
+    """What a rule reads and what computes it from that: a margin function,
+    a score vector or a profile function.  ``evaluate`` refuses electorates
+    above ``max_voters``."""
+
+    reads: str
+    compute: Any
+    max_voters: float = math.inf
+
 
 #: every concrete rule id, in presentation order (aliases excluded)
-ALL_RULE_IDS = (
-    "top_cycle",
-    "uc_mckelvey",
-    "banks",
-    "uc_gillies",
-    "defensible",
-    "llull",
-    "copeland",
-    "maximin",
-    "strict_nanson",
-    "stable_voting",
-    "nanson",
-    "leximin",
-    "black",
-    "baldwin",
-    "borda",
-    "plurality",
-    "artificial",
-    "split_cycle",
-    "beat_path",
-    "ranked_pairs",
-    "kemeny",
-    "dodgson",
-    "young",
-)
+RULES: dict[str, Rule] = {
+    "top_cycle": Rule(MARGINS, top_cycle_margins),
+    "uc_mckelvey": Rule(MARGINS, _table_reader("uc_mckelvey")),
+    "banks": Rule(MARGINS, _table_reader("banks")),
+    "uc_gillies": Rule(MARGINS, _table_reader("uc_gillies")),
+    "defensible": Rule(MARGINS, defensible_margins),
+    "llull": Rule(MARGINS, _table_reader("llull")),
+    "copeland": Rule(MARGINS, copeland_margins),
+    "maximin": Rule(MARGINS, maximin_margins),
+    "strict_nanson": Rule(MARGINS, functools.partial(nanson_margins, strict=True)),
+    "stable_voting": Rule(MARGINS, _table_reader("stable_voting")),
+    "nanson": Rule(MARGINS, nanson_margins),
+    "leximin": Rule(MARGINS, leximin_margins),
+    "black": Rule(MARGINS, black_margins),
+    "baldwin": Rule(MARGINS, baldwin_margins),
+    "borda": Rule(MARGINS, borda_margins),
+    "plurality": Rule(SCORES, (1, 0, 0)),
+    "artificial": Rule(PROFILE, artificial_rule),
+    "split_cycle": Rule(MARGINS, split_cycle_margins),
+    "beat_path": Rule(MARGINS, beat_path_margins),
+    "ranked_pairs": Rule(MARGINS, ranked_pairs_margins),
+    "kemeny": Rule(MARGINS, kemeny_margins),
+    "dodgson": Rule(PROFILE, dodgson, SEARCH_RULE_MAX_VOTERS),
+    "young": Rule(PROFILE, young, SEARCH_RULE_MAX_VOTERS),
+}
+
+ALL_RULE_IDS = tuple(RULES)
 
 #: rule ids whose output is a function of margins(P) alone
-PAIRWISE_RULE_IDS = tuple(_MARGIN_RULES) + _TABLE_ONLY + ("borda",)
+PAIRWISE_RULE_IDS = tuple(r for r, rule in RULES.items() if rule.reads == MARGINS)
 
 
 def parse_scoring_id(rule_id: str) -> tuple[Fraction, Fraction, Fraction]:
@@ -642,28 +600,33 @@ def parse_scoring_id(rule_id: str) -> tuple[Fraction, Fraction, Fraction]:
         raise UnsupportedRuleError(f"bad scoring vector in {rule_id!r}: {exc}")
 
 
+def resolve(rule_id: str) -> tuple[str, Rule]:
+    """The canonical id and the table entry of a rule id, an alias or a
+    ``scoring:s1,s2,s3`` id."""
+    if rule_id.startswith("scoring:"):
+        return rule_id, Rule(SCORES, parse_scoring_id(rule_id))
+    canonical = RULE_ALIASES.get(rule_id, rule_id)
+    try:
+        return canonical, RULES[canonical]
+    except KeyError:
+        raise UnsupportedRuleError(f"unknown rule id: {rule_id!r}") from None
+
+
 def evaluate_uncached(rule_id: str, profile: Profile) -> ChoiceSet:
     """Dispatch a rule id; see ``evaluate`` for the memoized entry point."""
-    if core.total_voters(profile) < 1:
+    n = core.total_voters(profile)
+    if n < 1:
         raise ValueError("rules need at least one voter")
-    if rule_id.startswith("scoring:"):
-        return scoring_rule(profile, parse_scoring_id(rule_id))
-    canonical = RULE_ALIASES.get(rule_id, rule_id)
-    if canonical in _MARGIN_RULES:
-        return _MARGIN_RULES[canonical](margins(profile))
-    if canonical in _TABLE_ONLY:
-        return table_rule(canonical, profile)
-    if canonical == "borda":
-        return scoring_rule(profile, BORDA_VECTOR)
-    if canonical == "plurality":
-        return scoring_rule(profile, PLURALITY_VECTOR)
-    if canonical == "artificial":
-        return artificial_rule(profile)
-    if canonical == "dodgson":
-        return dodgson(profile)
-    if canonical == "young":
-        return young(profile)
-    raise UnsupportedRuleError(f"unknown rule id: {rule_id!r}")
+    canonical, rule = resolve(rule_id)
+    if n > rule.max_voters:
+        raise BoundExceededError(
+            f"{canonical} supports at most {rule.max_voters} voters, got {n}"
+        )
+    if rule.reads == MARGINS:
+        return rule.compute(margins(profile))
+    if rule.reads == SCORES:
+        return scoring_rule(profile, rule.compute)
+    return rule.compute(profile)
 
 
 @functools.cache

@@ -20,7 +20,7 @@ import io
 import os
 import sys
 from dataclasses import dataclass
-from typing import Iterator, TextIO, Union
+from typing import TextIO, Union
 
 from . import rules as _rules
 from .core import (
@@ -35,6 +35,7 @@ from .core import (
     permute_profile,
     total_voters,
 )
+from .axioms import _profile_pairs
 from .enumeration import profiles_up_to
 
 Clause = tuple[int, ...]
@@ -84,16 +85,6 @@ class CnfInstance:
             return self._aux_var[(p2, p1)]
 
 
-def _pairs(universe: tuple[Profile, ...], bound: int) -> Iterator[tuple[Profile, Profile]]:
-    """Unordered pairs (repeats allowed) with n1 + n2 <= bound, in (n, colex) order."""
-    for i, first in enumerate(universe):
-        budget = bound - total_voters(first)
-        for second in universe[i:]:
-            if total_voters(second) > budget:
-                break  # universe is sorted by voter count
-            yield first, second
-
-
 def build_instance(bound: int, neutrality: bool = False) -> CnfInstance:
     """Encode non-emptiness, Condorcet consistency, and reinforcement as CNF.
 
@@ -118,7 +109,7 @@ def build_instance(bound: int, neutrality: bool = False) -> CnfInstance:
         return 3 * index[profile] + candidate + 1
 
     aux_base = 3 * len(universe)
-    pairs = list(_pairs(universe, bound))
+    pairs = list(_profile_pairs(bound))
     raw_aux = {pair: aux_base + k + 1 for k, pair in enumerate(pairs)}
 
     raw_clauses: list[Clause] = []

@@ -77,6 +77,14 @@ def test_bad_arguments_are_rejected():
         axioms.continuity_probe("maximin", P("1abc"), P("1cba"), 0)
 
 
+@pytest.mark.parametrize("cap", [-1, 0])
+def test_a_witness_cap_below_one_is_rejected(cap):
+    with pytest.raises(ValueError, match="max_witnesses must be at least 1"):
+        axioms.check_reinforcement("nanson", "full", 8, max_witnesses=cap)
+    with pytest.raises(ValueError, match="max_witnesses must be at least 1"):
+        axioms.check_neutrality("artificial", 4, max_witnesses=cap)
+
+
 # ---------------------------------------------------------------------------
 # reinforcement
 # ---------------------------------------------------------------------------
@@ -196,6 +204,8 @@ def test_resolute_participation():
 
 def test_optimist_equivalence_is_instance_exact():
     assert axioms.verify_optimist_equivalence(6).holds
+    # above their voter cap the search rules are left out, not refused
+    assert axioms.verify_optimist_equivalence(10).holds
     with pytest.raises(ValueError):
         axioms.verify_optimist_equivalence(1)
 

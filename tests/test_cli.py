@@ -183,6 +183,17 @@ def test_verify_continuity_persistent_failure(capsys):
     assert "no threshold up to horizon 12" in out
 
 
+@pytest.mark.parametrize("cap", ["-1", "0"])
+def test_verify_rejects_a_witness_cap_below_one(capsys, cap):
+    code, out, err = run(
+        capsys, "verify", "--rule", "nanson", "--axiom", "reinforcement",
+        "--bound", "8", "--max-witnesses", cap,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"max_witnesses must be at least 1, got {cap}\n"
+
+
 def test_verify_requires_rule(capsys):
     code, _, _ = run(capsys, "verify", "--axiom", "reinforcement", "--bound", "4")
     assert code == 2

@@ -18,8 +18,6 @@ from trivote.enumeration import (
     enumerate_profiles,
     irresoluteness,
     profile_count,
-    profile_rank,
-    profile_unrank,
     profiles_up_to,
     search,
 )
@@ -65,13 +63,16 @@ def test_colex_successor_walks_the_whole_universe():
     assert count == profile_count(3)
 
 
-@pytest.mark.parametrize("n", [1, 2, 4, 6])
-def test_rank_unrank_round_trip(n):
-    for rank, profile in enumerate(enumerate_profiles(n)):
-        assert profile_rank(profile) == rank
-        assert profile_unrank(n, rank) == profile
+@pytest.mark.parametrize("n", [0, 1, 4])
+def test_cursor_length_and_first_profile(n):
+    cursor = ProfileCursor(n)
+    assert len(cursor) == profile_count(n) == len(list(cursor))
+    assert next(iter(cursor)) == (n, 0, 0, 0, 0, 0)
+
+
+def test_cursor_rejects_a_negative_voter_count():
     with pytest.raises(ValueError):
-        profile_unrank(n, profile_count(n))
+        ProfileCursor(-1)
 
 
 def test_profiles_up_to_orders_by_voter_count_then_colex():

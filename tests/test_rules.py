@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -218,7 +219,7 @@ def test_margin_cluster_equals_maximin_up_to_10_voters():
     for prof in profiles_up_to(10):
         expected = rules.maximin(prof)
         for variant in ("split_cycle", "beat_path", "ranked_pairs", "kemeny"):
-            assert rules.maximin_equivalents(variant, prof) == expected, (
+            assert rules.evaluate(variant, prof) == expected, (
                 variant,
                 prof,
             )
@@ -229,7 +230,7 @@ def test_search_cluster_equals_maximin_up_to_9_voters():
     for prof in profiles_up_to(9):
         expected = rules.maximin(prof)
         for variant in ("dodgson", "young"):
-            got = rules.maximin_equivalents(variant, prof)
+            got = rules.evaluate(variant, prof)
             if got != expected:
                 mismatches.append((variant, prof, got, expected))
     for variant, prof, got, expected in mismatches:
@@ -393,8 +394,6 @@ def test_unknown_rule_ids_are_rejected():
         rules.evaluate("scoring:1,2", P("1abc"))
     with pytest.raises(rules.UnsupportedRuleError):
         rules.evaluate("scoring:1,x,0", P("1abc"))
-    with pytest.raises(rules.UnsupportedRuleError):
-        rules.maximin_equivalents("borda", P("1abc"))
 
 
 def test_search_rules_enforce_their_voter_bound():
@@ -416,3 +415,31 @@ def test_strict_nanson_keeps_everyone_on_the_all_tied_graph():
     tie = P("1abc+1acb+1bac+1bca+1cab+1cba")
     assert rules.evaluate("strict_nanson", tie) == S("{a,b,c}")
     assert rules.evaluate("nanson", tie) == S("{a,b,c}")
+
+
+# ---------------------------------------------------------------------------
+# the rule table
+
+
+def test_resolve_maps_aliases_and_scoring_ids():
+    assert rules.resolve("uc_bordes") == ("banks", rules.RULES["banks"])
+    assert rules.resolve("schwartz")[0] == "llull"
+    rule_id, rule = rules.resolve("scoring:3,1/2,0")
+    assert rule_id == "scoring:3,1/2,0"
+    assert rule.reads == rules.SCORES
+    assert rule.compute == (3, Fraction(1, 2), 0)
+    with pytest.raises(rules.UnsupportedRuleError, match="unknown rule id: 'approval'"):
+        rules.resolve("approval")
+
+
+def test_every_rule_but_four_is_margin_determined():
+    assert len(rules.ALL_RULE_IDS) == 23
+    assert set(rules.PAIRWISE_RULE_IDS) == {
+        r for r in rules.ALL_RULE_IDS
+        if r not in ("plurality", "artificial", "dodgson", "young")
+    }
+
+
+def test_borda_margin_rule_equals_the_2_1_0_scoring_vector_up_to_10_voters():
+    for prof in profiles_up_to(10):
+        assert rules.evaluate("borda", prof) == rules.evaluate("scoring:2,1,0", prof), prof
