@@ -12,8 +12,10 @@ checkers are finite searches, not proofs.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import rules as _rules
 from .core import (
@@ -93,6 +95,17 @@ class AxiomReport:
         return "\n".join(lines)
 
 
+def validate_cap(max_witnesses: Optional[int]) -> None:
+    """Reject a witness cap below 1: a violated verdict needs a witness."""
+    if max_witnesses is not None and max_witnesses < 1:
+        raise ValueError(f"max_witnesses must be at least 1, got {max_witnesses}")
+
+
+def _validate_bound(bound: int, least: int) -> None:
+    if bound < least:
+        raise ValueError(f"bound must be at least {least}, got {bound}")
+
+
 def _finish(
     rule: str,
     axiom: str,
@@ -100,9 +113,7 @@ def _finish(
     violations: Iterator[Witness],
     max_witnesses: Optional[int],
 ) -> AxiomReport:
-    # a violated verdict needs a witness, so no cap can print none
-    if max_witnesses is not None and max_witnesses < 1:
-        raise ValueError(f"max_witnesses must be at least 1, got {max_witnesses}")
+    validate_cap(max_witnesses)
     collected: list[Witness] = []
     for witness in violations:
         collected.append(witness)
@@ -156,8 +167,7 @@ def check_reinforcement(
     }.get(variant)
     if axiom is None:
         raise ValueError(f"unknown reinforcement variant: {variant!r}")
-    if bound < 2:
-        raise ValueError(f"bound must be at least 2, got {bound}")
+    _validate_bound(bound, 2)
 
     def violations() -> Iterator[Witness]:
         for first, second in _profile_pairs(bound):
@@ -187,13 +197,10 @@ def check_reinforcement(
 # ---------------------------------------------------------------------------
 # Participation
 # ---------------------------------------------------------------------------
-
-_PARTICIPATION_AXIOMS = {
-    "optimist": "optimist_participation",
-    "positive_involvement": "positive_involvement",
-    "singleton_negative_involvement": "singleton_negative_involvement",
-    "fishburn": "fishburn_participation",
-}
+#
+# Each clause below takes one single-voter removal instance -- the joining
+# voter's order, the winners before they join and the winners after -- and
+# returns the failure note, or None when the instance passes.
 
 
 def _removal_instances(bound: int) -> Iterator[tuple[Profile, int, Profile]]:
@@ -211,25 +218,103 @@ def _best_of(order: int, winners: ChoiceSet) -> int:
     return min(winners, key=lambda c: ORDER_RANK_OF[order][c])
 
 
-def _fishburn_failure(
-    order: int, after: ChoiceSet, before: ChoiceSet
-) -> Optional[tuple[int, int]]:
-    """First (u, v) violating "after is at least as good as before".
+def _optimist(order: int, before: ChoiceSet, after: ChoiceSet) -> Optional[str]:
+    best_before, best_after = _best_of(order, before), _best_of(order, after)
+    if ORDER_RANK_OF[order][best_after] > ORDER_RANK_OF[order][best_before]:
+        return (
+            f"a {ORDER_NAMES[order]} voter joins and their best winner worsens "
+            f"from {_candidate(best_before)} to {_candidate(best_after)}"
+        )
+    return None
+
+
+def _positive_involvement(order: int, before: ChoiceSet, after: ChoiceSet) -> Optional[str]:
+    favourite = top(order)
+    if favourite in before and favourite not in after:
+        return (
+            f"top candidate {_candidate(favourite)} of a joining "
+            f"{ORDER_NAMES[order]} voter stops winning"
+        )
+    return None
+
+
+def _singleton_negative_involvement(
+    order: int, before: ChoiceSet, after: ChoiceSet
+) -> Optional[str]:
+    worst = bottom(order)
+    if after == frozenset((worst,)) and before != frozenset((worst,)):
+        return (
+            f"bottom candidate {_candidate(worst)} becomes the sole "
+            f"winner once a {ORDER_NAMES[order]} voter joins"
+        )
+    return None
+
+
+def _fishburn(order: int, before: ChoiceSet, after: ChoiceSet) -> Optional[str]:
+    """Names the first (u, v) violating "after is at least as good as before".
 
     The comparison requires every new winner to beat everything dropped or
     kept, and every kept winner to beat everything dropped: u must be
     preferred to v for u in after, v in before-after, and for u in
     after-before, v in before.
     """
-    for u in sorted(after):
-        for v in sorted(before - after):
-            if not ORDER_RANK_OF[order][u] < ORDER_RANK_OF[order][v]:
-                return u, v
-    for u in sorted(after - before):
-        for v in sorted(before):
-            if not ORDER_RANK_OF[order][u] < ORDER_RANK_OF[order][v]:
-                return u, v
+    pairs = itertools.chain(
+        itertools.product(sorted(after), sorted(before - after)),
+        itertools.product(sorted(after - before), sorted(before)),
+    )
+    for u, v in pairs:
+        if not ORDER_RANK_OF[order][u] < ORDER_RANK_OF[order][v]:
+            return (
+                f"after a {ORDER_NAMES[order]} voter joins, new/kept winner "
+                f"{_candidate(u)} is not preferred to {_candidate(v)}"
+            )
     return None
+
+
+def _resolute(
+    tiebreak: int, order: int, before: ChoiceSet, after: ChoiceSet
+) -> Optional[str]:
+    chosen_before, chosen_after = _best_of(tiebreak, before), _best_of(tiebreak, after)
+    if ORDER_RANK_OF[order][chosen_after] > ORDER_RANK_OF[order][chosen_before]:
+        return (
+            f"a {ORDER_NAMES[order]} voter joins and the tie-broken "
+            f"winner moves from {_candidate(chosen_before)} to "
+            f"{_candidate(chosen_after)}"
+        )
+    return None
+
+
+#: participation variant -> (axiom name, clause)
+_PARTICIPATION = {
+    "optimist": ("optimist_participation", _optimist),
+    "positive_involvement": ("positive_involvement", _positive_involvement),
+    "singleton_negative_involvement": (
+        "singleton_negative_involvement",
+        _singleton_negative_involvement,
+    ),
+    "fishburn": ("fishburn_participation", _fishburn),
+}
+
+
+def _participation_sweep(
+    rule_id: str,
+    axiom: str,
+    bound: int,
+    clause: Callable[[int, ChoiceSet, ChoiceSet], Optional[str]],
+    max_witnesses: Optional[int],
+) -> AxiomReport:
+    """Run ``clause`` on every single-voter removal instance up to ``bound``."""
+    _validate_bound(bound, 2)
+
+    def violations() -> Iterator[Witness]:
+        for profile, order, reduced in _removal_instances(bound):
+            before = _f(rule_id, reduced)
+            after = _f(rule_id, profile)
+            note = clause(order, before, after)
+            if note is not None:
+                yield Witness(axiom, (reduced, profile), (before, after), note)
+
+    return _finish(rule_id, axiom, bound, violations(), max_witnesses)
 
 
 def check_participation(
@@ -248,53 +333,11 @@ def check_participation(
     at least as good as Y in the set extension where every gained winner
     must beat every lost or kept one.
     """
-    axiom = _PARTICIPATION_AXIOMS.get(variant)
-    if axiom is None:
+    entry = _PARTICIPATION.get(variant)
+    if entry is None:
         raise ValueError(f"unknown participation variant: {variant!r}")
-    if bound < 2:
-        raise ValueError(f"bound must be at least 2, got {bound}")
-
-    def violations() -> Iterator[Witness]:
-        for profile, order, reduced in _removal_instances(bound):
-            before = _f(rule_id, reduced)
-            after = _f(rule_id, profile)
-            voter = ORDER_NAMES[order]
-            if variant == "optimist":
-                best_after = _best_of(order, after)
-                best_before = _best_of(order, before)
-                if ORDER_RANK_OF[order][best_after] > ORDER_RANK_OF[order][best_before]:
-                    note = (
-                        f"a {voter} voter joins and their best winner worsens "
-                        f"from {_candidate(best_before)} to {_candidate(best_after)}"
-                    )
-                    yield Witness(axiom, (reduced, profile), (before, after), note)
-            elif variant == "positive_involvement":
-                favourite = top(order)
-                if favourite in before and favourite not in after:
-                    note = (
-                        f"top candidate {_candidate(favourite)} of a joining "
-                        f"{voter} voter stops winning"
-                    )
-                    yield Witness(axiom, (reduced, profile), (before, after), note)
-            elif variant == "singleton_negative_involvement":
-                worst = bottom(order)
-                if after == frozenset((worst,)) and before != frozenset((worst,)):
-                    note = (
-                        f"bottom candidate {_candidate(worst)} becomes the sole "
-                        f"winner once a {voter} voter joins"
-                    )
-                    yield Witness(axiom, (reduced, profile), (before, after), note)
-            else:  # fishburn
-                failure = _fishburn_failure(order, after, before)
-                if failure is not None:
-                    u, v = failure
-                    note = (
-                        f"after a {voter} voter joins, new/kept winner "
-                        f"{_candidate(u)} is not preferred to {_candidate(v)}"
-                    )
-                    yield Witness(axiom, (reduced, profile), (before, after), note)
-
-    return _finish(rule_id, axiom, bound, violations(), max_witnesses)
+    axiom, clause = entry
+    return _participation_sweep(rule_id, axiom, bound, clause, max_witnesses)
 
 
 def check_resolute_participation(
@@ -309,33 +352,30 @@ def check_resolute_participation(
     ``tiebreak`` order; joining must never move that winner down the joining
     voter's own ranking.
     """
-    if bound < 2:
-        raise ValueError(f"bound must be at least 2, got {bound}")
     axiom = f"resolute_participation({ORDER_NAMES[tiebreak]})"
-
-    def resolute(winners: ChoiceSet) -> int:
-        return _best_of(tiebreak, winners)
-
-    def violations() -> Iterator[Witness]:
-        for profile, order, reduced in _removal_instances(bound):
-            before = _f(rule_id, reduced)
-            after = _f(rule_id, profile)
-            chosen_before = resolute(before)
-            chosen_after = resolute(after)
-            if ORDER_RANK_OF[order][chosen_after] > ORDER_RANK_OF[order][chosen_before]:
-                note = (
-                    f"a {ORDER_NAMES[order]} voter joins and the tie-broken "
-                    f"winner moves from {_candidate(chosen_before)} to "
-                    f"{_candidate(chosen_after)}"
-                )
-                yield Witness(axiom, (reduced, profile), (before, after), note)
-
-    return _finish(rule_id, axiom, bound, violations(), max_witnesses)
+    clause = functools.partial(_resolute, tiebreak)
+    return _participation_sweep(rule_id, axiom, bound, clause, max_witnesses)
 
 
 # ---------------------------------------------------------------------------
-# Responsiveness
+# Single-profile axioms
 # ---------------------------------------------------------------------------
+#
+# Each ``*_witnesses`` generator yields the failures of one axiom on one
+# profile; ``_profile_sweep`` drives it over every profile up to a bound.
+
+
+def _profile_sweep(
+    rule_id: str,
+    axiom: str,
+    bound: int,
+    witnesses: Callable[[Profile], Iterator[Witness]],
+    max_witnesses: Optional[int],
+) -> AxiomReport:
+    _validate_bound(bound, 1)
+    violations = (w for profile in profiles_up_to(bound) for w in witnesses(profile))
+    return _finish(rule_id, axiom, bound, violations, max_witnesses)
+
 
 _RESPONSIVENESS_AXIOMS = {
     "monotonicity": "monotonicity",
@@ -399,6 +439,29 @@ def _double_swaps(profile: Profile) -> Iterator[tuple[Profile, int, int, str]]:
                 yield tuple(counts), x, y, note
 
 
+def responsiveness_witnesses(
+    rule_id: str, variant: str, profile: Profile, max_simultaneous_swaps: int = 1
+) -> Iterator[Witness]:
+    """The failures :func:`check_responsiveness` finds on one profile."""
+    axiom = _RESPONSIVENESS_AXIOMS[variant]
+    winners = _f(rule_id, profile)
+    improvements: Iterable[tuple[Profile, int, int, str]] = _single_swaps(profile)
+    if max_simultaneous_swaps == 2:
+        improvements = itertools.chain(improvements, _double_swaps(profile))
+    for improved, x, y, how in improvements:
+        if x not in winners:
+            continue
+        if variant == "tiebreak_positive" and y not in winners:
+            continue
+        outcome = _f(rule_id, improved)
+        if variant == "monotonicity":
+            ok = x in outcome
+        else:
+            ok = outcome == frozenset((x,))
+        if not ok:
+            yield Witness(axiom, (profile, improved), (winners, outcome), how)
+
+
 def check_responsiveness(
     rule_id: str,
     variant: str = "monotonicity",
@@ -419,64 +482,54 @@ def check_responsiveness(
     axiom = _RESPONSIVENESS_AXIOMS.get(variant)
     if axiom is None:
         raise ValueError(f"unknown responsiveness variant: {variant!r}")
-    if bound < 1:
-        raise ValueError(f"bound must be at least 1, got {bound}")
     if max_simultaneous_swaps not in (1, 2):
         raise ValueError("only 1 or 2 simultaneous swaps are supported")
-
-    def violations() -> Iterator[Witness]:
-        for n in range(1, bound + 1):
-            for profile in ProfileCursor(n):
-                winners = _f(rule_id, profile)
-                improvements: Iterable[tuple[Profile, int, int, str]] = _single_swaps(
-                    profile
-                )
-                if max_simultaneous_swaps == 2:
-                    improvements = list(improvements) + list(_double_swaps(profile))
-                for improved, x, y, how in improvements:
-                    if x not in winners:
-                        continue
-                    if variant == "tiebreak_positive" and y not in winners:
-                        continue
-                    outcome = _f(rule_id, improved)
-                    if variant == "monotonicity":
-                        ok = x in outcome
-                    else:
-                        ok = outcome == frozenset((x,))
-                    if not ok:
-                        yield Witness(
-                            axiom, (profile, improved), (winners, outcome), how
-                        )
-
-    return _finish(rule_id, axiom, bound, violations(), max_witnesses)
+    witnesses = functools.partial(
+        responsiveness_witnesses, rule_id, variant, max_simultaneous_swaps=max_simultaneous_swaps
+    )
+    return _profile_sweep(rule_id, axiom, bound, witnesses, max_witnesses)
 
 
-# ---------------------------------------------------------------------------
-# Homogeneity, Condorcet consistency, refinement, neutrality
-# ---------------------------------------------------------------------------
+def homogeneity_witnesses(rule_id: str, profile: Profile) -> Iterator[Witness]:
+    """The failures :func:`check_homogeneity` finds on one profile."""
+    once = _f(rule_id, profile)
+    doubled_profile = t_fold(profile, 2)
+    doubled = _f(rule_id, doubled_profile)
+    if once != doubled:
+        yield Witness(
+            "homogeneity",
+            (profile, doubled_profile),
+            (once, doubled),
+            "doubling the electorate changes the outcome",
+        )
 
 
 def check_homogeneity(
     rule_id: str, bound: int, max_witnesses: Optional[int] = None
 ) -> AxiomReport:
     """Doubling every voter count must not change the outcome."""
-    if bound < 1:
-        raise ValueError(f"bound must be at least 1, got {bound}")
+    witnesses = functools.partial(homogeneity_witnesses, rule_id)
+    return _profile_sweep(rule_id, "homogeneity", bound, witnesses, max_witnesses)
 
-    def violations() -> Iterator[Witness]:
-        for profile in profiles_up_to(bound):
-            once = _f(rule_id, profile)
-            doubled_profile = t_fold(profile, 2)
-            doubled = _f(rule_id, doubled_profile)
-            if once != doubled:
-                yield Witness(
-                    "homogeneity",
-                    (profile, doubled_profile),
-                    (once, doubled),
-                    "doubling the electorate changes the outcome",
-                )
 
-    return _finish(rule_id, "homogeneity", bound, violations(), max_witnesses)
+_CONDORCET_AXIOMS = {"standard": "condorcet_consistency", "strong": "strong_condorcet"}
+
+
+def condorcet_witnesses(rule_id: str, variant: str, profile: Profile) -> Iterator[Witness]:
+    """The failures :func:`check_condorcet` finds on one profile."""
+    axiom = _CONDORCET_AXIOMS[variant]
+    m = margins(profile)
+    winners = _f(rule_id, profile)
+    if variant == "standard":
+        champion = condorcet_winner(m)
+        if champion is not None and winners != frozenset((champion,)):
+            note = f"majority winner {_candidate(champion)} not selected uniquely"
+            yield Witness(axiom, (profile,), (winners,), note)
+    else:
+        unbeaten = intermediate_condorcet_winners(m)
+        if unbeaten and winners != unbeaten:
+            note = f"unbeaten candidates {choice_set_to_str(unbeaten)} not selected exactly"
+            yield Witness(axiom, (profile,), (winners,), note)
 
 
 def check_condorcet(
@@ -492,76 +545,53 @@ def check_condorcet(
     comparison and wins at least one, the winners must be exactly the set of
     such candidates.
     """
-    if variant not in ("standard", "strong"):
+    axiom = _CONDORCET_AXIOMS.get(variant)
+    if axiom is None:
         raise ValueError(f"unknown condorcet variant: {variant!r}")
-    if bound < 1:
-        raise ValueError(f"bound must be at least 1, got {bound}")
-    axiom = "condorcet_consistency" if variant == "standard" else "strong_condorcet"
+    witnesses = functools.partial(condorcet_witnesses, rule_id, variant)
+    return _profile_sweep(rule_id, axiom, bound, witnesses, max_witnesses)
 
-    def violations() -> Iterator[Witness]:
-        for profile in profiles_up_to(bound):
-            m = margins(profile)
-            winners = _f(rule_id, profile)
-            if variant == "standard":
-                champion = condorcet_winner(m)
-                if champion is not None and winners != frozenset((champion,)):
-                    note = f"majority winner {_candidate(champion)} not selected uniquely"
-                    yield Witness(axiom, (profile,), (winners,), note)
-            else:
-                unbeaten = intermediate_condorcet_winners(m)
-                if unbeaten and winners != unbeaten:
-                    note = f"unbeaten candidates {choice_set_to_str(unbeaten)} not selected exactly"
-                    yield Witness(axiom, (profile,), (winners,), note)
 
-    return _finish(rule_id, axiom, bound, violations(), max_witnesses)
+def refinement_witnesses(lower: str, upper: str, profile: Profile) -> Iterator[Witness]:
+    """The failures :func:`check_refinement` finds on one profile."""
+    fine = _f(lower, profile)
+    coarse = _f(upper, profile)
+    if not fine <= coarse:
+        note = f"{upper} gives {choice_set_to_str(coarse)}"
+        yield Witness(f"refinement({upper})", (profile,), (fine,), note)
 
 
 def check_refinement(
     lower: str, upper: str, bound: int, max_witnesses: Optional[int] = None
 ) -> AxiomReport:
     """Every winner of ``lower`` must also win under ``upper``."""
-    if bound < 1:
-        raise ValueError(f"bound must be at least 1, got {bound}")
-    axiom = f"refinement({upper})"
+    witnesses = functools.partial(refinement_witnesses, lower, upper)
+    return _profile_sweep(lower, f"refinement({upper})", bound, witnesses, max_witnesses)
 
-    def violations() -> Iterator[Witness]:
-        for profile in profiles_up_to(bound):
-            fine = _f(lower, profile)
-            coarse = _f(upper, profile)
-            if not fine <= coarse:
-                note = f"{upper} gives {choice_set_to_str(coarse)}"
-                yield Witness(axiom, (profile,), (fine,), note)
 
-    return _finish(lower, axiom, bound, violations(), max_witnesses)
+def neutrality_witnesses(rule_id: str, profile: Profile) -> Iterator[Witness]:
+    """The failures :func:`check_neutrality` finds on one profile."""
+    winners = _f(rule_id, profile)
+    for sigma in PERMUTATIONS[1:]:
+        relabelled_profile = permute_profile(profile, sigma)
+        relabelled_winners = _f(rule_id, relabelled_profile)
+        expected = permute_choice_set(winners, sigma)
+        if relabelled_winners != expected:
+            note = f"relabelling {sigma} should give {choice_set_to_str(expected)}"
+            yield Witness(
+                "neutrality",
+                (profile, relabelled_profile),
+                (winners, relabelled_winners),
+                note,
+            )
 
 
 def check_neutrality(
     rule_id: str, bound: int, max_witnesses: Optional[int] = None
 ) -> AxiomReport:
     """Relabelling the candidates must relabel the winners the same way."""
-    if bound < 1:
-        raise ValueError(f"bound must be at least 1, got {bound}")
-
-    def violations() -> Iterator[Witness]:
-        for profile in profiles_up_to(bound):
-            winners = _f(rule_id, profile)
-            for sigma in PERMUTATIONS[1:]:
-                relabelled_profile = permute_profile(profile, sigma)
-                relabelled_winners = _f(rule_id, relabelled_profile)
-                expected = permute_choice_set(winners, sigma)
-                if relabelled_winners != expected:
-                    note = (
-                        f"relabelling {sigma} should give "
-                        f"{choice_set_to_str(expected)}"
-                    )
-                    yield Witness(
-                        "neutrality",
-                        (profile, relabelled_profile),
-                        (winners, relabelled_winners),
-                        note,
-                    )
-
-    return _finish(rule_id, "neutrality", bound, violations(), max_witnesses)
+    witnesses = functools.partial(neutrality_witnesses, rule_id)
+    return _profile_sweep(rule_id, "neutrality", bound, witnesses, max_witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +633,9 @@ def continuity_probe(
 
 
 def verify_optimist_equivalence(
-    bound: int, rule_ids: Optional[Iterable[str]] = None
+    bound: int,
+    rule_ids: Optional[Iterable[str]] = None,
+    max_witnesses: Optional[int] = None,
 ) -> AxiomReport:
     """Instance-level equivalence behind the optimist participation axiom.
 
@@ -613,8 +645,7 @@ def verify_optimist_equivalence(
     same instance.  The returned report uses rule id ``"all"``; witnesses
     carry the offending rule in their note.
     """
-    if bound < 2:
-        raise ValueError(f"bound must be at least 2, got {bound}")
+    _validate_bound(bound, 2)
     if rule_ids is None:
         rule_ids = [r for r, rule in _rules.RULES.items() if bound <= rule.max_voters]
     axiom = "optimist_equivalence"
@@ -625,21 +656,17 @@ def verify_optimist_equivalence(
             for profile, order, reduced in instances:
                 before = _f(rule_id, reduced)
                 after = _f(rule_id, profile)
-                optimist_ok = (
-                    ORDER_RANK_OF[order][_best_of(order, after)]
-                    <= ORDER_RANK_OF[order][_best_of(order, before)]
+                optimist_ok = _optimist(order, before, after) is None
+                involvement_ok = (
+                    _positive_involvement(order, before, after) is None
+                    and _singleton_negative_involvement(order, before, after) is None
                 )
-                favourite, worst = top(order), bottom(order)
-                pi_ok = not (favourite in before and favourite not in after)
-                sni_ok = not (
-                    after == frozenset((worst,)) and before != frozenset((worst,))
-                )
-                if optimist_ok != (pi_ok and sni_ok):
+                if optimist_ok != involvement_ok:
                     note = (
                         f"rule {rule_id}, voter {ORDER_NAMES[order]}: optimist "
                         f"{'passes' if optimist_ok else 'fails'} but involvement "
-                        f"checks {'pass' if pi_ok and sni_ok else 'fail'}"
+                        f"checks {'pass' if involvement_ok else 'fail'}"
                     )
                     yield Witness(axiom, (reduced, profile), (before, after), note)
 
-    return _finish("all", axiom, bound, violations(), max_witnesses=None)
+    return _finish("all", axiom, bound, violations(), max_witnesses)

@@ -22,16 +22,13 @@ from .core import (
     CANDIDATES,
     CLASS_LETTERS,
     ORDER_NAMES,
-    PERMUTATIONS,
     Profile,
     choice_set_to_str,
     condorcet_winner,
     format_profile,
     margins,
     parse_profile,
-    permute_choice_set,
-    permute_profile,
-    t_fold,
+    total_voters,
 )
 
 
@@ -53,12 +50,16 @@ def _fail(message: str) -> int:
 
 
 def cmd_winners(args: argparse.Namespace) -> int:
-    rule_ids = tuple(rules.ALL_RULE_IDS) if args.all else tuple(args.rule)
+    if args.all:
+        n = total_voters(args.profile)
+        rule_ids = [r for r, rule in rules.RULES.items() if n <= rule.max_voters]
+    else:
+        rule_ids = args.rule
     lines = []
     for rule_id in rule_ids:
         try:
             winners = rules.evaluate(rule_id, args.profile)
-        except rules.UnsupportedRuleError as exc:
+        except (rules.UnsupportedRuleError, rules.BoundExceededError) as exc:
             return _fail(str(exc))
         lines.append(f"{rule_id}: {choice_set_to_str(winners)}")
     print("\n".join(lines))
@@ -128,10 +129,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             report = axioms.check_refinement(args.rule, args.upper, bound, cap)
         elif axiom == "optimist_equivalence":
             rule_ids = [args.rule] if args.rule else None
-            report = axioms.verify_optimist_equivalence(bound, rule_ids)
+            report = axioms.verify_optimist_equivalence(bound, rule_ids, cap)
         elif axiom == "continuity":
             if args.profile is None or args.profile2 is None:
                 return _fail("--axiom continuity needs --profile and --profile2")
+            axioms.validate_cap(cap)
             threshold = axioms.continuity_probe(args.rule, args.profile, args.profile2, bound)
             if threshold is None:
                 print(
@@ -186,6 +188,8 @@ def cmd_figure4(args: argparse.Namespace) -> int:
 def cmd_satgen(args: argparse.Namespace) -> int:
     try:
         instance = satgen.build_instance(args.bound, neutrality=args.neutral)
+        # solve first, so that an instance too big for the solver writes nothing
+        satisfiable = satgen.solve_naive(instance) if args.solve else None
     except ValueError as exc:
         return _fail(str(exc))
     if args.out:
@@ -197,10 +201,6 @@ def cmd_satgen(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(satgen.dimacs_text(instance))
     if args.solve:
-        try:
-            satisfiable = satgen.solve_naive(instance)
-        except ValueError as exc:
-            return _fail(str(exc))
         print("satisfiable" if satisfiable else "unsatisfiable")
     return 0
 
@@ -226,30 +226,8 @@ def _weak_scoring_overrides_condorcet(profile: Profile) -> bool:
     )
 
 
-def _artificial_homogeneity_violation(profile: Profile) -> bool:
-    return rules.evaluate("artificial", t_fold(profile, 2)) != rules.evaluate(
-        "artificial", profile
-    )
-
-
-def _artificial_neutrality_violation(profile: Profile) -> bool:
-    winners = rules.evaluate("artificial", profile)
-    return any(
-        rules.evaluate("artificial", permute_profile(profile, sigma))
-        != permute_choice_set(winners, sigma)
-        for sigma in PERMUTATIONS[1:]
-    )
-
-
-def _nanson_positive_responsiveness_violation(profile: Profile) -> bool:
-    winners = rules.evaluate("nanson", profile)
-    return any(
-        promoted in winners and rules.evaluate("nanson", improved) != frozenset({promoted})
-        for improved, promoted, _, _ in axioms._single_swaps(profile)
-    )
-
-
-#: named predicates for ``search``: id -> (predicate, description)
+#: named predicates for ``search``: id -> (predicate, description); the axiom
+#: predicates ask whether the checker's per-profile generator finds a witness
 SEARCH_PREDICATES = {
     "weak-scoring-overrides-condorcet": (
         _weak_scoring_overrides_condorcet,
@@ -257,15 +235,15 @@ SEARCH_PREDICATES = {
         "weakly monotonic scoring vector",
     ),
     "artificial-homogeneity-violation": (
-        _artificial_homogeneity_violation,
+        lambda profile: any(axioms.homogeneity_witnesses("artificial", profile)),
         "doubling the profile changes the artificial rule's winners",
     ),
     "artificial-neutrality-violation": (
-        _artificial_neutrality_violation,
+        lambda profile: any(axioms.neutrality_witnesses("artificial", profile)),
         "relabeling candidates changes the artificial rule's winners",
     ),
     "nanson-positive-responsiveness-violation": (
-        _nanson_positive_responsiveness_violation,
+        lambda profile: any(axioms.responsiveness_witnesses("nanson", "positive", profile)),
         "promoting a Nanson winner on one ballot fails to make it the unique winner",
     ),
 }

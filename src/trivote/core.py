@@ -80,11 +80,6 @@ def bottom(order: int) -> int:
     return ORDER_RANKING[order][2]
 
 
-def prefers(order: int, x: int, y: int) -> bool:
-    """True when order ranks candidate x strictly above candidate y."""
-    return ORDER_RANK_OF[order][x] < ORDER_RANK_OF[order][y]
-
-
 def total_voters(profile: Profile) -> int:
     return sum(profile)
 

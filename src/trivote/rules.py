@@ -360,10 +360,6 @@ def maximin(profile: Profile) -> ChoiceSet:
     return maximin_margins(margins(profile))
 
 
-def baldwin(profile: Profile) -> ChoiceSet:
-    return baldwin_margins(margins(profile))
-
-
 def scoring_rule(profile: Profile, vector: tuple) -> ChoiceSet:
     """Argmax of positional scores; exact rational arithmetic."""
     v = tuple(Fraction(s) for s in vector)

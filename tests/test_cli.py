@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from trivote import cli, rules, satgen
+from trivote import axioms, cli, enumeration, rules, satgen
 
 
 def run(capsys, *argv):
@@ -52,6 +52,25 @@ def test_winners_all_on_symmetric_cycle(capsys):
     # Only the deliberately non-neutral rule breaks the three-way symmetry.
     assert lines.pop("artificial") == "{a}"
     assert set(lines.values()) == {"{a,b,c}"}
+
+
+@pytest.mark.parametrize("rule_flags", [["dodgson"], ["maximin", "young"]])
+def test_winners_rule_above_its_voter_cap_exits_two(capsys, rule_flags):
+    argv = ["winners", "10abc"] + [arg for r in rule_flags for arg in ("--rule", r)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"{rule_flags[-1]} supports at most 9 voters, got 10\n"
+
+
+def test_winners_all_lists_the_rules_whose_cap_allows_the_profile(capsys):
+    code, out, _ = run(capsys, "winners", "5abc+5cba", "--all")
+    assert code == 0
+    names = [line.split(": ")[0] for line in out.splitlines()]
+    assert names == [r for r in rules.ALL_RULE_IDS if r not in ("dodgson", "young")]
+    code, out, _ = run(capsys, "winners", "5abc+4cba", "--all")
+    assert code == 0
+    assert [line.split(": ")[0] for line in out.splitlines()] == list(rules.ALL_RULE_IDS)
 
 
 def test_winners_parse_error_exits_two(capsys):
@@ -194,6 +213,23 @@ def test_verify_rejects_a_witness_cap_below_one(capsys, cap):
     assert err == f"max_witnesses must be at least 1, got {cap}\n"
 
 
+@pytest.mark.parametrize("cap", ["-1", "0"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--axiom", "optimist_equivalence", "--bound", "4"],
+        ["--rule", "maximin", "--axiom", "continuity", "--bound", "4",
+         "--profile", "2abc", "--profile2", "1cba"],
+    ],
+    ids=["optimist_equivalence", "continuity"],
+)
+def test_verify_special_axioms_reject_a_witness_cap_below_one(capsys, argv, cap):
+    code, out, err = run(capsys, "verify", *argv, "--max-witnesses", cap)
+    assert code == 2
+    assert out == ""
+    assert err == f"max_witnesses must be at least 1, got {cap}\n"
+
+
 def test_verify_requires_rule(capsys):
     code, _, _ = run(capsys, "verify", "--axiom", "reinforcement", "--bound", "4")
     assert code == 2
@@ -289,6 +325,13 @@ def test_satgen_neutral_solve_unsatisfiable(capsys, tmp_path):
     assert out.strip() == "unsatisfiable"
 
 
+def test_satgen_solve_refuses_an_oversized_instance_before_writing(capsys):
+    code, out, err = run(capsys, "satgen", "--bound", "6", "--solve")
+    assert code == 2
+    assert out == ""
+    assert err == "instance has 103517 clauses; the built-in solver handles at most 100000\n"
+
+
 def test_satgen_bad_bound(capsys):
     code, _, _ = run(capsys, "satgen", "--bound", "1")
     assert code == 2
@@ -339,6 +382,39 @@ def test_search_artificial_predicates(capsys):
     )
     assert code == 1
     assert out.splitlines()[0] == "1abc+1acb+2bac"
+
+
+@pytest.mark.parametrize(
+    "predicate,report,hits,witnesses",
+    [
+        (
+            "artificial-homogeneity-violation",
+            lambda: axioms.check_homogeneity("artificial", 7),
+            30,
+            30,
+        ),
+        (
+            "artificial-neutrality-violation",
+            lambda: axioms.check_neutrality("artificial", 7),
+            164,
+            478,
+        ),
+        (
+            "nanson-positive-responsiveness-violation",
+            lambda: axioms.check_responsiveness("nanson", "positive", 7),
+            72,
+            114,
+        ),
+    ],
+)
+def test_search_predicates_find_the_checkers_witness_profiles(
+    predicate, report, hits, witnesses
+):
+    # the counts are those of the standalone predicates the search used to have
+    found = enumeration.search(cli.SEARCH_PREDICATES[predicate][0], 7, mode="all")
+    uncapped = report().witnesses
+    assert (len(found), len(uncapped)) == (hits, witnesses)
+    assert found == list(dict.fromkeys(w.profiles[0] for w in uncapped))
 
 
 @pytest.mark.parametrize("bound", ["-3", "0"])

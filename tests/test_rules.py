@@ -141,7 +141,7 @@ def test_pinned_rule_outputs(rule, profile, winners):
 def test_baldwin_diverges_from_the_leaf_rules():
     # the 17-voter profile where Baldwin disagrees with every rule below it
     prof = P("4acb+5bac+3cab+5cba")
-    assert rules.baldwin(prof) == S("{a}")
+    assert rules.evaluate("baldwin", prof) == S("{a}")
     for other in ("black", "leximin", "strict_nanson"):
         assert rules.evaluate(other, prof) == S("{c}")
 
