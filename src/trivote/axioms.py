@@ -352,6 +352,8 @@ def check_resolute_participation(
     ``tiebreak`` order; joining must never move that winner down the joining
     voter's own ranking.
     """
+    if not 0 <= tiebreak < len(ORDER_NAMES):
+        raise ValueError(f"tiebreak must be an order index in 0..5, got {tiebreak}")
     axiom = f"resolute_participation({ORDER_NAMES[tiebreak]})"
     clause = functools.partial(_resolute, tiebreak)
     return _participation_sweep(rule_id, axiom, bound, clause, max_witnesses)

@@ -165,15 +165,11 @@ def cmd_figure4(args: argparse.Namespace) -> int:
     rule_ids = [rid.strip() for rid in args.rules.split(",") if rid.strip()]
     if not rule_ids:
         return _fail("--rules must name at least one rule")
-    try:
-        workers = enumeration.worker_count()
-    except ValueError as exc:
-        return _fail(str(exc))
     print("n,rule,irresolute,total,fraction")
     for n in range(4, args.max_n + 1, 2):
         for rule_id in rule_ids:
             try:
-                row = enumeration.irresoluteness(rule_id, n, workers=workers)
+                row = enumeration.irresoluteness(rule_id, n)
             except (rules.UnsupportedRuleError, rules.BoundExceededError) as exc:
                 return _fail(str(exc))
             print(row.csv())
@@ -187,6 +183,9 @@ def cmd_figure4(args: argparse.Namespace) -> int:
 
 def cmd_satgen(args: argparse.Namespace) -> int:
     try:
+        if args.solve and not args.neutral:
+            # the plain instance's size has a closed form: refuse before building
+            satgen.check_solver_limit(satgen.clause_count(args.bound))
         instance = satgen.build_instance(args.bound, neutrality=args.neutral)
         # solve first, so that an instance too big for the solver writes nothing
         satisfiable = satgen.solve_naive(instance) if args.solve else None

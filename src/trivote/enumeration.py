@@ -10,18 +10,14 @@ decimals only at the output boundary.  Two access paths are provided:
   winners, by what the rule reads (``rules.resolve``).  A margin-determined
   rule is decided once per margin triple, by a numpy kernel or by its margin
   function, and each triple is weighted by the closed-form number of profiles
-  sharing it.  Positional rules, and whole-profile rules with a block kernel
-  (the artificial rule), are counted by a blocked numpy scan of all
-  ``C(n+5, 5)`` profiles, optionally threaded; any other whole-profile rule
-  by a cursor sweep.
+  sharing it.  Positional rules are counted over the same cells in closed
+  form, and the artificial rule over the profiles of the cells where maximin
+  ties; the bounded search rules (Dodgson, Young) by a cursor sweep.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
@@ -30,20 +26,9 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import rules as _rules
-from .core import ORDER_MARGIN_VECTOR, ORDER_RANKING, Profile
-
-#: Environment variable consulted for the default worker count.
-WORKERS_ENV_VAR = "TRIVOTE_WORKERS"
+from .core import ORDER_RANK_OF, Profile
 
 CSV_HEADER = "n,rule,irresolute,total,fraction"
-
-#: Rules whose frequency curves leave out the completely tied profiles.
-#:
-#: On a profile where every pairwise margin is zero, every anonymous neutral
-#: rule returns all three candidates, so such ties say nothing about the rule
-#: itself.  The reference curves for the maximin family exclude them (the
-#: black curve does not); :func:`irresoluteness` applies the same defaults.
-EXCLUDE_ALL_TIED = ("maximin", "nanson", "leximin")
 
 
 def profile_count(n: int) -> int:
@@ -138,12 +123,16 @@ def profiles_up_to(bound: int, min_n: int = 1) -> Iterator[Profile]:
 _CELL_CHUNK = 1 << 16
 
 
+def _expand(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(owner, k)`` for every ``k in range(sizes[owner])``, owner by owner."""
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    return owner, np.arange(owner.size) - (np.cumsum(sizes) - sizes)[owner]
+
+
 def _cell_chunk(n: int, d1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Margins and profile counts of every ``n``-voter cell in the ``d1`` slabs."""
     side = n + 1 - np.abs(d1)
-    sizes = side * side
-    slab = np.repeat(np.arange(d1.size), sizes)
-    index = np.arange(sizes.sum()) - (np.cumsum(sizes) - sizes)[slab]
+    slab, index = _expand(side * side)
     side = side[slab]
     u = 2 * (index // side) - (side - 1)
     v = 2 * (index % side) - (side - 1)
@@ -178,11 +167,11 @@ def _borda_columns(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return m[:, 0] + m[:, 1], m[:, 2] - m[:, 0], -m[:, 1] - m[:, 2]
 
 
-def _kernel_maximin(m: np.ndarray) -> np.ndarray:
-    sa = np.minimum(m[:, 0], m[:, 1])
-    sb = np.minimum(-m[:, 0], m[:, 2])
-    sc = np.minimum(-m[:, 1], -m[:, 2])
-    return _ties_at_max(sa, sb, sc)
+def _maximin_winners(m: np.ndarray) -> np.ndarray:
+    """Per row, whether maximin elects each candidate."""
+    # worst margins: a min(m_ab, m_ac), b min(-m_ab, m_bc), c min(-m_ac, -m_bc)
+    worst = np.minimum(m[:, [0, 0, 1]] * [1, -1, -1], m[:, [1, 2, 2]] * [1, 1, -1])
+    return worst == worst.max(axis=1, keepdims=True)
 
 
 def _kernel_leximin(m: np.ndarray, n: int) -> np.ndarray:
@@ -260,7 +249,7 @@ def _kernel_baldwin(m: np.ndarray) -> np.ndarray:
 
 
 _MARGIN_KERNELS: dict[str, Callable[[np.ndarray, int], np.ndarray]] = {
-    "maximin": lambda m, n: _kernel_maximin(m),
+    "maximin": lambda m, n: _maximin_winners(m).sum(axis=1) >= 2,
     "leximin": _kernel_leximin,
     "black": lambda m, n: _kernel_black(m),
     "borda": lambda m, n: _kernel_borda(m),
@@ -280,105 +269,109 @@ def _margin_cell_count(rule_id: str, margin_rule: Callable, n: int) -> int:
     return sum(int(weights[kernel(m, n)].sum()) for m, weights in _margin_cells(n))
 
 
+def condorcet_profile_count(n: int) -> int:
+    """Number of ``n``-voter profiles with a Condorcet winner."""
+    cells = _margin_cells(n)
+    return sum(int(weights[_condorcet_winner_exists(m)].sum()) for m, weights in cells)
+
+
 # ---------------------------------------------------------------------------
-# Blocked profile scan (positional and artificial rules)
+# Counting over the fibres of margin cells (positional and artificial rules)
 # ---------------------------------------------------------------------------
+#
+# The profiles of the cell with surplus d differ only in t = (t1, t2, t3),
+# t1 + t2 + t3 = J, the order/reverse pairs added to the |d_i| surplus voters.
+# When every order gives each candidate fixed points, x scores
+# K_x + sum_i A_i[x] t_i: K_x from the surplus voters, A_i[x] from one pair of
+# kind i.
 
-_V = np.array(ORDER_MARGIN_VECTOR, dtype=np.int64)  # (6, 3) order -> margins
-
-
-@functools.lru_cache(maxsize=32)
-def _compositions4(m: int) -> np.ndarray:
-    """All compositions of ``m`` into 4 ordered parts, shape (C(m+3,3), 4)."""
-    rows = []
-    for c3 in range(m + 1):
-        for c2 in range(m - c3 + 1):
-            for c1 in range(m - c3 - c2 + 1):
-                rows.append((m - c3 - c2 - c1, c1, c2, c3))
-    return np.asarray(rows, dtype=np.int64).reshape(-1, 4)
+#: the order and the reverse order of each pair kind; d_i is the order's surplus
+_ORDERS, _REVERSES = [0, 1, 4], [5, 3, 2]
 
 
-def _blocks(n: int) -> Iterator[tuple[int, int, int]]:
-    """Block coordinates (m, c4, c5) with m = n - c4 - c5.
+def _order_points(by_position: Sequence[Sequence[int]]) -> np.ndarray:
+    """``points[order, candidate]`` from each order's points for its top,
+    middle and bottom candidate."""
+    rows = np.array(by_position, dtype=np.int64)
+    return np.take_along_axis(rows, np.array(ORDER_RANK_OF), axis=1)
 
-    Blocks are grouped by m so consecutive blocks share one cached
-    composition template; within a block the first four counts range over
-    all compositions of m.
+
+def _surplus_points(m: np.ndarray, n: int, points: np.ndarray) -> tuple:
+    """``(J, K)`` per cell: the number of pairs, and the points the surplus
+    voters give each candidate."""
+    d = m @ np.array([[1, 0, 1], [0, 1, -1], [1, -1, 0]]) // 2  # inverts the margins
+    j = (n - np.abs(d).sum(axis=1)) // 2
+    return j, np.maximum(d, 0) @ points[_ORDERS] + np.maximum(-d, 0) @ points[_REVERSES]
+
+
+def _scoring_count(n: int, vector: Sequence[Fraction]) -> int:
+    """Profiles with ``n`` voters on which the scoring rule ties.
+
+    A pair of kind i gives its middle candidate 2 s2 and the other two
+    s1 + s3, so x scores K_x + (s1 + s3) J - gamma u_x with
+    gamma = s1 - 2 s2 + s3, where u = (t3, t1, t2) counts the pairs that rank
+    a, b, c in the middle.  A tie of x and y fixes u_x - u_y = k and leaves
+    an interval of u_x, cut by "z is not above"; the three pairwise counts
+    count a three-way tie three times, so it is taken off twice.
     """
-    for s in range(n + 1):
-        for c5 in range(s + 1):
-            yield n - s, s - c5, c5
-
-
-# --- positional kernels (need the count columns, not just margins) ---------
-
-
-def _scoring_points(vector: Sequence[Fraction]) -> np.ndarray:
-    """Integer points-per-(order, candidate) matrix for a scoring vector."""
     scale = math.lcm(*(f.denominator for f in vector))
-    scaled = [int(f * scale) for f in vector]
-    points = np.zeros((6, 3), dtype=np.int64)
-    for order, ranking in enumerate(ORDER_RANKING):
-        for position, candidate in enumerate(ranking):
-            points[order, candidate] = scaled[position]
-    return points
+    s1, s2, s3 = (int(f * scale) for f in vector)
+    gamma = s1 - 2 * s2 + s3
+    points = _order_points([(s1, s2, s3)] * 6)
+    count = 0
+    for m, weights in _margin_cells(n):
+        j, score = _surplus_points(m, n, points)
+        if gamma == 0:  # the scores are the same on the whole cell
+            count += int(weights[_ties_at_max(*score.T)].sum())
+            continue
+        k, whole = [], []
+        for x, y, z in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+            k_xy, rest = np.divmod(score[:, x] - score[:, y], gamma)
+            k.append(k_xy)
+            whole.append(rest == 0)
+            # u_x, u_y = u_x - k and u_z = J + k - 2 u_x are >= 0, and
+            # z is not above: 3 gamma u_x <= gamma (J + k) + K_x - K_z
+            lo, hi = np.maximum(k_xy, 0), (j + k_xy) // 2
+            top = gamma * (j + k_xy) + score[:, x] - score[:, z]
+            if gamma > 0:
+                hi = np.minimum(hi, top // (3 * gamma))
+            else:
+                lo = np.maximum(lo, -(-top // (3 * gamma)))
+            count += int(np.maximum(hi - lo + 1, 0)[whole[-1]].sum())
+        # three-way ties: 3 u_a = J + k_ab + k_ac, with u_a, u_b, u_c >= 0
+        u3 = j + k[0] + k[1]
+        lowest = np.maximum(np.maximum(k[0], k[1]), 0)
+        count -= 2 * int((whole[0] & whole[1] & (u3 % 3 == 0) & (u3 // 3 >= lowest)).sum())
+    return count
 
 
-def _positional_irresolute(
-    template: np.ndarray, c4: int, c5: int, points: np.ndarray
-) -> np.ndarray:
-    scores = template @ points[:4]
-    scores = scores + c4 * points[4] + c5 * points[5]
-    return _ties_at_max(scores[:, 0], scores[:, 1], scores[:, 2])
+def _artificial_count(n: int) -> int:
+    """Profiles with ``n`` voters on which the artificial rule ties.
 
-
-def _artificial_irresolute(
-    template: np.ndarray, c4: int, c5: int, n: int
-) -> np.ndarray:
+    Maximin winners are refined by points, so only the cells where maximin
+    ties can tie; their fibres are expanded profile by profile.
+    """
     table = _rules.artificial_table(n)
-    points = np.zeros((6, 3), dtype=np.int64)
-    for order, (top_points, second_points) in enumerate(table):
-        ranking = ORDER_RANKING[order]
-        points[order, ranking[0]] = top_points
-        points[order, ranking[1]] = second_points
-    scores = template @ points[:4] + c4 * points[4] + c5 * points[5]
-
-    m = template @ _V[:4] + c4 * _V[4] + c5 * _V[5]
-    sa = np.minimum(m[:, 0], m[:, 1])
-    sb = np.minimum(-m[:, 0], m[:, 2])
-    sc = np.minimum(-m[:, 1], -m[:, 2])
-    best = np.maximum(sa, np.maximum(sb, sc))
-    masked = [
-        np.where(s == best, scores[:, c], np.int64(-1))
-        for c, s in enumerate((sa, sb, sc))
-    ]
-    top = np.maximum(masked[0], np.maximum(masked[1], masked[2]))
-    count = sum((col == top).astype(np.int8) for col in masked)
-    return count >= 2
-
-
-#: whole-profile rules counted by the blocked scan: id -> block flags
-_BLOCK_KERNELS: dict[str, Callable[[np.ndarray, int, int, int], np.ndarray]] = {
-    "artificial": _artificial_irresolute,
-}
-
-
-def worker_count(workers: Optional[int] = None) -> int:
-    """Threads for the blocked scan: ``workers``, else ``TRIVOTE_WORKERS``,
-    else all usable CPUs, and never more than those.  Raises ``ValueError``
-    when the variable holds anything but a positive integer."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    available = len(affinity(0)) if affinity else os.cpu_count() or 1
-    if workers is None:
-        text = os.environ.get(WORKERS_ENV_VAR)
-        if not text:
-            return available
-        workers = int(text) if text.strip().isdecimal() else 0
-        if workers < 1:
-            raise ValueError(
-                f"{WORKERS_ENV_VAR} must be a positive integer, got {text!r}"
-            )
-    return max(1, min(workers, available))
+    points = _order_points([(top, mid, 0) for top, mid in table])
+    pair = points[_ORDERS] + points[_REVERSES]  # A_i[x]
+    count = 0
+    for m, weights in _margin_cells(n):
+        winners = _maximin_winners(m)
+        tied = winners.sum(axis=1) >= 2
+        winners, weights = winners[tied], weights[tied]
+        j, surplus = _surplus_points(m[tied], n, points)
+        # fibres in pieces of about _CELL_CHUNK profiles, so memory stays bounded
+        ends = np.cumsum(weights)
+        cuts = np.searchsorted(ends, np.arange(_CELL_CHUNK, ends[-1:].sum(), _CELL_CHUNK))
+        for cells in np.split(np.arange(j.size), cuts):
+            cell, t1 = _expand(j[cells] + 1)
+            row, t2 = _expand(j[cells][cell] - t1 + 1)
+            cell, t1 = cells[cell][row], t1[row]
+            t = np.stack((t1, t2, j[cell] - t1 - t2), axis=1)
+            # points are never negative, so -1 keeps a maximin loser out
+            score = np.where(winners[cell], surplus[cell] + t @ pair, -1)
+            count += int(_ties_at_max(*score.T).sum())
+    return count
 
 
 @dataclass(frozen=True)
@@ -409,54 +402,37 @@ class FrequencyRow:
 def irresoluteness(
     rule_id: str,
     n: int,
-    workers: Optional[int] = None,
+    workers: Optional[int] = None,  # ignored; perfbench/worker.py still passes it
     exclude_all_tied: Optional[bool] = None,
 ) -> FrequencyRow:
     """Exact count of ``n``-voter profiles on which the rule is irresolute.
 
     ``exclude_all_tied`` controls whether completely tied profiles (all
-    margins zero) are left out of the count; the default follows the
-    per-rule convention of :data:`EXCLUDE_ALL_TIED`.
+    margins zero) are left out of the count; the default is the rule's
+    ``exclude_all_tied`` entry in ``rules.RULES``.
     """
     if n < 1:
         raise ValueError(f"voter count must be positive, got {n}")
     total = profile_count(n)
     resolved, rule = _rules.resolve(rule_id)
     if exclude_all_tied is None:
-        exclude_all_tied = resolved in EXCLUDE_ALL_TIED
+        exclude_all_tied = rule.exclude_all_tied
     # Completely tied profiles make every implemented rule irresolute, so
     # excluding them is a closed-form subtraction rather than a scan filter.
     tied = all_tied_count(n) if exclude_all_tied else 0
 
     if rule.reads == _rules.MARGINS:
-        # Python-level cell loops gain nothing from threads, so ``workers``
-        # only applies to the blocked scan below.
         count = _margin_cell_count(resolved, rule.compute, n)
-        return FrequencyRow(n, rule_id, count - tied, total)
-    if rule.reads == _rules.SCORES:
-        points = _scoring_points(rule.compute)
-        block_flags = lambda t, c4, c5: _positional_irresolute(t, c4, c5, points)
-    elif resolved in _BLOCK_KERNELS:
-        block_flags = lambda t, c4, c5: _BLOCK_KERNELS[resolved](t, c4, c5, n)
+    elif rule.reads == _rules.SCORES:
+        count = _scoring_count(n, rule.compute)
+    elif resolved == "artificial":
+        count = _artificial_count(n)
     else:
-        # A whole-profile rule without a block kernel (the bounded search
-        # rules) is swept profile by profile; its voter cap keeps n small.
+        # The bounded search rules are swept profile by profile; their voter
+        # cap keeps n small.
         count = sum(
             len(_rules.evaluate_uncached(rule_id, p)) >= 2 for p in ProfileCursor(n)
         )
-        return FrequencyRow(n, rule_id, count - tied, total)
-
-    def scan_block(coords: tuple[int, int, int]) -> int:
-        m_total, c4, c5 = coords
-        return int(np.count_nonzero(block_flags(_compositions4(m_total), c4, c5)))
-
-    coords = list(_blocks(n))
-    worker_total = min(worker_count(workers), len(coords))
-    if worker_total <= 1:
-        count = sum(scan_block(c) for c in coords)
-    else:
-        with ThreadPoolExecutor(max_workers=worker_total) as pool:
-            count = sum(pool.map(scan_block, coords))
     return FrequencyRow(n, rule_id, count - tied, total)
 
 

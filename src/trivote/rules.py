@@ -542,11 +542,15 @@ MARGINS, SCORES, PROFILE = "margins", "scores", "profile"
 class Rule(NamedTuple):
     """What a rule reads and what computes it from that: a margin function,
     a score vector or a profile function.  ``evaluate`` refuses electorates
-    above ``max_voters``."""
+    above ``max_voters``.  Tie-frequency curves of rules marked
+    ``exclude_all_tied`` leave out the completely tied profiles, where every
+    anonymous neutral rule elects all three, as the reference curves of the
+    maximin family do (the black curve does not)."""
 
     reads: str
     compute: Any
     max_voters: float = math.inf
+    exclude_all_tied: bool = False
 
 
 #: every concrete rule id, in presentation order (aliases excluded)
@@ -558,11 +562,11 @@ RULES: dict[str, Rule] = {
     "defensible": Rule(MARGINS, defensible_margins),
     "llull": Rule(MARGINS, _table_reader("llull")),
     "copeland": Rule(MARGINS, copeland_margins),
-    "maximin": Rule(MARGINS, maximin_margins),
+    "maximin": Rule(MARGINS, maximin_margins, exclude_all_tied=True),
     "strict_nanson": Rule(MARGINS, functools.partial(nanson_margins, strict=True)),
     "stable_voting": Rule(MARGINS, _table_reader("stable_voting")),
-    "nanson": Rule(MARGINS, nanson_margins),
-    "leximin": Rule(MARGINS, leximin_margins),
+    "nanson": Rule(MARGINS, nanson_margins, exclude_all_tied=True),
+    "leximin": Rule(MARGINS, leximin_margins, exclude_all_tied=True),
     "black": Rule(MARGINS, black_margins),
     "baldwin": Rule(MARGINS, baldwin_margins),
     "borda": Rule(MARGINS, borda_margins),

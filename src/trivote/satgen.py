@@ -36,7 +36,7 @@ from .core import (
     total_voters,
 )
 from .axioms import _profile_pairs
-from .enumeration import profiles_up_to
+from .enumeration import condorcet_profile_count, profile_count, profiles_up_to
 
 Clause = tuple[int, ...]
 
@@ -272,6 +272,25 @@ def check_assignment(inst: CnfInstance, rule: str) -> bool:
 SOLVER_CLAUSE_LIMIT = 100_000
 
 
+def check_solver_limit(num_clauses: int) -> None:
+    """Raise ValueError when :func:`solve_naive` refuses that many clauses."""
+    if num_clauses > SOLVER_CLAUSE_LIMIT:
+        raise ValueError(
+            f"instance has {num_clauses} clauses; "
+            f"the built-in solver handles at most {SOLVER_CLAUSE_LIMIT}"
+        )
+
+
+def clause_count(bound: int) -> int:
+    """Clauses of the plain ``build_instance(bound)``, without building it:
+    one per profile, three per profile with a Condorcet winner and twelve per
+    unordered pair, less the three that a pair (P, P) repeats."""
+    sizes = [profile_count(n) for n in range(bound + 1)]
+    ordered = sum(sizes[a] * sizes[b] for a in range(1, bound) for b in range(1, bound - a + 1))
+    condorcet = sum(condorcet_profile_count(n) for n in range(1, bound + 1))
+    return sum(sizes[1:]) + 3 * condorcet + 6 * ordered + 3 * sum(sizes[1 : bound // 2 + 1])
+
+
 def solve_naive(inst: CnfInstance) -> bool:
     """Best-effort DPLL: True if satisfiable, False if not.
 
@@ -280,11 +299,7 @@ def solve_naive(inst: CnfInstance) -> bool:
     neutral one.  Raises ValueError above :data:`SOLVER_CLAUSE_LIMIT`
     clauses; use :func:`emit_dimacs` and an external solver instead.
     """
-    if inst.num_clauses > SOLVER_CLAUSE_LIMIT:
-        raise ValueError(
-            f"instance has {inst.num_clauses} clauses; "
-            f"the built-in solver handles at most {SOLVER_CLAUSE_LIMIT}"
-        )
+    check_solver_limit(inst.num_clauses)
     clauses = [list(c) for c in inst.clauses]
     occurs: dict[int, list[int]] = {}
     for idx, clause in enumerate(clauses):

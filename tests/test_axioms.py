@@ -202,6 +202,12 @@ def test_resolute_participation():
     assert not report.holds
 
 
+@pytest.mark.parametrize("tiebreak", [6, -1])
+def test_resolute_participation_rejects_a_tiebreak_outside_the_orders(tiebreak):
+    with pytest.raises(ValueError, match="tiebreak"):
+        axioms.check_resolute_participation("maximin", tiebreak, 4)
+
+
 def test_optimist_equivalence_is_instance_exact():
     assert axioms.verify_optimist_equivalence(6).holds
     # above their voter cap the search rules are left out, not refused

@@ -280,16 +280,6 @@ def test_figure4_rejects_odd_or_small_n(capsys):
     assert run(capsys, "figure4", "--max-n", "2")[0] == 2
 
 
-@pytest.mark.parametrize("rules_arg", ["maximin,nanson,leximin,black", "plurality"])
-@pytest.mark.parametrize("value", ["abc", "0", "-1"])
-def test_figure4_rejects_a_bad_worker_setting(capsys, monkeypatch, rules_arg, value):
-    monkeypatch.setenv("TRIVOTE_WORKERS", value)
-    code, out, err = run(capsys, "figure4", "--rules", rules_arg, "--max-n", "4")
-    assert code == 2
-    assert out == ""
-    assert err.count("\n") == 1 and "TRIVOTE_WORKERS" in err
-
-
 def test_figure4_unknown_rule(capsys):
     code, _, _ = run(capsys, "figure4", "--rules", "banana", "--max-n", "4")
     assert code == 2
@@ -332,9 +322,34 @@ def test_satgen_solve_refuses_an_oversized_instance_before_writing(capsys):
     assert err == "instance has 103517 clauses; the built-in solver handles at most 100000\n"
 
 
+@pytest.mark.parametrize("bound, clauses", [("6", 103517), ("7", 287999)])
+def test_satgen_solve_refuses_an_oversized_instance_before_building(
+    capsys, monkeypatch, bound, clauses
+):
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_instance must not run")
+
+    monkeypatch.setattr(satgen, "build_instance", no_build)
+    code, out, err = run(capsys, "satgen", "--bound", bound, "--solve")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"instance has {clauses} clauses; the built-in solver handles at most 100000\n"
+    )
+
+
+def test_satgen_solve_builds_and_solves_below_the_limit(capsys, tmp_path):
+    target = tmp_path / "b5.cnf"
+    code, out, err = run(capsys, "satgen", "--bound", "5", "--solve", "--out", str(target))
+    assert code == 0
+    assert out == "satisfiable\n"
+    assert "33275 clauses" in err
+
+
 def test_satgen_bad_bound(capsys):
     code, _, _ = run(capsys, "satgen", "--bound", "1")
     assert code == 2
+    assert run(capsys, "satgen", "--bound", "1", "--solve")[0] == 2
 
 
 def test_replay_pass(capsys):

@@ -10,7 +10,6 @@ import pytest
 from trivote import core, enumeration, rules
 from trivote.core import parse_profile
 from trivote.enumeration import (
-    EXCLUDE_ALL_TIED,
     FrequencyRow,
     ProfileCursor,
     all_tied_count,
@@ -141,7 +140,8 @@ def test_all_tied_count_matches_brute_force():
 
 
 def test_exclusion_convention_only_subtracts_for_the_listed_rules():
-    assert set(EXCLUDE_ALL_TIED) == {"maximin", "nanson", "leximin"}
+    excluding = {r for r, rule in rules.RULES.items() if rule.exclude_all_tied}
+    assert excluding == {"maximin", "nanson", "leximin"}
     row = irresoluteness("black", 4)
     raw = sum(1 for p in enumerate_profiles(4) if len(rules.evaluate("black", p)) >= 2)
     assert row.irresolute == raw == 18
@@ -237,7 +237,8 @@ def test_kernel_count_matches_scalar_sweep(rule_id):
 
 # irresolute profiles (completely tied ones included) at 59 and 60 voters, as
 # counted profile by profile by the blocked numpy scan of all C(n+5, 5)
-# profiles, which counted these rules before the margin-cell method
+# profiles, which counted these rules before the margin-cell method (the
+# last four entries were recorded just before the scan was deleted)
 BLOCK_SCAN_COUNTS = {
     "maximin": {59: 74910, 60: 326526},
     "leximin": {59: 3300, 60: 18366},
@@ -247,6 +248,10 @@ BLOCK_SCAN_COUNTS = {
     "nanson": {59: 3300, 60: 234126},
     "strict_nanson": {59: 3300, 60: 263886},
     "baldwin": {59: 24090, 60: 353586},
+    "plurality": {59: 192060, 60: 196176},
+    "artificial": {59: 267, 60: 1653},
+    "scoring:3,1,0": {59: 76830, 60: 80493},
+    "scoring:1,1/3,0": {59: 76830, 60: 80493},
 }
 
 
@@ -265,39 +270,34 @@ def test_search_tree_rules_count_by_scalar_sweep():
         assert row.irresolute == scalar
 
 
-def test_parallel_and_serial_counts_agree():
+# gamma = s1 - 2 s2 + s3 > 0, < 0 and = 0, a fractional, two reversed and a
+# constant vector
+FIBRE_RULE_IDS = (
+    "artificial",
+    "scoring:3,1,0",
+    "scoring:5,2,0",
+    "scoring:1,1,0",
+    "scoring:2,1,0",
+    "scoring:1,1/3,0",
+    "scoring:0,1,0",
+    "scoring:0,0,1",
+    "scoring:1,1,1",
+)
+
+
+@pytest.mark.parametrize("rule_id", FIBRE_RULE_IDS)
+def test_fibre_counts_match_a_brute_force_count(rule_id):
+    for n in range(1, 13):
+        brute = Counter(
+            len(rules.evaluate_uncached(rule_id, p)) >= 2 for p in ProfileCursor(n)
+        )
+        row = irresoluteness(rule_id, n, exclude_all_tied=False)
+        assert row.irresolute == brute[True], (rule_id, n)
+
+
+def test_irresoluteness_ignores_the_workers_keyword():
     for rule_id in ("maximin", "artificial", "borda"):
-        serial = irresoluteness(rule_id, 12, workers=1)
-        parallel = irresoluteness(rule_id, 12, workers=4)
-        assert serial == parallel
-
-
-def test_worker_env_override(monkeypatch):
-    monkeypatch.setenv("TRIVOTE_WORKERS", "3")
-    assert irresoluteness("plurality", 10) == irresoluteness("plurality", 10, workers=1)
-
-
-def test_worker_count_is_capped_by_the_usable_cpus(monkeypatch):
-    monkeypatch.setattr(
-        enumeration.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False
-    )
-    monkeypatch.delenv("TRIVOTE_WORKERS", raising=False)
-    assert enumeration.worker_count() == 4
-    assert enumeration.worker_count(2) == 2
-    assert enumeration.worker_count(20_301) == 4
-    assert enumeration.worker_count(0) == 1
-    monkeypatch.setenv("TRIVOTE_WORKERS", "3")
-    assert enumeration.worker_count() == 3
-    monkeypatch.setenv("TRIVOTE_WORKERS", "64")
-    assert enumeration.worker_count() == 4
-    assert enumeration.worker_count(1) == 1
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", "²"])
-def test_worker_count_rejects_a_malformed_environment_value(monkeypatch, value):
-    monkeypatch.setenv("TRIVOTE_WORKERS", value)
-    with pytest.raises(ValueError, match="TRIVOTE_WORKERS"):
-        enumeration.worker_count()
+        assert irresoluteness(rule_id, 12, workers=4) == irresoluteness(rule_id, 12)
 
 
 def irresoluteness_via_orbits(rule_id, n, exclude_all_tied=None):
@@ -307,9 +307,8 @@ def irresoluteness_via_orbits(rule_id, n, exclude_all_tied=None):
     orbit under candidate permutations, weighted by the orbit size.  For a
     neutral rule this must reproduce :func:`irresoluteness` exactly.
     """
-    resolved = rules.RULE_ALIASES.get(rule_id, rule_id)
     if exclude_all_tied is None:
-        exclude_all_tied = resolved in EXCLUDE_ALL_TIED
+        exclude_all_tied = rules.resolve(rule_id)[1].exclude_all_tied
     count = 0
     for profile in ProfileCursor(n):
         orbit = {core.permute_profile(profile, sigma) for sigma in core.PERMUTATIONS}

@@ -40,6 +40,12 @@ def test_bound_below_two_rejected():
             satgen.build_instance(bad)
 
 
+def test_clause_count_matches_the_built_instance(inst4, inst7):
+    for inst in (satgen.build_instance(2), satgen.build_instance(3), inst4, inst7):
+        assert satgen.clause_count(inst.bound) == inst.num_clauses
+    assert inst7.num_clauses == 287_999
+
+
 def test_universe_is_all_profiles_up_to_bound(inst4):
     assert len(inst4.universe) == sum(profile_count(n) for n in range(1, 5))
     assert all(1 <= total_voters(p) <= 4 for p in inst4.universe)
