@@ -14,6 +14,7 @@ Primary output goes to standard output; diagnostics go to standard error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -165,6 +166,11 @@ def cmd_figure4(args: argparse.Namespace) -> int:
     rule_ids = [rid.strip() for rid in args.rules.split(",") if rid.strip()]
     if not rule_ids:
         return _fail("--rules must name at least one rule")
+    # nothing is threaded any more, but perfbench still sets this variable:
+    # a malformed value is refused as before until that setting is dropped
+    workers = os.environ.get("TRIVOTE_WORKERS")
+    if workers is not None and not (workers.strip().isdecimal() and int(workers) > 0):
+        return _fail(f"TRIVOTE_WORKERS must be a positive integer, got {workers!r}")
     print("n,rule,irresolute,total,fraction")
     for n in range(4, args.max_n + 1, 2):
         for rule_id in rule_ids:

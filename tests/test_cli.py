@@ -280,6 +280,16 @@ def test_figure4_rejects_odd_or_small_n(capsys):
     assert run(capsys, "figure4", "--max-n", "2")[0] == 2
 
 
+@pytest.mark.parametrize("rules_arg", ["maximin,nanson,leximin,black", "plurality"])
+@pytest.mark.parametrize("value", ["abc", "0", "-1"])
+def test_figure4_rejects_a_bad_worker_setting(capsys, monkeypatch, rules_arg, value):
+    monkeypatch.setenv("TRIVOTE_WORKERS", value)
+    code, out, err = run(capsys, "figure4", "--rules", rules_arg, "--max-n", "4")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "TRIVOTE_WORKERS" in err
+
+
 def test_figure4_unknown_rule(capsys):
     code, _, _ = run(capsys, "figure4", "--rules", "banana", "--max-n", "4")
     assert code == 2

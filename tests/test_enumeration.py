@@ -295,9 +295,16 @@ def test_fibre_counts_match_a_brute_force_count(rule_id):
         assert row.irresolute == brute[True], (rule_id, n)
 
 
-def test_irresoluteness_ignores_the_workers_keyword():
+def test_parallel_and_serial_counts_agree():
     for rule_id in ("maximin", "artificial", "borda"):
-        assert irresoluteness(rule_id, 12, workers=4) == irresoluteness(rule_id, 12)
+        serial = irresoluteness(rule_id, 12, workers=1)
+        parallel = irresoluteness(rule_id, 12, workers=4)
+        assert serial == parallel
+
+
+def test_worker_env_override(monkeypatch):
+    monkeypatch.setenv("TRIVOTE_WORKERS", "3")
+    assert irresoluteness("plurality", 10) == irresoluteness("plurality", 10, workers=1)
 
 
 def irresoluteness_via_orbits(rule_id, n, exclude_all_tied=None):
