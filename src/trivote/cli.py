@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -160,10 +161,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+#: one id of a comma-separated rule list; a ``scoring:s1,s2,s3`` id keeps its commas
+_RULE_ID = re.compile(r"\s*scoring:[^,]*,[^,]*,[^,]*|[^,]+")
+
+
 def cmd_figure4(args: argparse.Namespace) -> int:
     if args.max_n < 4 or args.max_n % 2:
         return _fail(f"--max-n must be an even number >= 4, got {args.max_n}")
-    rule_ids = [rid.strip() for rid in args.rules.split(",") if rid.strip()]
+    rule_ids = [rid.strip() for rid in _RULE_ID.findall(args.rules) if rid.strip()]
     if not rule_ids:
         return _fail("--rules must name at least one rule")
     # nothing is threaded any more, but perfbench still sets this variable:
@@ -171,14 +176,20 @@ def cmd_figure4(args: argparse.Namespace) -> int:
     workers = os.environ.get("TRIVOTE_WORKERS")
     if workers is not None and not (workers.strip().isdecimal() and int(workers) > 0):
         return _fail(f"TRIVOTE_WORKERS must be a positive integer, got {workers!r}")
+    # every id and voter cap is checked before the header, so a refusal prints no CSV
+    for rule_id in rule_ids:
+        try:
+            canonical, rule = rules.resolve(rule_id)
+        except rules.UnsupportedRuleError as exc:
+            return _fail(str(exc))
+        if args.max_n > rule.max_voters:
+            return _fail(
+                f"{canonical} supports at most {rule.max_voters} voters, got --max-n {args.max_n}"
+            )
     print("n,rule,irresolute,total,fraction")
     for n in range(4, args.max_n + 1, 2):
         for rule_id in rule_ids:
-            try:
-                row = enumeration.irresoluteness(rule_id, n)
-            except (rules.UnsupportedRuleError, rules.BoundExceededError) as exc:
-                return _fail(str(exc))
-            print(row.csv())
+            print(enumeration.irresoluteness(rule_id, n).csv())
     return 0
 
 

@@ -7,26 +7,28 @@ decimals only at the output boundary.  Two access paths are provided:
   vectors (used by the scalar paths and by any caller that needs the
   canonical profile order).
 * :func:`irresoluteness` — exact counting of the profiles with several
-  winners, by what the rule reads (``rules.resolve``).  A margin-determined
-  rule is decided once per margin triple, by a numpy kernel or by its margin
-  function, and each triple is weighted by the closed-form number of profiles
-  sharing it.  Positional rules are counted over the same cells in closed
+  winners, by what the rule reads (``rules.resolve``).  The margin triples
+  reachable with n voters are weighted by the closed-form number of profiles
+  sharing them and grouped into sign faces, on which every margin-determined
+  rule is constant; such a rule is decided once per face by its margin
+  function.  Positional rules are counted over the same cells in closed
   form, and the artificial rule over the profiles of the cells where maximin
   ties; the bounded search rules (Dodgson, Young) by a cursor sweep.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import rules as _rules
-from .core import ORDER_RANK_OF, Profile
+from .core import CANDIDATES, ORDER_RANK_OF, ChoiceSet, Margins, Profile, condorcet_winner
 
 CSV_HEADER = "n,rule,irresolute,total,fraction"
 
@@ -152,127 +154,81 @@ def _margin_cells(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
             lo, cells = d1 + 1, 0
 
 
-# --- margin kernels: boolean "irresolute" flags per row --------------------
+# --- sign faces -------------------------------------------------------------
+#
+# A face is the set of cells on which 12 linear forms have the same signs:
+# the margins, their pairwise sums and differences, and the Borda-score
+# differences.  The design rests on one condition: a margin rule may compare
+# only these forms, so that it chooses the same set on every cell of a face.
+# All the rules in ``rules.RULES`` do (each is checked cell by cell in the
+# tests); a rule that compared anything else would be miscounted.  There are
+# 267 faces, all reached by n = 13, so each rule is decided once per face, on
+# one of its cells, and each face's profiles are counted together.
 
 
-def _ties_at_max(*scores: np.ndarray) -> np.ndarray:
-    best = scores[0]
-    for s in scores[1:]:
-        best = np.maximum(best, s)
-    count = sum((s == best).astype(np.int8) for s in scores)
-    return count >= 2
-
-
-def _borda_columns(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return m[:, 0] + m[:, 1], m[:, 2] - m[:, 0], -m[:, 1] - m[:, 2]
-
-
-def _maximin_winners(m: np.ndarray) -> np.ndarray:
-    """Per row, whether maximin elects each candidate."""
-    # worst margins: a min(m_ab, m_ac), b min(-m_ab, m_bc), c min(-m_ac, -m_bc)
-    worst = np.minimum(m[:, [0, 0, 1]] * [1, -1, -1], m[:, [1, 2, 2]] * [1, 1, -1])
-    return worst == worst.max(axis=1, keepdims=True)
-
-
-def _kernel_leximin(m: np.ndarray, n: int) -> np.ndarray:
-    # Encode each candidate's ascending margin pair (lo, hi) as one key that
-    # sorts lexicographically; leximin is irresolute iff the best key ties.
-    step = 2 * n + 1
-    keys = []
-    for first, second in (
-        (m[:, 0], m[:, 1]),
-        (-m[:, 0], m[:, 2]),
-        (-m[:, 1], -m[:, 2]),
+def _face_keys(m: np.ndarray) -> np.ndarray:
+    """Per cell, the signs of the 12 forms as a base-3 number in [0, 3**12)."""
+    ab, ac, bc = np.ascontiguousarray(m.T, dtype=np.int32)  # the forms stay within 4n
+    key = np.zeros(len(m), dtype=np.int32)
+    for form in (
+        ab, ac, bc,
+        ab + ac, ab - ac, ab + bc, ab - bc, ac + bc, ac - bc,
+        2 * ab + ac - bc, ab + 2 * ac + bc, ac + 2 * bc - ab,  # Borda differences
     ):
-        lo = np.minimum(first, second)
-        hi = np.maximum(first, second)
-        keys.append(lo * step + hi)
-    return _ties_at_max(*keys)
+        key = 3 * key + np.sign(form) + 1
+    return key
 
 
-def _condorcet_winner_exists(m: np.ndarray) -> np.ndarray:
-    return (
-        ((m[:, 0] > 0) & (m[:, 1] > 0))
-        | ((m[:, 0] < 0) & (m[:, 2] > 0))
-        | ((m[:, 1] < 0) & (m[:, 2] < 0))
+#: one cell of each face met so far, in the order met; a face's choices are
+#: read off its cell, and a face is named by its position here
+_FACE_CELLS: list[Margins] = []
+#: per face key, 1 + the face's position in _FACE_CELLS, or 0 for a key not met
+_FACE_SLOT = np.zeros(3**12, dtype=np.int32)
+
+
+def _face_positions(m: np.ndarray) -> np.ndarray:
+    """Per cell, the position of its face in _FACE_CELLS; new faces are added."""
+    keys = _face_keys(m)
+    for key in dict.fromkeys(keys[_FACE_SLOT[keys] == 0].tolist()):
+        _FACE_CELLS.append(tuple(m[np.argmax(keys == key)].tolist()))
+        _FACE_SLOT[key] = len(_FACE_CELLS)
+    return _FACE_SLOT[keys] - 1
+
+
+@functools.lru_cache(maxsize=1)
+def _face_weights(n: int) -> list[int]:
+    """The number of ``n``-voter profiles on each face, by position."""
+    total = np.zeros(0, dtype=np.int64)
+    for m, weights in _margin_cells(n):
+        faces = _face_positions(m)
+        # float sums of integer weights are exact below 2**53 profiles a chunk
+        counts = np.bincount(faces, weights, minlength=len(_FACE_CELLS)).astype(np.int64)
+        total = counts + np.pad(total, (0, counts.size - total.size))
+    return total.tolist()
+
+
+@functools.cache
+def _face_value(function: Callable[[Margins], Any], face: int) -> Any:
+    """``function`` of the margins, which is the same on every cell of the face."""
+    return function(_FACE_CELLS[face])
+
+
+def _margin_cell_count(margin_rule: Callable[[Margins], ChoiceSet], n: int) -> int:
+    """Profiles with ``n`` voters on which a margin rule is irresolute."""
+    return sum(
+        count
+        for face, count in enumerate(_face_weights(n))
+        if count and len(_face_value(margin_rule, face)) >= 2
     )
-
-
-def _kernel_black(m: np.ndarray) -> np.ndarray:
-    return ~_condorcet_winner_exists(m) & _ties_at_max(*_borda_columns(m))
-
-
-def _kernel_borda(m: np.ndarray) -> np.ndarray:
-    return _ties_at_max(*_borda_columns(m))
-
-
-def _kernel_copeland(m: np.ndarray) -> np.ndarray:
-    sgn_ab, sgn_ac, sgn_bc = np.sign(m[:, 0]), np.sign(m[:, 1]), np.sign(m[:, 2])
-    return _ties_at_max(sgn_ab + sgn_ac, sgn_bc - sgn_ab, -sgn_ac - sgn_bc)
-
-
-def _kernel_nanson(m: np.ndarray) -> np.ndarray:
-    ba, bb, bc = _borda_columns(m)
-    all_zero = (ba == 0) & (bb == 0) & (bc == 0)
-    npos = (ba > 0).astype(np.int8) + (bb > 0) + (bc > 0)
-    # With two positive scores the negative candidate is deleted and the
-    # outcome hinges on the survivors' head-to-head margin.
-    pair_margin = np.where(
-        (ba > 0) & (bb > 0), m[:, 0], np.where((ba > 0) & (bc > 0), m[:, 1], m[:, 2])
-    )
-    return all_zero | ((npos == 2) & (pair_margin == 0))
-
-
-def _kernel_strict_nanson(m: np.ndarray) -> np.ndarray:
-    ba, bb, bc = _borda_columns(m)
-    all_zero = (ba == 0) & (bb == 0) & (bc == 0)
-    nneg = (ba < 0).astype(np.int8) + (bb < 0) + (bc < 0)
-    # With exactly one negative score that candidate is deleted and the
-    # survivors tie iff their head-to-head margin vanishes.
-    pair_margin = np.where(
-        bc < 0, m[:, 0], np.where(bb < 0, m[:, 1], m[:, 2])
-    )
-    return all_zero | ((nneg == 1) & (pair_margin == 0))
-
-
-def _kernel_baldwin(m: np.ndarray) -> np.ndarray:
-    scores = _borda_columns(m)
-    low = np.minimum(np.minimum(scores[0], scores[1]), scores[2])
-    out_a, out_b, out_c = (s == low for s in scores)
-    # Each branch deletes one Borda minimizer and elects the head-to-head
-    # winner(s) of the two survivors.  When all three scores tie the branches
-    # together elect every candidate, as the scalar rule does directly.
-    elected_a = (out_b & (m[:, 1] >= 0)) | (out_c & (m[:, 0] >= 0))
-    elected_b = (out_a & (m[:, 2] >= 0)) | (out_c & (m[:, 0] <= 0))
-    elected_c = (out_a & (m[:, 2] <= 0)) | (out_b & (m[:, 1] <= 0))
-    return elected_a.astype(np.int8) + elected_b + elected_c >= 2
-
-
-_MARGIN_KERNELS: dict[str, Callable[[np.ndarray, int], np.ndarray]] = {
-    "maximin": lambda m, n: _maximin_winners(m).sum(axis=1) >= 2,
-    "leximin": _kernel_leximin,
-    "black": lambda m, n: _kernel_black(m),
-    "borda": lambda m, n: _kernel_borda(m),
-    "copeland": lambda m, n: _kernel_copeland(m),
-    "nanson": lambda m, n: _kernel_nanson(m),
-    "strict_nanson": lambda m, n: _kernel_strict_nanson(m),
-    "baldwin": lambda m, n: _kernel_baldwin(m),
-}
-
-
-def _margin_cell_count(rule_id: str, margin_rule: Callable, n: int) -> int:
-    """Profiles on which a margin-determined rule is irresolute; a rule with
-    no kernel is evaluated once per margin cell."""
-    kernel = _MARGIN_KERNELS.get(rule_id) or (
-        lambda m, n: np.array([len(margin_rule(tuple(t))) >= 2 for t in m.tolist()])
-    )
-    return sum(int(weights[kernel(m, n)].sum()) for m, weights in _margin_cells(n))
 
 
 def condorcet_profile_count(n: int) -> int:
     """Number of ``n``-voter profiles with a Condorcet winner."""
-    cells = _margin_cells(n)
-    return sum(int(weights[_condorcet_winner_exists(m)].sum()) for m, weights in cells)
+    return sum(
+        count
+        for face, count in enumerate(_face_weights(n))
+        if count and _face_value(condorcet_winner, face) is not None
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +243,14 @@ def condorcet_profile_count(n: int) -> int:
 
 #: the order and the reverse order of each pair kind; d_i is the order's surplus
 _ORDERS, _REVERSES = [0, 1, 4], [5, 3, 2]
+
+
+def _ties_at_max(*scores: np.ndarray) -> np.ndarray:
+    best = scores[0]
+    for s in scores[1:]:
+        best = np.maximum(best, s)
+    count = sum((s == best).astype(np.int8) for s in scores)
+    return count >= 2
 
 
 def _order_points(by_position: Sequence[Sequence[int]]) -> np.ndarray:
@@ -304,7 +268,7 @@ def _surplus_points(m: np.ndarray, n: int, points: np.ndarray) -> tuple:
     return j, np.maximum(d, 0) @ points[_ORDERS] + np.maximum(-d, 0) @ points[_REVERSES]
 
 
-def _scoring_count(n: int, vector: Sequence[Fraction]) -> int:
+def _scoring_count(n: int, vector: tuple) -> int:
     """Profiles with ``n`` voters on which the scoring rule ties.
 
     A pair of kind i gives its middle candidate 2 s2 and the other two
@@ -314,8 +278,7 @@ def _scoring_count(n: int, vector: Sequence[Fraction]) -> int:
     an interval of u_x, cut by "z is not above"; the three pairwise counts
     count a three-way tie three times, so it is taken off twice.
     """
-    scale = math.lcm(*(f.denominator for f in vector))
-    s1, s2, s3 = (int(f * scale) for f in vector)
+    s1, s2, s3 = _rules.integer_scores(vector)
     gamma = s1 - 2 * s2 + s3
     points = _order_points([(s1, s2, s3)] * 6)
     count = 0
@@ -354,11 +317,15 @@ def _artificial_count(n: int) -> int:
     table = _rules.artificial_table(n)
     points = _order_points([(top, mid, 0) for top, mid in table])
     pair = points[_ORDERS] + points[_REVERSES]  # A_i[x]
+    faces = range(len(_face_weights(n)))
+    choices = [_face_value(_rules.maximin_margins, face) for face in faces]
+    maximin = np.array([x in choice for choice in choices for x in CANDIDATES]).reshape(-1, 3)
+    maximin_ties = maximin.sum(axis=1) >= 2
     count = 0
     for m, weights in _margin_cells(n):
-        winners = _maximin_winners(m)
-        tied = winners.sum(axis=1) >= 2
-        winners, weights = winners[tied], weights[tied]
+        face = _face_positions(m)
+        tied = maximin_ties[face]
+        winners, weights = maximin[face[tied]], weights[tied]
         j, surplus = _surplus_points(m[tied], n, points)
         # fibres in pieces of about _CELL_CHUNK profiles, so memory stays bounded
         ends = np.cumsum(weights)
@@ -396,7 +363,8 @@ class FrequencyRow:
         return str(exact.quantize(Decimal("0.000001"), rounding=ROUND_HALF_EVEN))
 
     def csv(self) -> str:
-        return f"{self.n},{self.rule},{self.irresolute},{self.total},{self.fraction_str()}"
+        rule = f'"{self.rule}"' if "," in self.rule else self.rule  # scoring ids
+        return f"{self.n},{rule},{self.irresolute},{self.total},{self.fraction_str()}"
 
 
 def irresoluteness(
@@ -422,7 +390,7 @@ def irresoluteness(
     tied = all_tied_count(n) if exclude_all_tied else 0
 
     if rule.reads == _rules.MARGINS:
-        count = _margin_cell_count(resolved, rule.compute, n)
+        count = _margin_cell_count(rule.compute, n)
     elif rule.reads == _rules.SCORES:
         count = _scoring_count(n, rule.compute)
     elif resolved == "artificial":

@@ -360,10 +360,19 @@ def maximin(profile: Profile) -> ChoiceSet:
     return maximin_margins(margins(profile))
 
 
+@functools.cache
+def integer_scores(vector: tuple) -> tuple[int, int, int]:
+    """A score vector scaled by the lcm of its denominators: integer points
+    that rank the candidates as the exact rational ones do."""
+    exact = [Fraction(s) for s in vector]
+    scale = math.lcm(*(s.denominator for s in exact))
+    return tuple(int(s * scale) for s in exact)
+
+
 def scoring_rule(profile: Profile, vector: tuple) -> ChoiceSet:
-    """Argmax of positional scores; exact rational arithmetic."""
-    v = tuple(Fraction(s) for s in vector)
-    totals = {x: Fraction(0) for x in CANDIDATES}
+    """Argmax of positional scores; exact integer arithmetic."""
+    v = integer_scores(vector)
+    totals = {x: 0 for x in CANDIDATES}
     for o, count in enumerate(profile):
         if not count:
             continue

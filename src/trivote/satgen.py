@@ -133,38 +133,27 @@ def build_instance(bound: int, neutrality: bool = False) -> CnfInstance:
             raw_clauses.append((-v, -xm, x2))
             raw_clauses.append((-v, -x1, -x2, xm))
 
-    # Union-find over raw x variables; roots are orbit minima, which keeps
-    # the dense renumbering independent of union order.
-    parent = list(range(aux_base + len(pairs) + 1))
-
-    def find(i: int) -> int:
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
-
+    # Each raw variable's representative: itself, or with neutrality the
+    # smallest x variable of its orbit under candidate relabelings, which
+    # keeps the dense renumbering deterministic.
+    representative = list(range(aux_base + len(pairs) + 1))
     if neutrality:
         for p in universe:
-            for sigma in PERMUTATIONS[1:]:
-                q = permute_profile(p, sigma)
-                for c in CANDIDATES:
-                    i, j = find(raw_x(p, c)), find(raw_x(q, sigma[c]))
-                    if i != j:
-                        parent[max(i, j)] = min(i, j)
+            for c in CANDIDATES:
+                representative[raw_x(p, c)] = min(
+                    raw_x(permute_profile(p, sigma), sigma[c]) for sigma in PERMUTATIONS
+                )
 
     dense: dict[int, int] = {}
     var_meaning: list[tuple] = []
     x_var: dict[tuple[Profile, int], int] = {}
     for p in universe:
         for c in CANDIDATES:
-            raw = raw_x(p, c)
-            root = find(raw)
-            if root not in dense:
-                dense[root] = len(var_meaning) + 1
+            rep = representative[raw_x(p, c)]
+            if rep not in dense:
+                dense[rep] = len(var_meaning) + 1
                 var_meaning.append(("x", p, c))
-            x_var[(p, c)] = dense[root]
+            x_var[(p, c)] = dense[rep]
     aux_var: dict[tuple[Profile, Profile], int] = {}
     for pair in pairs:
         dense[raw_aux[pair]] = len(var_meaning) + 1
@@ -176,7 +165,7 @@ def build_instance(bound: int, neutrality: bool = False) -> CnfInstance:
     for raw in raw_clauses:
         lits: list[int] = []
         for lit in raw:
-            mapped = dense[find(abs(lit))] * (1 if lit > 0 else -1)
+            mapped = dense[representative[abs(lit)]] * (1 if lit > 0 else -1)
             if mapped not in lits:
                 lits.append(mapped)
         if any(-lit in lits for lit in lits):

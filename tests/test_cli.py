@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, and flag handling."""
 
+import csv
 import os
 import subprocess
 import sys
@@ -293,6 +294,28 @@ def test_figure4_rejects_a_bad_worker_setting(capsys, monkeypatch, rules_arg, va
 def test_figure4_unknown_rule(capsys):
     code, _, _ = run(capsys, "figure4", "--rules", "banana", "--max-n", "4")
     assert code == 2
+
+
+def test_figure4_keeps_a_scoring_id_whole(capsys):
+    code, out, _ = run(
+        capsys, "figure4", "--rules", "maximin, scoring:3,1,0,plurality", "--max-n", "4"
+    )
+    assert code == 0
+    rows = list(csv.reader(out.splitlines()))
+    assert [row[1] for row in rows] == ["rule", "maximin", "scoring:3,1,0", "plurality"]
+    scoring = enumeration.irresoluteness("scoring:3,1,0", 4)
+    assert rows[2] == ["4", "scoring:3,1,0", str(scoring.irresolute), "126", scoring.fraction_str()]
+
+
+@pytest.mark.parametrize(
+    "rules_arg, max_n",
+    [("maximin,banana", 4), ("maximin,scoring:3,1", 4), ("scoring:1,x,0", 4), ("maximin,dodgson", 10)],
+)
+def test_figure4_refuses_a_bad_rule_id_before_any_output(capsys, rules_arg, max_n):
+    code, out, err = run(capsys, "figure4", "--rules", rules_arg, "--max-n", str(max_n))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -113,11 +113,14 @@ def test_cells_arrive_in_bounded_chunks():
     assert sum(len(m) for m, _ in chunks) == len(cell_histogram(60))
 
 
-@pytest.mark.parametrize("n", [39, 40])
-def test_baldwin_kernel_matches_the_scalar_rule_on_every_cell(n):
-    for m, _ in enumeration._margin_cells(n):
-        expected = [len(rules.baldwin_margins(tuple(t))) >= 2 for t in m.tolist()]
-        assert enumeration._kernel_baldwin(m).tolist() == expected
+@pytest.mark.parametrize("rule_id", rules.PAIRWISE_RULE_IDS)
+def test_a_margin_rule_is_constant_on_every_sign_face(rule_id):
+    margin_rule = rules.RULES[rule_id].compute
+    for n in (15, 16):
+        for m, _ in enumeration._margin_cells(n):
+            for triple, face in zip(m.tolist(), enumeration._face_positions(m).tolist()):
+                expected = margin_rule(tuple(triple))
+                assert enumeration._face_value(margin_rule, face) == expected, triple
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +218,7 @@ def test_irresoluteness_fraction_strictly_decreases(rule_id):
 
 
 # ---------------------------------------------------------------------------
-# the vectorized kernels against the scalar rules
+# every counting method against the scalar rules
 # ---------------------------------------------------------------------------
 
 KERNEL_RULE_IDS = rules.PAIRWISE_RULE_IDS + (
@@ -238,7 +241,10 @@ def test_kernel_count_matches_scalar_sweep(rule_id):
 # irresolute profiles (completely tied ones included) at 59 and 60 voters, as
 # counted profile by profile by the blocked numpy scan of all C(n+5, 5)
 # profiles, which counted these rules before the margin-cell method (the
-# last four entries were recorded just before the scan was deleted)
+# plurality, artificial and scoring entries were recorded just before the scan
+# was deleted); the top_cycle, stable_voting, ranked_pairs and kemeny entries
+# were counted by evaluating the margin function once per margin cell, just
+# before the per-face evaluation replaced it
 BLOCK_SCAN_COUNTS = {
     "maximin": {59: 74910, 60: 326526},
     "leximin": {59: 3300, 60: 18366},
@@ -252,6 +258,10 @@ BLOCK_SCAN_COUNTS = {
     "artificial": {59: 267, 60: 1653},
     "scoring:3,1,0": {59: 76830, 60: 80493},
     "scoring:1,1/3,0": {59: 76830, 60: 80493},
+    "top_cycle": {59: 474672, 60: 879408},
+    "stable_voting": {59: 74910, 60: 81006},
+    "ranked_pairs": {59: 74910, 60: 326526},
+    "kemeny": {59: 74910, 60: 326526},
 }
 
 
