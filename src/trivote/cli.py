@@ -179,13 +179,9 @@ def cmd_figure4(args: argparse.Namespace) -> int:
     # every id and voter cap is checked before the header, so a refusal prints no CSV
     for rule_id in rule_ids:
         try:
-            canonical, rule = rules.resolve(rule_id)
-        except rules.UnsupportedRuleError as exc:
+            rules.check_voter_cap(*rules.resolve(rule_id), args.max_n)
+        except (rules.UnsupportedRuleError, rules.BoundExceededError) as exc:
             return _fail(str(exc))
-        if args.max_n > rule.max_voters:
-            return _fail(
-                f"{canonical} supports at most {rule.max_voters} voters, got --max-n {args.max_n}"
-            )
     print("n,rule,irresolute,total,fraction")
     for n in range(4, args.max_n + 1, 2):
         for rule_id in rule_ids:

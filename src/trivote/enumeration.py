@@ -317,14 +317,15 @@ def _artificial_count(n: int) -> int:
     table = _rules.artificial_table(n)
     points = _order_points([(top, mid, 0) for top, mid in table])
     pair = points[_ORDERS] + points[_REVERSES]  # A_i[x]
-    faces = range(len(_face_weights(n)))
-    choices = [_face_value(_rules.maximin_margins, face) for face in faces]
-    maximin = np.array([x in choice for choice in choices for x in CANDIDATES]).reshape(-1, 3)
-    maximin_ties = maximin.sum(axis=1) >= 2
     count = 0
     for m, weights in _margin_cells(n):
         face = _face_positions(m)
-        tied = maximin_ties[face]
+        # every face met so far, which includes those of this chunk
+        maximin = np.array([
+            [x in _face_value(_rules.maximin_margins, f) for x in CANDIDATES]
+            for f in range(len(_FACE_CELLS))
+        ])
+        tied = maximin.sum(axis=1)[face] >= 2
         winners, weights = maximin[face[tied]], weights[tied]
         j, surplus = _surplus_points(m[tied], n, points)
         # fibres in pieces of about _CELL_CHUNK profiles, so memory stays bounded

@@ -621,16 +621,21 @@ def resolve(rule_id: str) -> tuple[str, Rule]:
         raise UnsupportedRuleError(f"unknown rule id: {rule_id!r}") from None
 
 
+def check_voter_cap(canonical: str, rule: Rule, n: int) -> None:
+    """Refuse ``n`` voters when the rule supports fewer."""
+    if n > rule.max_voters:
+        raise BoundExceededError(
+            f"{canonical} supports at most {rule.max_voters} voters, got {n}"
+        )
+
+
 def evaluate_uncached(rule_id: str, profile: Profile) -> ChoiceSet:
     """Dispatch a rule id; see ``evaluate`` for the memoized entry point."""
     n = core.total_voters(profile)
     if n < 1:
         raise ValueError("rules need at least one voter")
     canonical, rule = resolve(rule_id)
-    if n > rule.max_voters:
-        raise BoundExceededError(
-            f"{canonical} supports at most {rule.max_voters} voters, got {n}"
-        )
+    check_voter_cap(canonical, rule, n)
     if rule.reads == MARGINS:
         return rule.compute(margins(profile))
     if rule.reads == SCORES:

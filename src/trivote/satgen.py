@@ -139,10 +139,9 @@ def build_instance(bound: int, neutrality: bool = False) -> CnfInstance:
     representative = list(range(aux_base + len(pairs) + 1))
     if neutrality:
         for p in universe:
+            orbit = [(permute_profile(p, sigma), sigma) for sigma in PERMUTATIONS]
             for c in CANDIDATES:
-                representative[raw_x(p, c)] = min(
-                    raw_x(permute_profile(p, sigma), sigma[c]) for sigma in PERMUTATIONS
-                )
+                representative[raw_x(p, c)] = min(raw_x(q, sigma[c]) for q, sigma in orbit)
 
     dense: dict[int, int] = {}
     var_meaning: list[tuple] = []
