@@ -7,13 +7,15 @@ Subcommands: ``winners`` (evaluate rules on a profile), ``table`` (the
 (scan small profiles for a named phenomenon).
 
 Exit codes are uniform: 0 when the property holds or the command succeeds,
-1 when a counterexample or violation is found, 2 on usage or parse errors.
+1 when a counterexample or violation is found, 2 on usage or parse errors,
+and 141 (128 + SIGPIPE) when the reader of standard output closes it early.
 Primary output goes to standard output; diagnostics go to standard error.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import re
 import sys
@@ -182,7 +184,7 @@ def cmd_figure4(args: argparse.Namespace) -> int:
             rules.check_voter_cap(*rules.resolve(rule_id), args.max_n)
         except (rules.UnsupportedRuleError, rules.BoundExceededError) as exc:
             return _fail(str(exc))
-    print("n,rule,irresolute,total,fraction")
+    print(enumeration.CSV_HEADER)
     for n in range(4, args.max_n + 1, 2):
         for rule_id in rule_ids:
             print(enumeration.irresoluteness(rule_id, n).csv())
@@ -205,13 +207,20 @@ def cmd_satgen(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _fail(str(exc))
     if args.out:
-        satgen.emit_dimacs(instance, args.out)
+        try:
+            satgen.emit_dimacs(instance, args.out)
+        except OSError as exc:
+            return _fail(f"cannot write {args.out}: {exc.strerror or exc}")
         print(
             f"wrote {args.out}: {instance.num_vars} vars, {instance.num_clauses} clauses",
             file=sys.stderr,
         )
     else:
-        sys.stdout.write(satgen.dimacs_text(instance))
+        # in buffer-sized pieces: one longer write to a pipe whose reader has
+        # gone can come back short, and the rest would be dropped unreported
+        text, step = satgen.dimacs_text(instance), io.DEFAULT_BUFFER_SIZE
+        for start in range(0, len(text), step):
+            sys.stdout.write(text[start : start + step])
     if args.solve:
         print("satisfiable" if satisfiable else "unsatisfiable")
     return 0
@@ -362,4 +371,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entry_point() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``): point stdout at devnull
+        # so that the flush at exit cannot fail again, and exit 128 + SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)

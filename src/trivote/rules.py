@@ -595,6 +595,7 @@ ALL_RULE_IDS = tuple(RULES)
 PAIRWISE_RULE_IDS = tuple(r for r, rule in RULES.items() if rule.reads == MARGINS)
 
 
+@functools.cache
 def parse_scoring_id(rule_id: str) -> tuple[Fraction, Fraction, Fraction]:
     """Parse ``scoring:s1,s2,s3`` with integer or fractional entries."""
     body = rule_id[len("scoring:"):]

@@ -62,6 +62,7 @@ class CnfInstance:
     clauses: tuple[Clause, ...]
     #: dense variable -> ("x", profile, candidate) or ("aux", p1, p2)
     var_meaning: tuple[tuple, ...]
+    #: profile -> its choice variables, indexed by candidate
     _x_var: dict
     _aux_var: dict
 
@@ -75,7 +76,7 @@ class CnfInstance:
 
     def var_of(self, profile: Profile, candidate: int) -> int:
         """Variable index meaning ``candidate in f(profile)``."""
-        return self._x_var[(profile, candidate)]
+        return self._x_var[profile][candidate]
 
     def aux_of(self, p1: Profile, p2: Profile) -> int:
         """Variable index meaning ``f(p1) and f(p2) intersect``."""
@@ -88,98 +89,78 @@ class CnfInstance:
 def build_instance(bound: int, neutrality: bool = False) -> CnfInstance:
     """Encode non-emptiness, Condorcet consistency, and reinforcement as CNF.
 
+    Every variable is numbered before the first clause, so each clause is
+    written once, in its final numbering: three x variables per profile in
+    universe order, then one shared-winner variable per pair in pair order.
+    With ``neutrality`` a (profile, candidate) takes the variable of the
+    smallest (universe index, candidate) of its orbit under relabelings,
+    which the walk in universe order has always met already.
+
     Clauses come in a fixed order: one non-emptiness clause per profile, unit
     clauses pinning f(P) = {w} on every profile with Condorcet winner w, then
     for each unordered pair (P1, P2) with n1 + n2 <= bound and each candidate
     c the four reinforcement clauses over the shared-winner variable v:
     (x1 & x2) -> v, (v & xm) -> x1, (v & xm) -> x2, (v & x1 & x2) -> xm.
-
-    With ``neutrality`` on, x variables are aliased across candidate
-    relabelings instead of adding biconditional clauses; duplicate and
-    tautological clauses produced by the aliasing are dropped (first
-    occurrence wins), keeping the output deterministic.
+    A repeated literal (as in a pair (P, P)) is kept once, and of clauses with
+    the same literal set the first occurrence is kept, so the output is
+    deterministic.  No clause is a tautology, even under aliasing: relabeling
+    keeps the number of voters, and the literals of opposite sign in a clause
+    belong to profiles of different sizes or to a shared-winner variable.
     """
     if bound < 2:
         raise ValueError(f"bound must be at least 2, got {bound}")
 
     universe = tuple(profiles_up_to(bound))
     index = {p: i for i, p in enumerate(universe)}
+    relabelings = PERMUTATIONS if neutrality else ((0, 1, 2),)
 
-    def raw_x(profile: Profile, candidate: int) -> int:
-        return 3 * index[profile] + candidate + 1
+    var_meaning: list[tuple] = []
+    x_var: dict[Profile, list[int]] = {}
+    for i, p in enumerate(universe):
+        orbit = [(index[permute_profile(p, sigma)], sigma) for sigma in relabelings]
+        x_var[p] = triple = []
+        for c in CANDIDATES:
+            j, d = min((k, sigma[c]) for k, sigma in orbit)
+            if (j, d) == (i, c):
+                var_meaning.append(("x", p, c))
+                triple.append(len(var_meaning))
+            else:
+                triple.append(x_var[universe[j]][d])
 
-    aux_base = 3 * len(universe)
-    pairs = list(_profile_pairs(bound))
-    raw_aux = {pair: aux_base + k + 1 for k, pair in enumerate(pairs)}
+    # sorted literals -> the clause as first met; dicts keep insertion order
+    clauses: dict[Clause, Clause] = {}
 
-    raw_clauses: list[Clause] = []
+    def add(*lits: int) -> None:
+        clause = tuple(dict.fromkeys(lits))
+        clauses.setdefault(tuple(sorted(clause)), clause)
+
     for p in universe:
-        raw_clauses.append(tuple(raw_x(p, c) for c in CANDIDATES))
+        add(*x_var[p])
     for p in universe:
         w = condorcet_winner(margins(p))
-        if w is None:
-            continue
-        raw_clauses.append((raw_x(p, w),))
-        for c in CANDIDATES:
-            if c != w:
-                raw_clauses.append((-raw_x(p, c),))
-    for p1, p2 in pairs:
-        v = raw_aux[(p1, p2)]
-        merged = combine(p1, p2)
-        for c in CANDIDATES:
-            x1, x2, xm = raw_x(p1, c), raw_x(p2, c), raw_x(merged, c)
-            raw_clauses.append((-x1, -x2, v))
-            raw_clauses.append((-v, -xm, x1))
-            raw_clauses.append((-v, -xm, x2))
-            raw_clauses.append((-v, -x1, -x2, xm))
-
-    # Each raw variable's representative: itself, or with neutrality the
-    # smallest x variable of its orbit under candidate relabelings, which
-    # keeps the dense renumbering deterministic.
-    representative = list(range(aux_base + len(pairs) + 1))
-    if neutrality:
-        for p in universe:
-            orbit = [(permute_profile(p, sigma), sigma) for sigma in PERMUTATIONS]
+        if w is not None:
+            add(x_var[p][w])
             for c in CANDIDATES:
-                representative[raw_x(p, c)] = min(raw_x(q, sigma[c]) for q, sigma in orbit)
-
-    dense: dict[int, int] = {}
-    var_meaning: list[tuple] = []
-    x_var: dict[tuple[Profile, int], int] = {}
-    for p in universe:
-        for c in CANDIDATES:
-            rep = representative[raw_x(p, c)]
-            if rep not in dense:
-                dense[rep] = len(var_meaning) + 1
-                var_meaning.append(("x", p, c))
-            x_var[(p, c)] = dense[rep]
+                if c != w:
+                    add(-x_var[p][c])
     aux_var: dict[tuple[Profile, Profile], int] = {}
-    for pair in pairs:
-        dense[raw_aux[pair]] = len(var_meaning) + 1
-        var_meaning.append(("aux",) + pair)
-        aux_var[pair] = dense[raw_aux[pair]]
-
-    clauses: list[Clause] = []
-    seen: set[Clause] = set()
-    for raw in raw_clauses:
-        lits: list[int] = []
-        for lit in raw:
-            mapped = dense[representative[abs(lit)]] * (1 if lit > 0 else -1)
-            if mapped not in lits:
-                lits.append(mapped)
-        if any(-lit in lits for lit in lits):
-            continue  # tautology after aliasing
-        key = tuple(sorted(lits))
-        if key in seen:
-            continue
-        seen.add(key)
-        clauses.append(tuple(lits))
+    for p1, p2 in _profile_pairs(bound):
+        var_meaning.append(("aux", p1, p2))
+        v = aux_var[(p1, p2)] = len(var_meaning)
+        # each literal is made once, so the clauses share its int object
+        nv = -v
+        for x1, x2, xm in zip(x_var[p1], x_var[p2], x_var[combine(p1, p2)]):
+            n1, n2, nm = -x1, -x2, -xm
+            add(n1, n2, v)
+            add(nv, nm, x1)
+            add(nv, nm, x2)
+            add(nv, n1, n2, xm)
 
     return CnfInstance(
         bound=bound,
         neutral=neutrality,
         universe=universe,
-        clauses=tuple(clauses),
+        clauses=tuple(clauses.values()),
         var_meaning=tuple(var_meaning),
         _x_var=x_var,
         _aux_var=aux_var,

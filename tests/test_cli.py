@@ -379,6 +379,16 @@ def test_satgen_solve_builds_and_solves_below_the_limit(capsys, tmp_path):
     assert "33275 clauses" in err
 
 
+@pytest.mark.parametrize("missing_dir", [True, False])
+def test_satgen_refuses_an_unwritable_out(capsys, tmp_path, missing_dir):
+    target = tmp_path / "absent" / "x.cnf" if missing_dir else tmp_path
+    code, out, err = run(capsys, "satgen", "--bound", "2", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"cannot write {target}: ")
+    assert err.count("\n") == 1
+
+
 def test_satgen_bad_bound(capsys):
     code, _, _ = run(capsys, "satgen", "--bound", "1")
     assert code == 2
@@ -498,13 +508,31 @@ def test_output_determinism(capsys):
     assert first == second
 
 
-def test_module_entry_point():
+def _module_env():
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def test_module_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "trivote", "winners", "2acb+1cab", "--rule", "leximin"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_module_env(),
     )
     assert result.returncode == 0
     assert result.stdout == "leximin: {a}\n"
+
+
+def test_a_closed_stdout_exits_141_without_a_traceback():
+    # ~700 KB of DIMACS: more than a pipe buffer, so the write outlives the reader
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "trivote", "satgen", "--bound", "5"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_module_env(),
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""

@@ -432,6 +432,13 @@ def test_resolve_maps_aliases_and_scoring_ids():
         rules.resolve("approval")
 
 
+def test_a_scoring_id_is_parsed_once_and_a_bad_one_raises_every_time():
+    assert rules.parse_scoring_id("scoring:5,2,0") is rules.parse_scoring_id("scoring:5,2,0")
+    for _ in range(2):
+        with pytest.raises(rules.UnsupportedRuleError, match="bad scoring vector"):
+            rules.resolve("scoring:5,x,0")
+
+
 def test_every_rule_but_four_is_margin_determined():
     assert len(rules.ALL_RULE_IDS) == 23
     assert set(rules.PAIRWISE_RULE_IDS) == {

@@ -1,5 +1,6 @@
 """CNF generation, model checking, the built-in solver, and proof replays."""
 
+import hashlib
 import io
 
 import pytest
@@ -62,6 +63,13 @@ def test_variables_dense_and_one_based(inst4):
 
 def test_every_clause_non_empty(inst4):
     assert all(clause for clause in inst4.clauses)
+
+
+@pytest.mark.parametrize("neutrality", [False, True])
+def test_no_clause_repeats_a_variable(neutrality):
+    # the builder drops no tautology: aliasing cannot make one
+    inst = satgen.build_instance(5, neutrality)
+    assert all(len({abs(lit) for lit in c}) == len(c) for c in inst.clauses)
 
 
 def test_aux_lookup_symmetric(inst4):
@@ -169,6 +177,28 @@ def test_dimacs_deterministic():
     first = satgen.dimacs_text(satgen.build_instance(3, neutrality=True))
     second = satgen.dimacs_text(satgen.build_instance(3, neutrality=True))
     assert first.encode() == second.encode()
+
+
+#: sha256 of dimacs_text(build_instance(bound, neutrality)), recorded from the
+#: two-pass builder (raw numbering, then re-mapping) that the one-pass build
+#: replaced: the bytes must not move
+DIMACS_SHA256 = {
+    (2, False): "a671b23a881bbe6efa8efaa9857d7e2f164c0ec0a887d47a8d0c79e4e3b056b4",
+    (3, False): "95f619c9d587baf0c22d004a36e7d476363da488e4f904682eb61d6cb56546e6",
+    (4, False): "1f36ea83728ccefcdedaab7dbd85551303fe668a40b0196f28677d606cb8bc93",
+    (5, False): "8c36f1ad587d71fe327ff3aebf5f2abf344368807b2385bc88f1441e1711d878",
+    (6, False): "972ab0c643b9d4958342f968df6f42877a5be0f2772f2cadf182eb2806b0604f",
+    (2, True): "2c54f769e979d458423c519b222fb35d7c54c005bed49a5313a37c43d4a209f3",
+    (3, True): "76e4dcadbb8e686e0fd0e78b975c128238362fd89a6c47137d5d4d24759d32fb",
+    (4, True): "ddea10a0c7503fbdbae040c92685c9377fbd6a123652047337325875ae15c43b",
+    (5, True): "62e1963eb987e14e59c1859e39deefff1da318ab21d5bfd342eb91806854b7ea",
+}
+
+
+@pytest.mark.parametrize("bound, neutrality", sorted(DIMACS_SHA256))
+def test_dimacs_bytes_are_pinned(bound, neutrality):
+    text = satgen.dimacs_text(satgen.build_instance(bound, neutrality))
+    assert hashlib.sha256(text.encode()).hexdigest() == DIMACS_SHA256[(bound, neutrality)]
 
 
 def test_dimacs_header_matches_instance():
