@@ -1,10 +1,30 @@
 """Exhaustive finite checkers for voting-rule axioms, with replayable witnesses.
 
-Each checker scans every anonymous profile (or pair of profiles) up to a
-voter bound and returns an :class:`AxiomReport`.  A report's verdict is
-``"violated"`` exactly when its witness list is non-empty, and every witness
-replays: re-evaluating the report's rule on ``witness.profiles[i]``
-reproduces ``witness.outputs[i]``.
+Each checker decides an axiom on every anonymous profile (or pair of
+profiles) up to a voter bound and returns an :class:`AxiomReport`.  A
+report's verdict is ``"violated"`` exactly when its witness list is
+non-empty, and every witness replays: re-evaluating the report's rule on
+``witness.profiles[i]`` reproduces ``witness.outputs[i]``.
+
+Two drivers call the same clause functions, one per axiom:
+
+* the profile sweep walks the profiles, profile pairs and removal or swap
+  instances in canonical (n, colex) order and lists the witnesses;
+* for a rule that reads only the margins (``rules.MARGINS``) the verdict is
+  first decided over the margin cells.  Each surplus vector d with
+  |d|_1 <= bound (see the comment in ``enumeration``) gives one margin
+  triple, and each instance key -- the triple, with the order, move,
+  relabelling or second triple the axiom needs -- is checked once, with the
+  rule's margin function memoised for the check.  A key counts only if some
+  profile within the bound realizes it: the fewest voters of cell d holding
+  at least k_o voters of each order o the key needs is
+  |d|_1 + 2 sum_i max_{o in pair i} (k_o - surplus_o(d))^+, raised in steps
+  of two to the checker's least electorate.  When no key fails, the verdict
+  is ``holds-up-to-bound`` and no profile is touched; otherwise the profile
+  sweep runs as for any other rule, to list the witnesses in its order.
+
+Every checker resolves its rules and refuses an electorate above a rule's
+voter cap before its first evaluation.
 
 A ``holds-up-to-bound`` verdict certifies nothing beyond the bound; the
 checkers are finite searches, not proofs.
@@ -15,13 +35,15 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Hashable, Iterable, Iterator, Optional
 
 from . import rules as _rules
 from .core import (
     CANDIDATE_NAMES,
     CANDIDATES,
     ChoiceSet,
+    Margins,
+    ORDER_MARGIN_VECTOR,
     ORDER_NAMES,
     ORDER_RANK_OF,
     ORDER_RANKING,
@@ -35,6 +57,7 @@ from .core import (
     intermediate_condorcet_winners,
     margins,
     permute_choice_set,
+    permute_margins,
     permute_profile,
     t_fold,
     top,
@@ -46,6 +69,8 @@ HOLDS = "holds-up-to-bound"
 VIOLATED = "violated"
 
 _f = _rules.evaluate
+
+MarginRule = Callable[[Margins], ChoiceSet]
 
 
 @dataclass(frozen=True)
@@ -113,7 +138,6 @@ def _finish(
     violations: Iterator[Witness],
     max_witnesses: Optional[int],
 ) -> AxiomReport:
-    validate_cap(max_witnesses)
     collected: list[Witness] = []
     for witness in violations:
         collected.append(witness)
@@ -128,8 +152,112 @@ def _candidate(c: int) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Margin cells
+# ---------------------------------------------------------------------------
+
+#: each pair kind as (order, reverse order); d_i is the surplus of the order
+_PAIR_KINDS = ((0, 5), (1, 3), (4, 2))
+
+#: the voters per order that an instance taking nobody away needs
+_NOBODY = (0,) * 6
+
+#: the one key of the per-profile axioms
+_EVERY_PROFILE = ((None, _NOBODY),)
+
+
+def _surplus_cells(bound: int) -> Iterator[tuple[Margins, list[int], int]]:
+    """(margins, voters each order holds beyond its reverse, |d|_1) of every
+    surplus vector d with |d|_1 <= bound."""
+    for d1 in range(-bound, bound + 1):
+        r1 = bound - abs(d1)
+        for d2 in range(-r1, r1 + 1):
+            r2 = r1 - abs(d2)
+            for d3 in range(-r2, r2 + 1):
+                surplus = [0] * 6
+                for (order, reverse), d in zip(_PAIR_KINDS, (d1, d2, d3)):
+                    surplus[order if d > 0 else reverse] = abs(d)
+                margins_d = (d1 + d2 + d3, d1 + d2 - d3, d1 - d2 - d3)
+                yield margins_d, surplus, abs(d1) + abs(d2) + abs(d3)
+
+
+def _fewest_voters(surplus: list[int], size: int, need: tuple[int, ...], least: int) -> int:
+    """The fewest voters, at least ``least``, of a profile in the cell that
+    holds ``need[o]`` voters of each order o."""
+    pairs = sum(
+        max(0, need[order] - surplus[order], need[reverse] - surplus[reverse])
+        for order, reverse in _PAIR_KINDS
+    )
+    n = size + 2 * pairs
+    return n if n >= least else n + (least - n + 1) // 2 * 2
+
+
+def _cells_fail(
+    bound: int,
+    least: int,
+    keys: tuple[tuple[Hashable, tuple[int, ...]], ...],
+    fails: Callable[[Margins, Hashable], bool],
+) -> bool:
+    """Whether ``fails(m, key)`` for some margins m and key that a profile
+    with ``least <= n <= bound`` realizes; ``keys`` pairs each key with the
+    voters of each order its instance takes from the profile."""
+    return any(
+        fails(m, key)
+        for m, surplus, size in _surplus_cells(bound)
+        for key, need in keys
+        if _fewest_voters(surplus, size, need, least) <= bound
+    )
+
+
+def _margin_functions(
+    max_witnesses: Optional[int], largest: int, *rule_ids: str
+) -> list[Optional[MarginRule]]:
+    """Check the witness cap, then resolve each rule and refuse it above its
+    voter cap, all before the first evaluation.  Returns each rule's margin
+    function, memoised for this check, or None for a rule that reads more
+    than the margins."""
+    validate_cap(max_witnesses)
+    functions: list[Optional[MarginRule]] = []
+    for rule_id in rule_ids:
+        canonical, rule = _rules.resolve(rule_id)
+        _rules.check_voter_cap(canonical, rule, largest)
+        reads_margins = rule.reads == _rules.MARGINS
+        functions.append(functools.cache(rule.compute) if reads_margins else None)
+    return functions
+
+
+def _decide(
+    rule_id: str,
+    axiom: str,
+    bound: int,
+    violations: Callable[[], Iterator[Witness]],
+    fails: Optional[Callable[[], bool]],
+    max_witnesses: Optional[int],
+) -> AxiomReport:
+    """A margin rule's verdict from ``fails`` (its margin cells), with the
+    profile sweep ``violations`` run only to list witnesses; any other rule
+    (``fails`` None) is swept outright."""
+    if fails is not None and not fails():
+        return AxiomReport(rule_id, axiom, bound, HOLDS, ())
+    report = _finish(rule_id, axiom, bound, violations(), max_witnesses)
+    assert fails is None or not report.holds, (
+        f"{rule_id} {axiom}: a margin cell fails but no profile up to {bound} does"
+    )
+    return report
+
+
+def _shifted(m: Margins, shift: Margins) -> Margins:
+    return (m[0] + shift[0], m[1] + shift[1], m[2] + shift[2])
+
+
+# ---------------------------------------------------------------------------
 # Reinforcement
 # ---------------------------------------------------------------------------
+
+_REINFORCEMENT_AXIOMS = {
+    "full": "reinforcement",
+    "subset": "subset_reinforcement",
+    "superset": "superset_reinforcement",
+}
 
 
 def _profile_pairs(bound: int) -> Iterator[tuple[Profile, Profile]]:
@@ -147,6 +275,63 @@ def _profile_pairs(bound: int) -> Iterator[tuple[Profile, Profile]]:
             yield first, second
 
 
+def _agreed(variant: str, out1: ChoiceSet, out2: ChoiceSet) -> Optional[ChoiceSet]:
+    """f(P1) n f(P2), or None when the merge binds nothing: the full and
+    superset variants only constrain a non-empty agreement."""
+    agreed = out1 & out2
+    return agreed if agreed or variant == "subset" else None
+
+
+def _reinforcement(variant: str, agreed: ChoiceSet, merged: ChoiceSet) -> Optional[str]:
+    if variant == "full":
+        ok = merged == agreed
+    elif variant == "subset":
+        ok = agreed <= merged
+    else:
+        ok = merged <= agreed
+    if ok:
+        return None
+    return (
+        f"agreed winners {choice_set_to_str(agreed)}, "
+        f"merged electorate gives {choice_set_to_str(merged)}"
+    )
+
+
+def _reinforcement_sweep(rule_id: str, variant: str, bound: int) -> Iterator[Witness]:
+    axiom = _REINFORCEMENT_AXIOMS[variant]
+    for first, second in _profile_pairs(bound):
+        out1 = _f(rule_id, first)
+        out2 = _f(rule_id, second)
+        agreed = _agreed(variant, out1, out2)
+        if agreed is None:
+            continue
+        merged = combine(first, second)
+        out12 = _f(rule_id, merged)
+        note = _reinforcement(variant, agreed, out12)
+        if note is not None:
+            yield Witness(axiom, (first, second, merged), (out1, out2, out12), note)
+
+
+def _reinforcement_cells_fail(f: MarginRule, variant: str, bound: int) -> bool:
+    """Reinforcement over the cell pairs whose fewest voters sum to at most
+    ``bound``; the clause is symmetric, so each unordered pair is taken once."""
+    cells = sorted(
+        (_fewest_voters(surplus, size, _NOBODY, 1), m)
+        for m, surplus, size in _surplus_cells(bound - 1)
+    )
+    for i, (n1, m1) in enumerate(cells):
+        out1 = f(m1)
+        for n2, m2 in cells[i:]:
+            if n1 + n2 > bound:
+                break  # later cells only need more voters
+            agreed = _agreed(variant, out1, f(m2))
+            if agreed is None:
+                continue
+            if _reinforcement(variant, agreed, f(_shifted(m1, m2))) is not None:
+                return True
+    return False
+
+
 def check_reinforcement(
     rule_id: str,
     variant: str = "full",
@@ -160,38 +345,14 @@ def check_reinforcement(
     survive into f(P1+P2) (vacuously true when empty); ``superset`` requires
     f(P1+P2) to introduce nothing outside a non-empty intersection.
     """
-    axiom = {
-        "full": "reinforcement",
-        "subset": "subset_reinforcement",
-        "superset": "superset_reinforcement",
-    }.get(variant)
+    axiom = _REINFORCEMENT_AXIOMS.get(variant)
     if axiom is None:
         raise ValueError(f"unknown reinforcement variant: {variant!r}")
     _validate_bound(bound, 2)
-
-    def violations() -> Iterator[Witness]:
-        for first, second in _profile_pairs(bound):
-            out1 = _f(rule_id, first)
-            out2 = _f(rule_id, second)
-            agreed = out1 & out2
-            if variant != "subset" and not agreed:
-                continue
-            merged = combine(first, second)
-            out12 = _f(rule_id, merged)
-            if variant == "full":
-                ok = out12 == agreed
-            elif variant == "subset":
-                ok = agreed <= out12
-            else:
-                ok = out12 <= agreed
-            if not ok:
-                note = (
-                    f"agreed winners {choice_set_to_str(agreed)}, "
-                    f"merged electorate gives {choice_set_to_str(out12)}"
-                )
-                yield Witness(axiom, (first, second, merged), (out1, out2, out12), note)
-
-    return _finish(rule_id, axiom, bound, violations(), max_witnesses)
+    (f,) = _margin_functions(max_witnesses, bound, rule_id)
+    fails = None if f is None else functools.partial(_reinforcement_cells_fail, f, variant, bound)
+    violations = functools.partial(_reinforcement_sweep, rule_id, variant, bound)
+    return _decide(rule_id, axiom, bound, violations, fails, max_witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +445,22 @@ def _resolute(
     return None
 
 
+def _equivalence(order: int, before: ChoiceSet, after: ChoiceSet) -> Optional[str]:
+    """The optimist clause must pass exactly when both involvement clauses do."""
+    optimist_ok = _optimist(order, before, after) is None
+    involvement_ok = (
+        _positive_involvement(order, before, after) is None
+        and _singleton_negative_involvement(order, before, after) is None
+    )
+    if optimist_ok != involvement_ok:
+        return (
+            f"voter {ORDER_NAMES[order]}: optimist "
+            f"{'passes' if optimist_ok else 'fails'} but involvement "
+            f"checks {'pass' if involvement_ok else 'fail'}"
+        )
+    return None
+
+
 #: participation variant -> (axiom name, clause)
 _PARTICIPATION = {
     "optimist": ("optimist_participation", _optimist),
@@ -295,26 +472,49 @@ _PARTICIPATION = {
     "fishburn": ("fishburn_participation", _fishburn),
 }
 
+ParticipationClause = Callable[[int, ChoiceSet, ChoiceSet], Optional[str]]
+
+#: the removal keys: each order, with the one voter of it who joins
+_JOINING_VOTER = tuple(
+    (order, tuple(int(o == order) for o in range(6))) for order in range(6)
+)
+
 
 def _participation_sweep(
+    rule_id: str, axiom: str, bound: int, clause: ParticipationClause
+) -> Iterator[Witness]:
+    """Run ``clause`` on every single-voter removal instance up to ``bound``."""
+    for profile, order, reduced in _removal_instances(bound):
+        before = _f(rule_id, reduced)
+        after = _f(rule_id, profile)
+        note = clause(order, before, after)
+        if note is not None:
+            yield Witness(axiom, (reduced, profile), (before, after), note)
+
+
+def _participation_cells_fail(f: MarginRule, clause: ParticipationClause, bound: int) -> bool:
+    """``clause`` on every (margins of P, order of the voter who joins)."""
+
+    def fails(m: Margins, order: int) -> bool:
+        v = ORDER_MARGIN_VECTOR[order]
+        before = f((m[0] - v[0], m[1] - v[1], m[2] - v[2]))
+        return clause(order, before, f(m)) is not None
+
+    return _cells_fail(bound, 2, _JOINING_VOTER, fails)
+
+
+def _participation(
     rule_id: str,
     axiom: str,
     bound: int,
-    clause: Callable[[int, ChoiceSet, ChoiceSet], Optional[str]],
+    clause: ParticipationClause,
     max_witnesses: Optional[int],
 ) -> AxiomReport:
-    """Run ``clause`` on every single-voter removal instance up to ``bound``."""
     _validate_bound(bound, 2)
-
-    def violations() -> Iterator[Witness]:
-        for profile, order, reduced in _removal_instances(bound):
-            before = _f(rule_id, reduced)
-            after = _f(rule_id, profile)
-            note = clause(order, before, after)
-            if note is not None:
-                yield Witness(axiom, (reduced, profile), (before, after), note)
-
-    return _finish(rule_id, axiom, bound, violations(), max_witnesses)
+    (f,) = _margin_functions(max_witnesses, bound, rule_id)
+    fails = None if f is None else functools.partial(_participation_cells_fail, f, clause, bound)
+    violations = functools.partial(_participation_sweep, rule_id, axiom, bound, clause)
+    return _decide(rule_id, axiom, bound, violations, fails, max_witnesses)
 
 
 def check_participation(
@@ -337,7 +537,7 @@ def check_participation(
     if entry is None:
         raise ValueError(f"unknown participation variant: {variant!r}")
     axiom, clause = entry
-    return _participation_sweep(rule_id, axiom, bound, clause, max_witnesses)
+    return _participation(rule_id, axiom, bound, clause, max_witnesses)
 
 
 def check_resolute_participation(
@@ -356,7 +556,7 @@ def check_resolute_participation(
         raise ValueError(f"tiebreak must be an order index in 0..5, got {tiebreak}")
     axiom = f"resolute_participation({ORDER_NAMES[tiebreak]})"
     clause = functools.partial(_resolute, tiebreak)
-    return _participation_sweep(rule_id, axiom, bound, clause, max_witnesses)
+    return _participation(rule_id, axiom, bound, clause, max_witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -368,15 +568,9 @@ def check_resolute_participation(
 
 
 def _profile_sweep(
-    rule_id: str,
-    axiom: str,
-    bound: int,
-    witnesses: Callable[[Profile], Iterator[Witness]],
-    max_witnesses: Optional[int],
-) -> AxiomReport:
-    _validate_bound(bound, 1)
-    violations = (w for profile in profiles_up_to(bound) for w in witnesses(profile))
-    return _finish(rule_id, axiom, bound, violations, max_witnesses)
+    bound: int, witnesses: Callable[[Profile], Iterator[Witness]]
+) -> Iterator[Witness]:
+    return (w for profile in profiles_up_to(bound) for w in witnesses(profile))
 
 
 _RESPONSIVENESS_AXIOMS = {
@@ -404,6 +598,23 @@ def _improvement_moves() -> tuple[tuple[int, int, int, int], ...]:
 _MOVES = _improvement_moves()
 
 
+def _double_moves() -> tuple[tuple[int, int, int, int, int, int], ...]:
+    """All (order, swapped, order, swapped, x, y): two single swaps promoting
+    the same x over y, the same swap twice included."""
+    moves = []
+    for x in CANDIDATES:
+        for y in CANDIDATES:
+            if x == y:
+                continue
+            first, second = [(o, t) for o, t, mx, my in _MOVES if (mx, my) == (x, y)]
+            for (o1, t1), (o2, t2) in ((first, first), (first, second), (second, second)):
+                moves.append((o1, t1, o2, t2, x, y))
+    return tuple(moves)
+
+
+_DOUBLE_MOVES = _double_moves()
+
+
 def _single_swaps(profile: Profile) -> Iterator[tuple[Profile, int, int, str]]:
     for order, target, x, y in _MOVES:
         if profile[order]:
@@ -416,29 +627,45 @@ def _single_swaps(profile: Profile) -> Iterator[tuple[Profile, int, int, str]]:
 
 def _double_swaps(profile: Profile) -> Iterator[tuple[Profile, int, int, str]]:
     """Two simultaneous single swaps promoting the same candidate pair."""
-    for x in CANDIDATES:
-        for y in CANDIDATES:
-            if x == y:
-                continue
-            moves = [(o, t) for o, t, mx, my in _MOVES if (mx, my) == (x, y)]
-            combos = [
-                (moves[0], moves[0]),
-                (moves[0], moves[1]),
-                (moves[1], moves[1]),
-            ]
-            for (o1, t1), (o2, t2) in combos:
-                counts = list(profile)
-                counts[o1] -= 1
-                counts[t1] += 1
-                counts[o2] -= 1
-                counts[t2] += 1
-                if min(counts) < 0:
-                    continue
-                note = (
-                    f"two voters ({ORDER_NAMES[o1]}, {ORDER_NAMES[o2]}) move "
-                    f"{_candidate(x)} above {_candidate(y)}"
-                )
-                yield tuple(counts), x, y, note
+    for o1, t1, o2, t2, x, y in _DOUBLE_MOVES:
+        counts = list(profile)
+        counts[o1] -= 1
+        counts[t1] += 1
+        counts[o2] -= 1
+        counts[t2] += 1
+        if min(counts) < 0:
+            continue
+        note = (
+            f"two voters ({ORDER_NAMES[o1]}, {ORDER_NAMES[o2]}) move "
+            f"{_candidate(x)} above {_candidate(y)}"
+        )
+        yield tuple(counts), x, y, note
+
+
+def _promotions(max_simultaneous_swaps: int) -> tuple[tuple[Hashable, tuple[int, ...]], ...]:
+    """The move keys: ((x, y, margin shift), voters each order gives up)."""
+    swaps = [(((order, target),), x, y) for order, target, x, y in _MOVES]
+    if max_simultaneous_swaps == 2:
+        swaps += [(((o1, t1), (o2, t2)), x, y) for o1, t1, o2, t2, x, y in _DOUBLE_MOVES]
+    keys = []
+    for moves, x, y in swaps:
+        need, shift = [0] * 6, [0, 0, 0]
+        for order, target in moves:
+            need[order] += 1
+            for k in range(3):
+                shift[k] += ORDER_MARGIN_VECTOR[target][k] - ORDER_MARGIN_VECTOR[order][k]
+        keys.append(((x, y, tuple(shift)), tuple(need)))
+    return tuple(keys)
+
+
+def _promotes_a_winner(variant: str, winners: ChoiceSet, x: int, y: int) -> bool:
+    """Whether promoting x over y is constrained: x wins (and, for the
+    tie-break variant, so does y)."""
+    return x in winners and (variant != "tiebreak_positive" or y in winners)
+
+
+def _responds(variant: str, x: int, outcome: ChoiceSet) -> bool:
+    return x in outcome if variant == "monotonicity" else outcome == frozenset((x,))
 
 
 def responsiveness_witnesses(
@@ -451,16 +678,10 @@ def responsiveness_witnesses(
     if max_simultaneous_swaps == 2:
         improvements = itertools.chain(improvements, _double_swaps(profile))
     for improved, x, y, how in improvements:
-        if x not in winners:
-            continue
-        if variant == "tiebreak_positive" and y not in winners:
+        if not _promotes_a_winner(variant, winners, x, y):
             continue
         outcome = _f(rule_id, improved)
-        if variant == "monotonicity":
-            ok = x in outcome
-        else:
-            ok = outcome == frozenset((x,))
-        if not ok:
+        if not _responds(variant, x, outcome):
             yield Witness(axiom, (profile, improved), (winners, outcome), how)
 
 
@@ -486,10 +707,29 @@ def check_responsiveness(
         raise ValueError(f"unknown responsiveness variant: {variant!r}")
     if max_simultaneous_swaps not in (1, 2):
         raise ValueError("only 1 or 2 simultaneous swaps are supported")
+    _validate_bound(bound, 1)
+    (f,) = _margin_functions(max_witnesses, bound, rule_id)
+
+    def cell_fails(m: Margins, key: tuple[int, int, Margins]) -> bool:
+        x, y, shift = key
+        return _promotes_a_winner(variant, f(m), x, y) and not _responds(
+            variant, x, f(_shifted(m, shift))
+        )
+
+    fails = None if f is None else functools.partial(
+        _cells_fail, bound, 1, _promotions(max_simultaneous_swaps), cell_fails
+    )
     witnesses = functools.partial(
         responsiveness_witnesses, rule_id, variant, max_simultaneous_swaps=max_simultaneous_swaps
     )
-    return _profile_sweep(rule_id, axiom, bound, witnesses, max_witnesses)
+    violations = functools.partial(_profile_sweep, bound, witnesses)
+    return _decide(rule_id, axiom, bound, violations, fails, max_witnesses)
+
+
+def _homogeneity(once: ChoiceSet, doubled: ChoiceSet) -> Optional[str]:
+    if once != doubled:
+        return "doubling the electorate changes the outcome"
+    return None
 
 
 def homogeneity_witnesses(rule_id: str, profile: Profile) -> Iterator[Witness]:
@@ -497,41 +737,50 @@ def homogeneity_witnesses(rule_id: str, profile: Profile) -> Iterator[Witness]:
     once = _f(rule_id, profile)
     doubled_profile = t_fold(profile, 2)
     doubled = _f(rule_id, doubled_profile)
-    if once != doubled:
-        yield Witness(
-            "homogeneity",
-            (profile, doubled_profile),
-            (once, doubled),
-            "doubling the electorate changes the outcome",
-        )
+    note = _homogeneity(once, doubled)
+    if note is not None:
+        yield Witness("homogeneity", (profile, doubled_profile), (once, doubled), note)
 
 
 def check_homogeneity(
     rule_id: str, bound: int, max_witnesses: Optional[int] = None
 ) -> AxiomReport:
     """Doubling every voter count must not change the outcome."""
+    _validate_bound(bound, 1)
+    (f,) = _margin_functions(max_witnesses, 2 * bound, rule_id)
+    fails = None if f is None else functools.partial(
+        _cells_fail,
+        bound,
+        1,
+        _EVERY_PROFILE,
+        lambda m, _: _homogeneity(f(m), f(_shifted(m, m))) is not None,
+    )
     witnesses = functools.partial(homogeneity_witnesses, rule_id)
-    return _profile_sweep(rule_id, "homogeneity", bound, witnesses, max_witnesses)
+    violations = functools.partial(_profile_sweep, bound, witnesses)
+    return _decide(rule_id, "homogeneity", bound, violations, fails, max_witnesses)
 
 
 _CONDORCET_AXIOMS = {"standard": "condorcet_consistency", "strong": "strong_condorcet"}
 
 
-def condorcet_witnesses(rule_id: str, variant: str, profile: Profile) -> Iterator[Witness]:
-    """The failures :func:`check_condorcet` finds on one profile."""
-    axiom = _CONDORCET_AXIOMS[variant]
-    m = margins(profile)
-    winners = _f(rule_id, profile)
+def _condorcet(variant: str, m: Margins, winners: ChoiceSet) -> Optional[str]:
     if variant == "standard":
         champion = condorcet_winner(m)
         if champion is not None and winners != frozenset((champion,)):
-            note = f"majority winner {_candidate(champion)} not selected uniquely"
-            yield Witness(axiom, (profile,), (winners,), note)
+            return f"majority winner {_candidate(champion)} not selected uniquely"
     else:
         unbeaten = intermediate_condorcet_winners(m)
         if unbeaten and winners != unbeaten:
-            note = f"unbeaten candidates {choice_set_to_str(unbeaten)} not selected exactly"
-            yield Witness(axiom, (profile,), (winners,), note)
+            return f"unbeaten candidates {choice_set_to_str(unbeaten)} not selected exactly"
+    return None
+
+
+def condorcet_witnesses(rule_id: str, variant: str, profile: Profile) -> Iterator[Witness]:
+    """The failures :func:`check_condorcet` finds on one profile."""
+    winners = _f(rule_id, profile)
+    note = _condorcet(variant, margins(profile), winners)
+    if note is not None:
+        yield Witness(_CONDORCET_AXIOMS[variant], (profile,), (winners,), note)
 
 
 def check_condorcet(
@@ -550,16 +799,31 @@ def check_condorcet(
     axiom = _CONDORCET_AXIOMS.get(variant)
     if axiom is None:
         raise ValueError(f"unknown condorcet variant: {variant!r}")
+    _validate_bound(bound, 1)
+    (f,) = _margin_functions(max_witnesses, bound, rule_id)
+    fails = None if f is None else functools.partial(
+        _cells_fail,
+        bound,
+        1,
+        _EVERY_PROFILE,
+        lambda m, _: _condorcet(variant, m, f(m)) is not None,
+    )
     witnesses = functools.partial(condorcet_witnesses, rule_id, variant)
-    return _profile_sweep(rule_id, axiom, bound, witnesses, max_witnesses)
+    violations = functools.partial(_profile_sweep, bound, witnesses)
+    return _decide(rule_id, axiom, bound, violations, fails, max_witnesses)
+
+
+def _refinement(upper: str, fine: ChoiceSet, coarse: ChoiceSet) -> Optional[str]:
+    if not fine <= coarse:
+        return f"{upper} gives {choice_set_to_str(coarse)}"
+    return None
 
 
 def refinement_witnesses(lower: str, upper: str, profile: Profile) -> Iterator[Witness]:
     """The failures :func:`check_refinement` finds on one profile."""
     fine = _f(lower, profile)
-    coarse = _f(upper, profile)
-    if not fine <= coarse:
-        note = f"{upper} gives {choice_set_to_str(coarse)}"
+    note = _refinement(upper, fine, _f(upper, profile))
+    if note is not None:
         yield Witness(f"refinement({upper})", (profile,), (fine,), note)
 
 
@@ -567,8 +831,27 @@ def check_refinement(
     lower: str, upper: str, bound: int, max_witnesses: Optional[int] = None
 ) -> AxiomReport:
     """Every winner of ``lower`` must also win under ``upper``."""
+    _validate_bound(bound, 1)
+    f_lower, f_upper = _margin_functions(max_witnesses, bound, lower, upper)
+    fails = None if f_lower is None or f_upper is None else functools.partial(
+        _cells_fail,
+        bound,
+        1,
+        _EVERY_PROFILE,
+        lambda m, _: _refinement(upper, f_lower(m), f_upper(m)) is not None,
+    )
     witnesses = functools.partial(refinement_witnesses, lower, upper)
-    return _profile_sweep(lower, f"refinement({upper})", bound, witnesses, max_witnesses)
+    violations = functools.partial(_profile_sweep, bound, witnesses)
+    return _decide(lower, f"refinement({upper})", bound, violations, fails, max_witnesses)
+
+
+def _neutrality(
+    sigma: tuple[int, int, int], winners: ChoiceSet, relabelled: ChoiceSet
+) -> Optional[str]:
+    expected = permute_choice_set(winners, sigma)
+    if relabelled != expected:
+        return f"relabelling {sigma} should give {choice_set_to_str(expected)}"
+    return None
 
 
 def neutrality_witnesses(rule_id: str, profile: Profile) -> Iterator[Witness]:
@@ -577,9 +860,8 @@ def neutrality_witnesses(rule_id: str, profile: Profile) -> Iterator[Witness]:
     for sigma in PERMUTATIONS[1:]:
         relabelled_profile = permute_profile(profile, sigma)
         relabelled_winners = _f(rule_id, relabelled_profile)
-        expected = permute_choice_set(winners, sigma)
-        if relabelled_winners != expected:
-            note = f"relabelling {sigma} should give {choice_set_to_str(expected)}"
+        note = _neutrality(sigma, winners, relabelled_winners)
+        if note is not None:
             yield Witness(
                 "neutrality",
                 (profile, relabelled_profile),
@@ -592,8 +874,18 @@ def check_neutrality(
     rule_id: str, bound: int, max_witnesses: Optional[int] = None
 ) -> AxiomReport:
     """Relabelling the candidates must relabel the winners the same way."""
+    _validate_bound(bound, 1)
+    (f,) = _margin_functions(max_witnesses, bound, rule_id)
+    fails = None if f is None else functools.partial(
+        _cells_fail,
+        bound,
+        1,
+        tuple((sigma, _NOBODY) for sigma in PERMUTATIONS[1:]),
+        lambda m, sigma: _neutrality(sigma, f(m), f(permute_margins(m, sigma))) is not None,
+    )
     witnesses = functools.partial(neutrality_witnesses, rule_id)
-    return _profile_sweep(rule_id, "neutrality", bound, witnesses, max_witnesses)
+    violations = functools.partial(_profile_sweep, bound, witnesses)
+    return _decide(rule_id, "neutrality", bound, violations, fails, max_witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -614,6 +906,8 @@ def continuity_probe(
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
+    largest = horizon * total_voters(profile) + total_voters(profile2)
+    _rules.check_voter_cap(*_rules.resolve(rule_id), largest)
     base = _f(rule_id, profile)
     contained = [
         _f(rule_id, combine(t_fold(profile, n), profile2)) <= base
@@ -645,30 +939,35 @@ def verify_optimist_equivalence(
     the optimist comparison passes if and only if both the positive
     involvement and the singleton negative involvement checks pass on that
     same instance.  The returned report uses rule id ``"all"``; witnesses
-    carry the offending rule in their note.
+    carry the offending rule in their note.  A margin rule whose cells all
+    pass is left out of the sweep: it has no witness to list.
     """
     _validate_bound(bound, 2)
     if rule_ids is None:
         rule_ids = [r for r, rule in _rules.RULES.items() if bound <= rule.max_voters]
+    rule_ids = list(rule_ids)
     axiom = "optimist_equivalence"
+    functions = _margin_functions(max_witnesses, bound, *rule_ids)
+    cells_fail = [
+        f is not None and _participation_cells_fail(f, _equivalence, bound) for f in functions
+    ]
+    swept = [r for r, f, fails in zip(rule_ids, functions, cells_fail) if f is None or fails]
+    if not swept:
+        return AxiomReport("all", axiom, bound, HOLDS, ())
 
     def violations() -> Iterator[Witness]:
         instances = list(_removal_instances(bound))
-        for rule_id in rule_ids:
+        for rule_id in swept:
             for profile, order, reduced in instances:
                 before = _f(rule_id, reduced)
                 after = _f(rule_id, profile)
-                optimist_ok = _optimist(order, before, after) is None
-                involvement_ok = (
-                    _positive_involvement(order, before, after) is None
-                    and _singleton_negative_involvement(order, before, after) is None
-                )
-                if optimist_ok != involvement_ok:
-                    note = (
-                        f"rule {rule_id}, voter {ORDER_NAMES[order]}: optimist "
-                        f"{'passes' if optimist_ok else 'fails'} but involvement "
-                        f"checks {'pass' if involvement_ok else 'fail'}"
-                    )
+                note = _equivalence(order, before, after)
+                if note is not None:
+                    note = f"rule {rule_id}, {note}"
                     yield Witness(axiom, (reduced, profile), (before, after), note)
 
-    return _finish("all", axiom, bound, violations(), max_witnesses)
+    report = _finish("all", axiom, bound, violations(), max_witnesses)
+    assert not (any(cells_fail) and report.holds), (
+        f"{axiom}: a margin cell fails but no profile up to {bound} does"
+    )
+    return report

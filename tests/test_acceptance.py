@@ -9,6 +9,7 @@ counterexamples, the participation and responsiveness verdicts, the
 irresoluteness curves, and the margin round-trip.
 """
 
+import hashlib
 import itertools
 import time
 
@@ -176,13 +177,27 @@ def test_criterion_02_refinement_poset():
     assert rules.evaluate("banks", prof) == S("{a,c}")
 
 
+# the profiles up to 9 voters where Young differs from maximin (which elects
+# all three there), with Young's winners: every k-fold reverse pair
+YOUNG_DIVERGENCES = {
+    "1acb+1bca": "{a,b}", "1bac+1cab": "{b,c}", "1abc+1cba": "{a,c}",
+    "2acb+2bca": "{a,b}", "2bac+2cab": "{b,c}", "2abc+2cba": "{a,c}",
+    "3acb+3bca": "{a,b}", "3bac+3cab": "{b,c}", "3abc+3cba": "{a,c}",
+    "4acb+4bca": "{a,b}", "4bac+4cab": "{b,c}", "4abc+4cba": "{a,c}",
+}
+
+# sha256 of the "\n"-joined sorted format_profile lines of the 210 profiles
+# up to 9 voters where Dodgson differs from maximin
+DODGSON_DIVERGENCES_SHA256 = "7e17bd195249617fc308e12bf5a2c792dd83ce0c3fbb6cd708577e80c9936e69"
+
+
 def test_criterion_03_maximin_cluster_equivalence():
     """The cluster rules coincide with maximin on every small profile.
 
     Dodgson and Young diverge from maximin only on profiles with a zero
     margin (where distance-based tie handling legitimately differs), and
-    exactly as often as pinned below; any divergence off a tie is a hard
-    failure, and so is any change in the per-rule divergence counts.
+    exactly on the profiles pinned above; any divergence off a tie is a hard
+    failure, and so is any change in the divergent profiles.
     """
     started = time.perf_counter()
     profiles = list(enumeration.profiles_up_to(10))
@@ -213,6 +228,14 @@ def test_criterion_03_maximin_cluster_equivalence():
     for rid, *_ in mismatches:
         per_rule[rid] = per_rule.get(rid, 0) + 1
     assert per_rule == {"dodgson": 210, "young": 12}
+    young = {
+        core.format_profile(p): core.choice_set_to_str(out)
+        for rid, p, out, _ in mismatches
+        if rid == "young"
+    }
+    assert young == YOUNG_DIVERGENCES
+    dodgson = sorted(core.format_profile(p) for rid, p, *_ in mismatches if rid == "dodgson")
+    assert hashlib.sha256("\n".join(dodgson).encode()).hexdigest() == DODGSON_DIVERGENCES_SHA256
     elapsed = time.perf_counter() - started
     assert elapsed < 600.0, f"cluster sweep took {elapsed:.1f}s"
 

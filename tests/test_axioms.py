@@ -1,11 +1,12 @@
 """Axiom checkers: pinned verdicts, witness plumbing, and cross-rule laws."""
 
+import functools
 import itertools
 import random
 
 import pytest
 
-from trivote import axioms, core, rules
+from trivote import axioms, core, enumeration, rules
 from trivote.axioms import AxiomReport, Witness
 from trivote.core import parse_choice_set, parse_profile
 
@@ -174,12 +175,12 @@ def test_artificial_neutrality_checker_finds_the_cycle_witness():
 # ---------------------------------------------------------------------------
 
 
-def test_maximin_participation_family_holds_at_bound_8():
-    assert axioms.check_participation("maximin", "optimist", 8).holds
-    assert axioms.check_participation("maximin", "fishburn", 8).holds
-    assert axioms.check_participation("maximin", "positive_involvement", 8).holds
+def test_maximin_participation_family_holds_at_bound_20():
+    assert axioms.check_participation("maximin", "optimist", 20).holds
+    assert axioms.check_participation("maximin", "fishburn", 20).holds
+    assert axioms.check_participation("maximin", "positive_involvement", 20).holds
     assert axioms.check_participation(
-        "maximin", "singleton_negative_involvement", 8
+        "maximin", "singleton_negative_involvement", 20
     ).holds
 
 
@@ -403,3 +404,201 @@ def test_probe_with_empty_minority_settles_immediately():
     for rule_id in ("maximin", "leximin", "black", "nanson"):
         assert axioms.continuity_probe(rule_id, P("1abc+1bca+1cab"), empty, 10) == 1
         assert axioms.continuity_probe(rule_id, P("2abc+1cba"), empty, 10) == 1
+
+
+# ---------------------------------------------------------------------------
+# margin cells against the profile sweep
+# ---------------------------------------------------------------------------
+
+
+def _reinforcement(variant):
+    return (
+        lambda r, b: axioms.check_reinforcement(r, variant, b, max_witnesses=1),
+        lambda r, b: axioms._reinforcement_sweep(r, variant, b),
+    )
+
+
+def _participation(variant):
+    axiom, clause = axioms._PARTICIPATION[variant]
+    return (
+        lambda r, b: axioms.check_participation(r, variant, b, max_witnesses=1),
+        lambda r, b: axioms._participation_sweep(r, axiom, b, clause),
+    )
+
+
+def _resolute(tiebreak):
+    clause = functools.partial(axioms._resolute, tiebreak)
+    return (
+        lambda r, b: axioms.check_resolute_participation(r, tiebreak, b, max_witnesses=1),
+        lambda r, b: axioms._participation_sweep(r, "resolute", b, clause),
+    )
+
+
+def _per_profile(checker, witnesses):
+    return (
+        lambda r, b: checker(r, b),
+        lambda r, b: axioms._profile_sweep(b, functools.partial(witnesses, r)),
+    )
+
+
+def _responsiveness(variant, swaps):
+    return _per_profile(
+        lambda r, b: axioms.check_responsiveness(r, variant, b, swaps, max_witnesses=1),
+        lambda r, p: axioms.responsiveness_witnesses(r, variant, p, swaps),
+    )
+
+
+def _condorcet(variant):
+    return _per_profile(
+        lambda r, b: axioms.check_condorcet(r, variant, b, max_witnesses=1),
+        lambda r, p: axioms.condorcet_witnesses(r, variant, p),
+    )
+
+
+#: every checker variant decided over margin cells -> (checker, profile sweep)
+CELL_VARIANTS = {
+    **{f"reinforcement-{v}": _reinforcement(v) for v in ("full", "subset", "superset")},
+    **{f"participation-{v}": _participation(v) for v in axioms._PARTICIPATION},
+    **{f"resolute-{core.ORDER_NAMES[t]}": _resolute(t) for t in range(6)},
+    "optimist_equivalence": (
+        lambda r, b: axioms.verify_optimist_equivalence(b, [r], max_witnesses=1),
+        lambda r, b: axioms._participation_sweep(r, "equivalence", b, axioms._equivalence),
+    ),
+    **{
+        f"responsiveness-{v}-{s}": _responsiveness(v, s)
+        for v in ("monotonicity", "positive", "tiebreak_positive")
+        for s in (1, 2)
+    },
+    "homogeneity": _per_profile(
+        lambda r, b: axioms.check_homogeneity(r, b, max_witnesses=1),
+        axioms.homogeneity_witnesses,
+    ),
+    **{f"condorcet-{v}": _condorcet(v) for v in ("standard", "strong")},
+    "neutrality": _per_profile(
+        lambda r, b: axioms.check_neutrality(r, b, max_witnesses=1),
+        axioms.neutrality_witnesses,
+    ),
+    "refinement-maximin": _per_profile(
+        lambda r, b: axioms.check_refinement(r, "maximin", b, max_witnesses=1),
+        lambda r, p: axioms.refinement_witnesses(r, "maximin", p),
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", CELL_VARIANTS)
+def test_cell_verdicts_match_the_profile_sweep(variant):
+    """A margin rule's verdict over margin cells equals the profile sweep's.
+
+    A cell that fails while no profile does trips the checker's own
+    assertion; a profile that fails while no cell does shows as a verdict
+    mismatch here.
+    """
+    checker, sweep = CELL_VARIANTS[variant]
+    verdicts = set()
+    for rule_id in rules.PAIRWISE_RULE_IDS:
+        for bound in range(2, 8):
+            swept_holds = next(iter(sweep(rule_id, bound)), None) is None
+            assert checker(rule_id, bound).holds == swept_holds, (rule_id, bound)
+            verdicts.add(swept_holds)
+    # every margin rule is neutral and homogeneous, and the equivalence is exact
+    always_holds = ("optimist_equivalence", "homogeneity", "neutrality")
+    assert verdicts == ({True} if variant in always_holds else {True, False})
+
+
+#: margin rules that break neutrality and homogeneity: a wins alone once
+#: m_ab (or m_ab + m_ac + m_bc) reaches two, or exactly where two abc voters
+#: put the margins (the only merge that fails at two voters), else all three tie
+BIASED_RULES = {
+    "biased_ab": lambda m: frozenset({0}) if m[0] >= 2 else rules.ALL_CANDIDATES,
+    "biased_sum": lambda m: frozenset({0}) if sum(m) >= 2 else rules.ALL_CANDIDATES,
+    "biased_point": lambda m: frozenset({0}) if m == (2, 2, 2) else rules.ALL_CANDIDATES,
+}
+
+
+@pytest.mark.parametrize(
+    "variant",
+    ["homogeneity", "neutrality", "reinforcement-full", "reinforcement-subset"],
+)
+def test_cell_verdicts_of_a_biased_margin_rule_match_the_profile_sweep(monkeypatch, variant):
+    checker, sweep = CELL_VARIANTS[variant]
+    for rule_id, compute in BIASED_RULES.items():
+        monkeypatch.setitem(rules.RULES, rule_id, rules.Rule(rules.MARGINS, compute))
+        for bound in range(2, 8):
+            swept_holds = next(iter(sweep(rule_id, bound)), None) is None
+            assert checker(rule_id, bound).holds == swept_holds, (rule_id, bound)
+        assert not swept_holds
+
+
+def test_fewest_voters_is_the_smallest_realizing_profile():
+    bound = 6
+    keys = axioms._promotions(2) + axioms._JOINING_VOTER + axioms._EVERY_PROFILE
+    needs = {need for _, need in keys}
+    cells = list(axioms._surplus_cells(bound))
+    assert len({m for m, *_ in cells}) == len(cells)
+    for least in (1, 2):
+        smallest = {}
+        for profile in enumeration.profiles_up_to(bound, min_n=least):
+            for need in needs:
+                if all(count >= k for count, k in zip(profile, need)):
+                    key = (core.margins(profile), need)
+                    smallest[key] = min(smallest.get(key, bound), sum(profile))
+        fewest = {
+            (m, need): n
+            for m, surplus, size in cells
+            for need in needs
+            if (n := axioms._fewest_voters(surplus, size, need, least)) <= bound
+        }
+        assert fewest == smallest
+
+
+def test_promotion_keys_are_the_moves_the_sweep_makes():
+    profile = (2,) * 6
+    m = core.margins(profile)
+    moves = itertools.chain(axioms._single_swaps(profile), axioms._double_swaps(profile))
+    swept = [
+        (
+            (x, y, tuple(a - b for a, b in zip(core.margins(improved), m))),
+            tuple(max(0, before - after) for before, after in zip(profile, improved)),
+        )
+        for improved, x, y, _ in moves
+    ]
+    assert sorted(swept) == sorted(axioms._promotions(2))
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Count the rule evaluations made while the test runs."""
+    calls = []
+    cached = rules._evaluate_cached
+
+    def counting(rule_id, profile):
+        calls.append(rule_id)
+        return cached(rule_id, profile)
+
+    monkeypatch.setattr(rules, "_evaluate_cached", counting)
+    return calls
+
+
+def test_a_holding_margin_rule_check_evaluates_no_profile(evaluations):
+    assert axioms.check_reinforcement("borda", "full", 6).holds
+    assert axioms.check_participation("maximin", "optimist", 8).holds
+    assert axioms.check_resolute_participation("maximin", 2, 6).holds
+    assert axioms.check_responsiveness("copeland", "monotonicity", 6).holds
+    assert axioms.check_homogeneity("maximin", 6).holds
+    assert axioms.check_condorcet("black", "standard", 6).holds
+    assert axioms.check_neutrality("stable_voting", 6).holds
+    assert axioms.check_refinement("leximin", "nanson", 6).holds
+    assert axioms.verify_optimist_equivalence(6, ["maximin", "borda"]).holds
+    assert evaluations == []
+
+
+@pytest.mark.parametrize("rule_id", ["plurality", "artificial"])
+def test_rules_reading_more_than_margins_are_swept(evaluations, rule_id):
+    assert axioms.check_participation(rule_id, "optimist", 5).holds
+    assert axioms.check_responsiveness(rule_id, "monotonicity", 5).holds
+    assert set(evaluations) == {rule_id}
+
+
+def test_a_margin_rule_refined_by_a_profile_rule_is_swept(evaluations):
+    assert axioms.check_refinement("maximin", "artificial", 5).holds is False
+    assert set(evaluations) >= {"maximin", "artificial"}

@@ -1,9 +1,12 @@
 """Command-line interface: outputs, exit codes, and flag handling."""
 
 import csv
+import hashlib
+import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -231,6 +234,35 @@ def test_verify_special_axioms_reject_a_witness_cap_below_one(capsys, argv, cap)
     assert err == f"max_witnesses must be at least 1, got {cap}\n"
 
 
+@pytest.mark.parametrize(
+    "argv,largest",
+    [
+        (["--rule", "dodgson", "--axiom", "reinforcement", "--bound", "12"], 12),
+        (["--rule", "maximin", "--axiom", "refinement", "--upper", "dodgson",
+          "--bound", "12"], 12),
+        (["--rule", "dodgson", "--axiom", "optimist_equivalence", "--bound", "11"], 11),
+        (["--rule", "young", "--axiom", "optimist_participation", "--bound", "10"], 10),
+        (["--rule", "dodgson", "--axiom", "monotonicity", "--bound", "10"], 10),
+        (["--rule", "young", "--axiom", "homogeneity", "--bound", "5"], 10),
+        (["--rule", "dodgson", "--axiom", "continuity", "--bound", "5",
+          "--profile", "2abc", "--profile2", "1cba"], 11),
+    ],
+    ids=["reinforcement", "refinement-upper", "optimist_equivalence", "participation",
+         "monotonicity", "homogeneity-doubled", "continuity"],
+)
+def test_verify_refuses_an_electorate_above_the_voter_cap_before_any_work(
+    capsys, monkeypatch, argv, largest
+):
+    def no_evaluation(rule_id, profile):
+        raise AssertionError(f"{rule_id} evaluated before the voter cap was checked")
+
+    monkeypatch.setattr(rules, "_evaluate_cached", no_evaluation)
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and f"supports at most 9 voters, got {largest}" in err
+
+
 def test_verify_requires_rule(capsys):
     code, _, _ = run(capsys, "verify", "--axiom", "reinforcement", "--bound", "4")
     assert code == 2
@@ -241,6 +273,41 @@ def test_verify_unknown_axiom(capsys):
         capsys, "verify", "--rule", "maximin", "--axiom", "nonsense", "--bound", "4"
     )
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# verify output pinned byte for byte
+# ---------------------------------------------------------------------------
+
+#: the benchmark's recorded exit codes and stdout digests
+ORACLE = json.loads(
+    (Path(__file__).parents[1] / "perfbench" / "oracle.json").read_text()
+)["commands"]
+
+#: [exit code, stdout sha256] of every axiom but continuity, for maximin,
+#: copeland, baldwin and borda at bounds 4-7 (refinement with --upper maximin),
+#: at the default witness cap and at 1000; recorded from the profile sweeps
+#: of commit a41e6b3, before any check was decided over margin cells
+DIGESTS = json.loads(Path(__file__).with_name("verify_digests.json").read_text())["commands"]
+
+
+def _exit_and_digest(capsys, command):
+    code, out, _ = run(capsys, *command.split())
+    return code, hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command", sorted(c for c in ORACLE if c.startswith("verify ")))
+def test_verify_matches_the_benchmark_oracle(capsys, command):
+    record = ORACLE[command]
+    assert _exit_and_digest(capsys, command) == (record["exit"], record["sha256"])
+
+
+@pytest.mark.parametrize("axiom", [a for a in cli.AXIOM_IDS if a != "continuity"])
+def test_verify_output_matches_the_recorded_digests(capsys, axiom):
+    commands = [c for c in DIGESTS if c.split()[4] == axiom]
+    assert len(commands) == 4 * 4 * 2
+    for command in commands:
+        assert _exit_and_digest(capsys, command) == tuple(DIGESTS[command]), command
 
 
 # ---------------------------------------------------------------------------
