@@ -13,14 +13,22 @@ Two drivers call the same clause functions, one per axiom:
 * for a rule that reads only the margins (``rules.MARGINS``) the verdict is
   first decided over the margin cells.  Each surplus vector d with
   |d|_1 <= bound (see the comment in ``enumeration``) gives one margin
-  triple, and each instance key -- the triple, with the order, move,
-  relabelling or second triple the axiom needs -- is checked once, with the
-  rule's margin function memoised for the check.  A key counts only if some
-  profile within the bound realizes it: the fewest voters of cell d holding
-  at least k_o voters of each order o the key needs is
+  triple m; the cells are numpy arrays of margins, per-order surplus and
+  |d|_1.  An instance key -- the order, move, relabelling or doubling the
+  axiom needs -- counts on a cell only if some profile within the bound
+  realizes it: the fewest voters of cell d holding at least k_o voters of
+  each order o the key needs is
   |d|_1 + 2 sum_i max_{o in pair i} (k_o - surplus_o(d))^+, raised in steps
-  of two to the checker's least electorate.  When no key fails, the verdict
-  is ``holds-up-to-bound`` and no profile is touched; otherwise the profile
+  of two to the checker's least electorate, one array expression per block
+  of cells.  Each key maps m to a second triple m' (m - v_o, m + shift,
+  sigma m, 2m), or pairs two cells into m1 + m2 for reinforcement.  The
+  rule's choice set is kept as a 3-bit code and evaluated once per distinct
+  triple, block by block with the smallest cells first, so a violated check
+  stops early.  A clause sees only the key and the outputs, so it is called
+  once per key and pair (or triple) of codes met, on one row of that
+  class; the per-profile clauses (Condorcet, which reads the margins too,
+  and refinement) once per realizable triple.  When nothing fails, the verdict is
+  ``holds-up-to-bound`` and no profile is touched; otherwise the profile
   sweep runs as for any other rule, to list the witnesses in its order.
 
 Every checker resolves its rules and refuses an electorate above a rule's
@@ -36,6 +44,8 @@ import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Optional
+
+import numpy as np
 
 from . import rules as _rules
 from .core import (
@@ -63,7 +73,7 @@ from .core import (
     top,
     total_voters,
 )
-from .enumeration import ProfileCursor, profiles_up_to
+from .enumeration import ProfileCursor, _expand, profiles_up_to
 
 HOLDS = "holds-up-to-bound"
 VIOLATED = "violated"
@@ -157,6 +167,11 @@ def _candidate(c: int) -> str:
 
 #: each pair kind as (order, reverse order); d_i is the surplus of the order
 _PAIR_KINDS = ((0, 5), (1, 3), (4, 2))
+_ORDERS = [order for order, _ in _PAIR_KINDS]
+_REVERSES = [reverse for _, reverse in _PAIR_KINDS]
+
+#: row i maps the surplus vector d to margin i: (d1+d2+d3, d1+d2-d3, d1-d2-d3)
+_SURPLUS_TO_MARGINS = np.array([[1, 1, 1], [1, 1, -1], [1, -1, -1]])
 
 #: the voters per order that an instance taking nobody away needs
 _NOBODY = (0,) * 6
@@ -164,48 +179,141 @@ _NOBODY = (0,) * 6
 #: the one key of the per-profile axioms
 _EVERY_PROFILE = ((None, _NOBODY),)
 
+#: the images of the margins as (matrix, offset): m -> matrix m + offset
+_IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+_DOUBLING = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
+_NO_SHIFT = (0, 0, 0)
 
-def _surplus_cells(bound: int) -> Iterator[tuple[Margins, list[int], int]]:
-    """(margins, voters each order holds beyond its reverse, |d|_1) of every
-    surplus vector d with |d|_1 <= bound."""
-    for d1 in range(-bound, bound + 1):
-        r1 = bound - abs(d1)
-        for d2 in range(-r1, r1 + 1):
-            r2 = r1 - abs(d2)
-            for d3 in range(-r2, r2 + 1):
-                surplus = [0] * 6
-                for (order, reverse), d in zip(_PAIR_KINDS, (d1, d2, d3)):
-                    surplus[order if d > 0 else reverse] = abs(d)
-                margins_d = (d1 + d2 + d3, d1 + d2 - d3, d1 - d2 - d3)
-                yield margins_d, surplus, abs(d1) + abs(d2) + abs(d3)
+#: rows per block of (key, cell) pairs or of cell pairs: small enough that a
+#: failure among small profiles is met after few evaluations and that the
+#: temporaries stay small, large enough for few numpy calls
+_BLOCK_ROWS = 1 << 11
+
+#: the choice set of each 3-bit output code: candidate c is in code's set
+#: when bit c is set
+_CHOICE_SETS = tuple(frozenset(c for c in CANDIDATES if code >> c & 1) for code in range(8))
+_CODE_OF = {choice: code for code, choice in enumerate(_CHOICE_SETS)}
 
 
-def _fewest_voters(surplus: list[int], size: int, need: tuple[int, ...], least: int) -> int:
-    """The fewest voters, at least ``least``, of a profile in the cell that
-    holds ``need[o]`` voters of each order o."""
-    pairs = sum(
-        max(0, need[order] - surplus[order], need[reverse] - surplus[reverse])
-        for order, reverse in _PAIR_KINDS
-    )
-    n = size + 2 * pairs
-    return n if n >= least else n + (least - n + 1) // 2 * 2
+def _surplus_cells(bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Arrays (margins, surplus, size) over every surplus vector d with
+    |d|_1 <= bound, built d1 slab by d1 slab: row i holds the margin triple
+    of d, the voters each order holds beyond its reverse and |d|_1."""
+    d1 = np.arange(-bound, bound + 1)
+    r1 = bound - np.abs(d1)
+    slab, k = _expand(2 * r1 + 1)
+    d1, d2, r1 = d1[slab], k - r1[slab], r1[slab]
+    r2 = r1 - np.abs(d2)
+    row, k = _expand(2 * r2 + 1)
+    d = np.stack((d1[row], d2[row], k - r2[row]), axis=1)
+    surplus = np.zeros((len(d), 6), dtype=d.dtype)
+    surplus[:, _ORDERS] = np.maximum(d, 0)
+    surplus[:, _REVERSES] = np.maximum(-d, 0)
+    return d @ _SURPLUS_TO_MARGINS.T, surplus, np.abs(d).sum(axis=1)
+
+
+def _fewest_voters(
+    surplus: np.ndarray, size: np.ndarray, needs: np.typing.ArrayLike, least: int
+) -> np.ndarray:
+    """The fewest voters, at least ``least``, of a profile in each cell that
+    holds ``need[o]`` voters of each order o: |d|_1 plus two per voter pair
+    the surplus lacks, raised in steps of two to ``least``.  One row per
+    need when ``needs`` stacks several."""
+    lack = np.maximum(np.asarray(needs)[..., None, :] - surplus, 0)
+    n = size + 2 * np.maximum(lack[..., _ORDERS], lack[..., _REVERSES]).sum(axis=-1)
+    return n + np.maximum(least - n + 1, 0) // 2 * 2
+
+
+def _new_classes(classes: np.ndarray, seen: np.ndarray) -> np.ndarray:
+    """One row of each class not ``seen`` before, which is then marked seen."""
+    _, rows = np.unique(classes, return_index=True)
+    rows = rows[~seen[classes[rows]]]
+    seen[classes[rows]] = True
+    return rows
+
+
+class _Outputs:
+    """A margin rule's choice sets as output codes, each triple evaluated
+    once, when first asked for; triples lie within ``radius`` of zero."""
+
+    def __init__(self, f: MarginRule, radius: int) -> None:
+        self._f = f
+        self._radius = radius
+        self._side = 2 * radius + 1
+        self._codes = np.full(self._side**3, -1, dtype=np.int8)
+
+    def __call__(self, m: np.ndarray) -> np.ndarray:
+        """The code of each row of margins."""
+        index = np.ravel_multi_index(tuple((m + self._radius).T), (self._side,) * 3)
+        # with return_index, np.unique does not import numpy.ma (numpy 2.4)
+        missing, _ = np.unique(index[self._codes[index] < 0], return_index=True)
+        if missing.size:
+            triples = np.stack(np.unravel_index(missing, (self._side,) * 3), axis=1)
+            self._codes[missing] = [
+                _CODE_OF[self._f(tuple(t))] for t in (triples - self._radius).tolist()
+            ]
+        return self._codes[index].astype(np.intp)
+
+
+def _realized(
+    bound: int, least: int, keys: tuple[tuple[Hashable, tuple[int, ...]], ...]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Blocks (key, margins) of the pairs of a key's index and a cell's
+    margins that a profile with ``least <= n <= bound`` realizes; ``keys``
+    pairs each key with the voters of each order its instance takes from
+    the profile.  Cells come in order of |d|_1, so small profiles first."""
+    margins_d, surplus, size = _surplus_cells(bound)
+    order = np.argsort(size, kind="stable")
+    needs = np.array([need for _, need in keys])
+    step = max(1, _BLOCK_ROWS // len(keys))
+    for lo in range(0, len(order), step):
+        rows = order[lo : lo + step]
+        n = _fewest_voters(surplus[rows], size[rows], needs, least)
+        key, row = np.nonzero(n <= bound)
+        yield key, margins_d[rows][row]
 
 
 def _cells_fail(
+    f: MarginRule,
     bound: int,
     least: int,
     keys: tuple[tuple[Hashable, tuple[int, ...]], ...],
-    fails: Callable[[Margins, Hashable], bool],
+    image: Callable[[Hashable], tuple[tuple[tuple[int, ...], ...], Margins]],
+    fails: Callable[[Hashable, ChoiceSet, ChoiceSet], bool],
 ) -> bool:
-    """Whether ``fails(m, key)`` for some margins m and key that a profile
-    with ``least <= n <= bound`` realizes; ``keys`` pairs each key with the
-    voters of each order its instance takes from the profile."""
-    return any(
-        fails(m, key)
-        for m, surplus, size in _surplus_cells(bound)
-        for key, need in keys
-        if _fewest_voters(surplus, size, need, least) <= bound
-    )
+    """Whether ``fails(key, f(m), f(m'))`` for some margins m and key that a
+    profile with ``least <= n <= bound`` realizes, where ``image(key)`` is
+    (matrix, offset) and m' = matrix m + offset.  ``fails`` sees only the
+    key and the two outputs, so it is called once per key and pair of
+    output codes met, on one of the rows that share them."""
+    maps = [image(key) for key, _ in keys]
+    matrices = np.array([matrix for matrix, _ in maps])
+    offsets = np.array([offset for _, offset in maps])
+    radius = bound * int(np.abs(matrices).sum(axis=2).max()) + int(np.abs(offsets).max())
+    outputs = _Outputs(f, radius)
+    seen = np.zeros(len(keys) * 64, dtype=bool)
+    for key, m in _realized(bound, least, keys):
+        first = outputs(m)
+        second = outputs(np.einsum("kij,kj->ki", matrices[key], m) + offsets[key])
+        rows = _new_classes(key * 64 + first * 8 + second, seen)
+        for k, a, b in zip(key[rows].tolist(), first[rows].tolist(), second[rows].tolist()):
+            if fails(keys[k][0], _CHOICE_SETS[a], _CHOICE_SETS[b]):
+                return True
+    return False
+
+
+def _profiles_fail(
+    bound: int, functions: Iterable[MarginRule], fails: Callable[..., bool]
+) -> bool:
+    """Whether ``fails(m, f1(m), f2(m), ...)`` for the margins m of some
+    profile with ``1 <= n <= bound``: one call per triple."""
+    outputs = [_Outputs(f, bound) for f in functions]
+    for _, m in _realized(bound, 1, _EVERY_PROFILE):
+        codes = [o(m).tolist() for o in outputs]
+        for t, *row in zip(m.tolist(), *codes):
+            if fails(tuple(t), *(_CHOICE_SETS[c] for c in row)):
+                return True
+    return False
 
 
 def _margin_functions(
@@ -213,15 +321,14 @@ def _margin_functions(
 ) -> list[Optional[MarginRule]]:
     """Check the witness cap, then resolve each rule and refuse it above its
     voter cap, all before the first evaluation.  Returns each rule's margin
-    function, memoised for this check, or None for a rule that reads more
-    than the margins."""
+    function, or None for a rule that reads more than the margins."""
     validate_cap(max_witnesses)
     functions: list[Optional[MarginRule]] = []
     for rule_id in rule_ids:
         canonical, rule = _rules.resolve(rule_id)
         _rules.check_voter_cap(canonical, rule, largest)
         reads_margins = rule.reads == _rules.MARGINS
-        functions.append(functools.cache(rule.compute) if reads_margins else None)
+        functions.append(rule.compute if reads_margins else None)
     return functions
 
 
@@ -239,14 +346,11 @@ def _decide(
     if fails is not None and not fails():
         return AxiomReport(rule_id, axiom, bound, HOLDS, ())
     report = _finish(rule_id, axiom, bound, violations(), max_witnesses)
-    assert fails is None or not report.holds, (
-        f"{rule_id} {axiom}: a margin cell fails but no profile up to {bound} does"
-    )
+    if fails is not None and report.holds:
+        raise RuntimeError(
+            f"{rule_id} {axiom}: a margin cell fails but no profile up to {bound} does"
+        )
     return report
-
-
-def _shifted(m: Margins, shift: Margins) -> Margins:
-    return (m[0] + shift[0], m[1] + shift[1], m[2] + shift[2])
 
 
 # ---------------------------------------------------------------------------
@@ -312,22 +416,35 @@ def _reinforcement_sweep(rule_id: str, variant: str, bound: int) -> Iterator[Wit
             yield Witness(axiom, (first, second, merged), (out1, out2, out12), note)
 
 
+def _cell_pairs(n: np.ndarray, bound: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Blocks (i, j) of the index pairs i <= j with n[i] + n[j] <= bound,
+    ``n`` ascending, at most _BLOCK_ROWS pairs a block."""
+    counts = np.maximum(np.searchsorted(n, bound - n, side="right") - np.arange(n.size), 0)
+    starts = np.cumsum(counts) - counts
+    total = int(counts.sum())
+    for lo in range(0, total, _BLOCK_ROWS):
+        pair = np.arange(lo, min(total, lo + _BLOCK_ROWS))
+        i = np.searchsorted(starts, pair, side="right") - 1
+        yield i, i + pair - starts[i]
+
+
 def _reinforcement_cells_fail(f: MarginRule, variant: str, bound: int) -> bool:
     """Reinforcement over the cell pairs whose fewest voters sum to at most
-    ``bound``; the clause is symmetric, so each unordered pair is taken once."""
-    cells = sorted(
-        (_fewest_voters(surplus, size, _NOBODY, 1), m)
-        for m, surplus, size in _surplus_cells(bound - 1)
-    )
-    for i, (n1, m1) in enumerate(cells):
-        out1 = f(m1)
-        for n2, m2 in cells[i:]:
-            if n1 + n2 > bound:
-                break  # later cells only need more voters
-            agreed = _agreed(variant, out1, f(m2))
-            if agreed is None:
-                continue
-            if _reinforcement(variant, agreed, f(_shifted(m1, m2))) is not None:
+    ``bound``; the clause is symmetric, so each unordered pair is taken
+    once, and it sees only the three outputs, so it is called once per
+    triple of output codes met."""
+    m, surplus, size = _surplus_cells(bound - 1)
+    n = _fewest_voters(surplus, size, _NOBODY, 1)
+    order = np.argsort(n, kind="stable")
+    m, n = m[order], n[order]
+    outputs = _Outputs(f, bound)
+    seen = np.zeros(8**3, dtype=bool)
+    for i, j in _cell_pairs(n, bound):
+        out1, out2, out12 = outputs(m[i]), outputs(m[j]), outputs(m[i] + m[j])
+        rows = _new_classes((out1 * 8 + out2) * 8 + out12, seen)
+        for a, b, c in zip(out1[rows].tolist(), out2[rows].tolist(), out12[rows].tolist()):
+            agreed = _agreed(variant, _CHOICE_SETS[a], _CHOICE_SETS[b])
+            if agreed is not None and _reinforcement(variant, agreed, _CHOICE_SETS[c]) is not None:
                 return True
     return False
 
@@ -494,13 +611,14 @@ def _participation_sweep(
 
 def _participation_cells_fail(f: MarginRule, clause: ParticipationClause, bound: int) -> bool:
     """``clause`` on every (margins of P, order of the voter who joins)."""
-
-    def fails(m: Margins, order: int) -> bool:
-        v = ORDER_MARGIN_VECTOR[order]
-        before = f((m[0] - v[0], m[1] - v[1], m[2] - v[2]))
-        return clause(order, before, f(m)) is not None
-
-    return _cells_fail(bound, 2, _JOINING_VOTER, fails)
+    return _cells_fail(
+        f,
+        bound,
+        2,
+        _JOINING_VOTER,
+        lambda order: (_IDENTITY, tuple(-v for v in ORDER_MARGIN_VECTOR[order])),
+        lambda order, after, before: clause(order, before, after) is not None,
+    )
 
 
 def _participation(
@@ -710,14 +828,18 @@ def check_responsiveness(
     _validate_bound(bound, 1)
     (f,) = _margin_functions(max_witnesses, bound, rule_id)
 
-    def cell_fails(m: Margins, key: tuple[int, int, Margins]) -> bool:
-        x, y, shift = key
-        return _promotes_a_winner(variant, f(m), x, y) and not _responds(
-            variant, x, f(_shifted(m, shift))
-        )
+    def cell_fails(key: tuple[int, int, Margins], winners: ChoiceSet, outcome: ChoiceSet) -> bool:
+        x, y, _ = key
+        return _promotes_a_winner(variant, winners, x, y) and not _responds(variant, x, outcome)
 
     fails = None if f is None else functools.partial(
-        _cells_fail, bound, 1, _promotions(max_simultaneous_swaps), cell_fails
+        _cells_fail,
+        f,
+        bound,
+        1,
+        _promotions(max_simultaneous_swaps),
+        lambda key: (_IDENTITY, key[2]),
+        cell_fails,
     )
     witnesses = functools.partial(
         responsiveness_witnesses, rule_id, variant, max_simultaneous_swaps=max_simultaneous_swaps
@@ -750,10 +872,12 @@ def check_homogeneity(
     (f,) = _margin_functions(max_witnesses, 2 * bound, rule_id)
     fails = None if f is None else functools.partial(
         _cells_fail,
+        f,
         bound,
         1,
         _EVERY_PROFILE,
-        lambda m, _: _homogeneity(f(m), f(_shifted(m, m))) is not None,
+        lambda _: (_DOUBLING, _NO_SHIFT),
+        lambda _, once, doubled: _homogeneity(once, doubled) is not None,
     )
     witnesses = functools.partial(homogeneity_witnesses, rule_id)
     violations = functools.partial(_profile_sweep, bound, witnesses)
@@ -802,11 +926,10 @@ def check_condorcet(
     _validate_bound(bound, 1)
     (f,) = _margin_functions(max_witnesses, bound, rule_id)
     fails = None if f is None else functools.partial(
-        _cells_fail,
+        _profiles_fail,
         bound,
-        1,
-        _EVERY_PROFILE,
-        lambda m, _: _condorcet(variant, m, f(m)) is not None,
+        (f,),
+        lambda m, winners: _condorcet(variant, m, winners) is not None,
     )
     witnesses = functools.partial(condorcet_witnesses, rule_id, variant)
     violations = functools.partial(_profile_sweep, bound, witnesses)
@@ -834,11 +957,10 @@ def check_refinement(
     _validate_bound(bound, 1)
     f_lower, f_upper = _margin_functions(max_witnesses, bound, lower, upper)
     fails = None if f_lower is None or f_upper is None else functools.partial(
-        _cells_fail,
+        _profiles_fail,
         bound,
-        1,
-        _EVERY_PROFILE,
-        lambda m, _: _refinement(upper, f_lower(m), f_upper(m)) is not None,
+        (f_lower, f_upper),
+        lambda _, fine, coarse: _refinement(upper, fine, coarse) is not None,
     )
     witnesses = functools.partial(refinement_witnesses, lower, upper)
     violations = functools.partial(_profile_sweep, bound, witnesses)
@@ -852,6 +974,12 @@ def _neutrality(
     if relabelled != expected:
         return f"relabelling {sigma} should give {choice_set_to_str(expected)}"
     return None
+
+
+def _permutation_matrix(sigma: tuple[int, int, int]) -> tuple[tuple[int, ...], ...]:
+    """The signed permutation matrix of ``permute_margins(., sigma)``."""
+    columns = [permute_margins(unit, sigma) for unit in _IDENTITY]
+    return tuple(zip(*columns))
 
 
 def neutrality_witnesses(rule_id: str, profile: Profile) -> Iterator[Witness]:
@@ -878,10 +1006,12 @@ def check_neutrality(
     (f,) = _margin_functions(max_witnesses, bound, rule_id)
     fails = None if f is None else functools.partial(
         _cells_fail,
+        f,
         bound,
         1,
         tuple((sigma, _NOBODY) for sigma in PERMUTATIONS[1:]),
-        lambda m, sigma: _neutrality(sigma, f(m), f(permute_margins(m, sigma))) is not None,
+        lambda sigma: (_permutation_matrix(sigma), _NO_SHIFT),
+        lambda sigma, winners, relabelled: _neutrality(sigma, winners, relabelled) is not None,
     )
     witnesses = functools.partial(neutrality_witnesses, rule_id)
     violations = functools.partial(_profile_sweep, bound, witnesses)
@@ -967,7 +1097,6 @@ def verify_optimist_equivalence(
                     yield Witness(axiom, (reduced, profile), (before, after), note)
 
     report = _finish("all", axiom, bound, violations(), max_witnesses)
-    assert not (any(cells_fail) and report.holds), (
-        f"{axiom}: a margin cell fails but no profile up to {bound} does"
-    )
+    if any(cells_fail) and report.holds:
+        raise RuntimeError(f"{axiom}: a margin cell fails but no profile up to {bound} does")
     return report

@@ -121,6 +121,20 @@ _SPECIAL_AXIOMS = ("resolute_participation", "refinement", "continuity", "optimi
 AXIOM_IDS = tuple(sorted(_AXIOM_CHECKERS)) + _SPECIAL_AXIOMS
 
 
+def _note_rules_left_out(bound: int) -> None:
+    """Name on stderr the rules whose voter cap keeps them out of a check
+    over every rule."""
+    by_cap: dict[float, list[str]] = {}
+    for rule_id, rule in rules.RULES.items():
+        if bound > rule.max_voters:
+            by_cap.setdefault(rule.max_voters, []).append(rule_id)
+    if by_cap:
+        left_out = "; ".join(
+            f"{', '.join(ids)} (at most {cap} voters)" for cap, ids in by_cap.items()
+        )
+        print(f"left out {left_out}: bound {bound} is above their voter cap", file=sys.stderr)
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     axiom, bound, cap = args.axiom, args.bound, args.max_witnesses
     try:
@@ -134,6 +148,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         elif axiom == "optimist_equivalence":
             rule_ids = [args.rule] if args.rule else None
             report = axioms.verify_optimist_equivalence(bound, rule_ids, cap)
+            if rule_ids is None:
+                _note_rules_left_out(bound)
         elif axiom == "continuity":
             if args.profile is None or args.profile2 is None:
                 return _fail("--axiom continuity needs --profile and --profile2")

@@ -4,6 +4,7 @@ import functools
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from trivote import axioms, core, enumeration, rules
@@ -489,8 +490,8 @@ CELL_VARIANTS = {
 def test_cell_verdicts_match_the_profile_sweep(variant):
     """A margin rule's verdict over margin cells equals the profile sweep's.
 
-    A cell that fails while no profile does trips the checker's own
-    assertion; a profile that fails while no cell does shows as a verdict
+    A cell that fails while no profile does makes the checker raise
+    RuntimeError; a profile that fails while no cell does shows as a verdict
     mismatch here.
     """
     checker, sweep = CELL_VARIANTS[variant]
@@ -532,9 +533,10 @@ def test_cell_verdicts_of_a_biased_margin_rule_match_the_profile_sweep(monkeypat
 def test_fewest_voters_is_the_smallest_realizing_profile():
     bound = 6
     keys = axioms._promotions(2) + axioms._JOINING_VOTER + axioms._EVERY_PROFILE
-    needs = {need for _, need in keys}
-    cells = list(axioms._surplus_cells(bound))
-    assert len({m for m, *_ in cells}) == len(cells)
+    needs = sorted({need for _, need in keys})
+    margins, surplus, size = axioms._surplus_cells(bound)
+    cells = [tuple(m) for m in margins.tolist()]
+    assert len(set(cells)) == len(cells)
     for least in (1, 2):
         smallest = {}
         for profile in enumeration.profiles_up_to(bound, min_n=least):
@@ -542,13 +544,61 @@ def test_fewest_voters_is_the_smallest_realizing_profile():
                 if all(count >= k for count, k in zip(profile, need)):
                     key = (core.margins(profile), need)
                     smallest[key] = min(smallest.get(key, bound), sum(profile))
+        voters = axioms._fewest_voters(surplus, size, needs, least).tolist()
         fewest = {
             (m, need): n
-            for m, surplus, size in cells
-            for need in needs
-            if (n := axioms._fewest_voters(surplus, size, need, least)) <= bound
+            for need, row in zip(needs, voters)
+            for m, n in zip(cells, row)
+            if n <= bound
         }
         assert fewest == smallest
+        realized = [
+            (tuple(m), keys[k][1])
+            for key, block in axioms._realized(bound, least, keys)
+            for k, m in zip(key.tolist(), block.tolist())
+        ]
+        assert set(realized) == set(smallest)
+
+
+def test_cell_pairs_arrive_in_bounded_blocks():
+    bound = 10
+    margins, surplus, size = axioms._surplus_cells(bound - 1)
+    n = np.sort(axioms._fewest_voters(surplus, size, axioms._NOBODY, 1))
+    blocks = list(axioms._cell_pairs(n, bound))
+    assert len(blocks) > 1
+    assert all(len(i) == len(j) <= axioms._BLOCK_ROWS for i, j in blocks)
+    pairs = np.concatenate([np.stack(block, axis=1) for block in blocks])
+    expected = np.argwhere(np.triu(n[:, None] + n[None, :] <= bound))
+    assert np.array_equal(pairs, expected)
+
+
+def test_a_holding_check_evaluates_each_triple_once_and_each_output_class_once(monkeypatch):
+    triples, clauses = [], []
+    maximin = rules.RULES["maximin"]
+
+    def margin_rule(m):
+        triples.append(m)
+        return maximin.compute(m)
+
+    def optimist(order, before, after):
+        clauses.append((order, before, after))
+        return axioms._optimist(order, before, after)
+
+    monkeypatch.setitem(rules.RULES, "maximin", maximin._replace(compute=margin_rule))
+    monkeypatch.setitem(axioms._PARTICIPATION, "optimist", ("optimist_participation", optimist))
+    assert axioms.check_participation("maximin", "optimist", 12).holds
+    assert triples and len(set(triples)) == len(triples)
+    assert clauses and len(set(clauses)) == len(clauses) <= 6 * 8 * 8
+
+
+def test_a_failing_cell_without_a_failing_profile_is_an_error(monkeypatch):
+    monkeypatch.setattr(axioms, "_profile_sweep", lambda bound, witnesses: iter(()))
+    with pytest.raises(RuntimeError, match="a margin cell fails but no profile up to 10 does"):
+        axioms.check_responsiveness("baldwin", "monotonicity", 10)
+    monkeypatch.setattr(axioms, "_participation_cells_fail", lambda f, clause, bound: True)
+    monkeypatch.setattr(axioms, "_removal_instances", lambda bound: iter(()))
+    with pytest.raises(RuntimeError, match="a margin cell fails but no profile up to 4 does"):
+        axioms.verify_optimist_equivalence(4, ["maximin"])
 
 
 def test_promotion_keys_are_the_moves_the_sweep_makes():

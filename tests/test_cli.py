@@ -188,6 +188,16 @@ def test_verify_optimist_equivalence_without_rule(capsys):
     assert "optimist_equivalence" in out
 
 
+def test_verify_optimist_equivalence_names_the_rules_left_out(capsys):
+    code, out, err = run(capsys, "verify", "--axiom", "optimist_equivalence", "--bound", "10")
+    assert code == 0
+    assert out.startswith("all axiom=optimist_equivalence bound=10 verdict=holds-up-to-bound")
+    assert err == "left out dodgson, young (at most 9 voters): bound 10 is above their voter cap\n"
+    code, out, err = run(capsys, "verify", "--axiom", "optimist_equivalence", "--bound", "9")
+    assert code == 0
+    assert err == ""
+
+
 def test_verify_continuity_threshold_found(capsys):
     code, out, _ = run(
         capsys, "verify", "--rule", "maximin", "--axiom", "continuity",
