@@ -26,13 +26,18 @@ Two drivers call the same clause functions, one per axiom:
   triple, block by block with the smallest cells first, so a violated check
   stops early.  A clause sees only the key and the outputs, so it is called
   once per key and pair (or triple) of codes met, on one row of that
-  class; the per-profile clauses (Condorcet, which reads the margins too,
-  and refinement) once per realizable triple.  When nothing fails, the verdict is
-  ``holds-up-to-bound`` and no profile is touched; otherwise the profile
-  sweep runs as for any other rule, to list the witnesses in its order.
+  class.  The per-profile clauses are called once per tuple of codes met
+  too: refinement reads two rules' outputs, and Condorcet reads the margins
+  only through the candidates who must win (the Condorcet winner, or the
+  unbeaten candidates), which are coded as a second output.  When nothing
+  fails, the verdict is ``holds-up-to-bound`` and no profile is touched;
+  otherwise the profile sweep runs as for any other rule, to list the
+  witnesses in its order.
 
 Every checker resolves its rules and refuses an electorate above a rule's
-voter cap before its first evaluation.
+voter cap before its first evaluation; a margin check whose cells and code
+tables would take more than :data:`TABLE_BUDGET` bytes is refused before
+anything is allocated.
 
 A ``holds-up-to-bound`` verdict certifies nothing beyond the bound; the
 checkers are finite searches, not proofs.
@@ -51,6 +56,7 @@ from . import rules as _rules
 from .core import (
     CANDIDATE_NAMES,
     CANDIDATES,
+    CHOICE_SETS,
     ChoiceSet,
     Margins,
     ORDER_MARGIN_VECTOR,
@@ -189,10 +195,27 @@ _NO_SHIFT = (0, 0, 0)
 #: temporaries stay small, large enough for few numpy calls
 _BLOCK_ROWS = 1 << 11
 
-#: the choice set of each 3-bit output code: candidate c is in code's set
-#: when bit c is set
-_CHOICE_SETS = tuple(frozenset(c for c in CANDIDATES if code >> c & 1) for code in range(8))
-_CODE_OF = {choice: code for code, choice in enumerate(_CHOICE_SETS)}
+#: the 3-bit output code of each choice set, its mask in CHOICE_SETS
+_CODE_OF = {choice: code for code, choice in enumerate(CHOICE_SETS)}
+
+#: the most bytes that the margin cells and code tables of one check may
+#: take; a larger check is refused before anything is allocated
+TABLE_BUDGET = 64 << 20
+#: bytes per margin cell at the peak of building its arrays: margins,
+#: surplus and size as int64, with their temporaries (145 measured)
+_CELL_BYTES = 160
+
+
+def _refuse_oversized(bound: int, radius: int, tables: int) -> None:
+    """Refuse a check whose margin cells up to ``bound`` and ``tables`` code
+    tables of ``radius`` would take more than TABLE_BUDGET bytes."""
+    cells = (2 * bound + 1) * (2 * bound * bound + 2 * bound + 3) // 3  # |d|_1 <= bound
+    size = cells * _CELL_BYTES + tables * (2 * radius + 1) ** 3
+    if size > TABLE_BUDGET:
+        raise _rules.BoundExceededError(
+            f"bound {bound} needs {size >> 20} MB of margin tables, "
+            f"over the {TABLE_BUDGET >> 20} MB budget"
+        )
 
 
 def _surplus_cells(bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -290,6 +313,7 @@ def _cells_fail(
     matrices = np.array([matrix for matrix, _ in maps])
     offsets = np.array([offset for _, offset in maps])
     radius = bound * int(np.abs(matrices).sum(axis=2).max()) + int(np.abs(offsets).max())
+    _refuse_oversized(bound, radius, 1)
     outputs = _Outputs(f, radius)
     seen = np.zeros(len(keys) * 64, dtype=bool)
     for key, m in _realized(bound, least, keys):
@@ -297,21 +321,26 @@ def _cells_fail(
         second = outputs(np.einsum("kij,kj->ki", matrices[key], m) + offsets[key])
         rows = _new_classes(key * 64 + first * 8 + second, seen)
         for k, a, b in zip(key[rows].tolist(), first[rows].tolist(), second[rows].tolist()):
-            if fails(keys[k][0], _CHOICE_SETS[a], _CHOICE_SETS[b]):
+            if fails(keys[k][0], CHOICE_SETS[a], CHOICE_SETS[b]):
                 return True
     return False
 
 
 def _profiles_fail(
-    bound: int, functions: Iterable[MarginRule], fails: Callable[..., bool]
+    bound: int, functions: tuple[MarginRule, ...], fails: Callable[..., bool]
 ) -> bool:
-    """Whether ``fails(m, f1(m), f2(m), ...)`` for the margins m of some
-    profile with ``1 <= n <= bound``: one call per triple."""
+    """Whether ``fails(f1(m), f2(m), ...)`` for the margins m of some profile
+    with ``1 <= n <= bound``.  ``fails`` sees only the outputs, so it is
+    called once per tuple of output codes met, on one of the rows that
+    share them."""
+    _refuse_oversized(bound, bound, len(functions))
     outputs = [_Outputs(f, bound) for f in functions]
+    seen = np.zeros(8 ** len(outputs), dtype=bool)
     for _, m in _realized(bound, 1, _EVERY_PROFILE):
-        codes = [o(m).tolist() for o in outputs]
-        for t, *row in zip(m.tolist(), *codes):
-            if fails(tuple(t), *(_CHOICE_SETS[c] for c in row)):
+        codes = [o(m) for o in outputs]
+        rows = _new_classes(functools.reduce(lambda acc, c: acc * 8 + c, codes), seen)
+        for row in zip(*(c[rows].tolist() for c in codes)):
+            if fails(*(CHOICE_SETS[c] for c in row)):
                 return True
     return False
 
@@ -433,6 +462,7 @@ def _reinforcement_cells_fail(f: MarginRule, variant: str, bound: int) -> bool:
     ``bound``; the clause is symmetric, so each unordered pair is taken
     once, and it sees only the three outputs, so it is called once per
     triple of output codes met."""
+    _refuse_oversized(bound, bound, 1)
     m, surplus, size = _surplus_cells(bound - 1)
     n = _fewest_voters(surplus, size, _NOBODY, 1)
     order = np.argsort(n, kind="stable")
@@ -443,8 +473,8 @@ def _reinforcement_cells_fail(f: MarginRule, variant: str, bound: int) -> bool:
         out1, out2, out12 = outputs(m[i]), outputs(m[j]), outputs(m[i] + m[j])
         rows = _new_classes((out1 * 8 + out2) * 8 + out12, seen)
         for a, b, c in zip(out1[rows].tolist(), out2[rows].tolist(), out12[rows].tolist()):
-            agreed = _agreed(variant, _CHOICE_SETS[a], _CHOICE_SETS[b])
-            if agreed is not None and _reinforcement(variant, agreed, _CHOICE_SETS[c]) is not None:
+            agreed = _agreed(variant, CHOICE_SETS[a], CHOICE_SETS[b])
+            if agreed is not None and _reinforcement(variant, agreed, CHOICE_SETS[c]) is not None:
                 return True
     return False
 
@@ -887,22 +917,29 @@ def check_homogeneity(
 _CONDORCET_AXIOMS = {"standard": "condorcet_consistency", "strong": "strong_condorcet"}
 
 
-def _condorcet(variant: str, m: Margins, winners: ChoiceSet) -> Optional[str]:
+def _condorcet_winner_set(m: Margins) -> ChoiceSet:
+    """The Condorcet winner as a singleton, or the empty set."""
+    champion = condorcet_winner(m)
+    return CHOICE_SETS[0 if champion is None else 1 << champion]
+
+
+#: per variant, the candidates who must be exactly the winners, if any
+_CHAMPIONS = {"standard": _condorcet_winner_set, "strong": intermediate_condorcet_winners}
+
+
+def _condorcet(variant: str, winners: ChoiceSet, champions: ChoiceSet) -> Optional[str]:
+    if not champions or winners == champions:
+        return None
     if variant == "standard":
-        champion = condorcet_winner(m)
-        if champion is not None and winners != frozenset((champion,)):
-            return f"majority winner {_candidate(champion)} not selected uniquely"
-    else:
-        unbeaten = intermediate_condorcet_winners(m)
-        if unbeaten and winners != unbeaten:
-            return f"unbeaten candidates {choice_set_to_str(unbeaten)} not selected exactly"
-    return None
+        (champion,) = champions
+        return f"majority winner {_candidate(champion)} not selected uniquely"
+    return f"unbeaten candidates {choice_set_to_str(champions)} not selected exactly"
 
 
 def condorcet_witnesses(rule_id: str, variant: str, profile: Profile) -> Iterator[Witness]:
     """The failures :func:`check_condorcet` finds on one profile."""
     winners = _f(rule_id, profile)
-    note = _condorcet(variant, margins(profile), winners)
+    note = _condorcet(variant, winners, _CHAMPIONS[variant](margins(profile)))
     if note is not None:
         yield Witness(_CONDORCET_AXIOMS[variant], (profile,), (winners,), note)
 
@@ -928,8 +965,8 @@ def check_condorcet(
     fails = None if f is None else functools.partial(
         _profiles_fail,
         bound,
-        (f,),
-        lambda m, winners: _condorcet(variant, m, winners) is not None,
+        (f, _CHAMPIONS[variant]),
+        lambda winners, champions: _condorcet(variant, winners, champions) is not None,
     )
     witnesses = functools.partial(condorcet_witnesses, rule_id, variant)
     violations = functools.partial(_profile_sweep, bound, witnesses)
@@ -960,7 +997,7 @@ def check_refinement(
         _profiles_fail,
         bound,
         (f_lower, f_upper),
-        lambda _, fine, coarse: _refinement(upper, fine, coarse) is not None,
+        lambda fine, coarse: _refinement(upper, fine, coarse) is not None,
     )
     witnesses = functools.partial(refinement_witnesses, lower, upper)
     violations = functools.partial(_profile_sweep, bound, witnesses)

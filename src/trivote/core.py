@@ -27,6 +27,8 @@ ChoiceSet = frozenset  # frozenset of candidate indices
 A, B, C = 0, 1, 2
 CANDIDATES = (A, B, C)
 CANDIDATE_NAMES = "abc"
+#: the choice set of each 3-bit mask: candidate x is in it when bit x is set
+CHOICE_SETS = tuple(frozenset(x for x in CANDIDATES if mask >> x & 1) for mask in range(8))
 
 ORDER_NAMES = ("abc", "acb", "bac", "bca", "cab", "cba")
 #: order index -> (top, mid, bottom) candidate indices
@@ -130,23 +132,19 @@ def margins(profile: Profile) -> Margins:
     return (m_ab, m_ac, m_bc)
 
 
+#: MARGIN_MATRIX[x][y] = (coordinate, sign): the margin of x over y is
+#: sign * m[coordinate]; antisymmetric, with sign 0 on the diagonal
+MARGIN_MATRIX = (
+    ((0, 0), (0, 1), (1, 1)),
+    ((0, -1), (0, 0), (2, 1)),
+    ((1, -1), (2, -1), (0, 0)),
+)
+
+
 def margin(m: Margins, x: int, y: int) -> int:
     """Signed margin of x over y, from the stored triple."""
-    if x == y:
-        return 0
-    m_ab, m_ac, m_bc = m
-    pair = (x, y)
-    if pair == (A, B):
-        return m_ab
-    if pair == (B, A):
-        return -m_ab
-    if pair == (A, C):
-        return m_ac
-    if pair == (C, A):
-        return -m_ac
-    if pair == (B, C):
-        return m_bc
-    return -m_bc
+    coordinate, sign = MARGIN_MATRIX[x][y]
+    return sign * m[coordinate]
 
 
 def condorcet_winner(m: Margins) -> Optional[int]:
@@ -213,42 +211,24 @@ def permute_profile(profile: Profile, sigma: tuple[int, int, int]) -> Profile:
     return tuple(out)
 
 
-def _margin_perm_table():
-    # For each sigma: the new (m_ab, m_ac, m_bc) as signed picks from the old
-    # triple, derived from m'_{sigma(x),sigma(y)} = m_{x,y}.
-    pairs = ((A, B), (A, C), (B, C))
-    table = []
-    for sigma in PERMUTATIONS:
-        inv = inverse_permutation(sigma)
-        row = []
-        for x, y in pairs:  # want m'_{x,y} = m_{inv(x),inv(y)}
-            u, v = inv[x], inv[y]
-            if (u, v) in pairs:
-                row.append((pairs.index((u, v)), 1))
-            else:
-                row.append((pairs.index((v, u)), -1))
-        table.append(tuple(row))
-    return tuple(table)
+#: per sigma, in lexicographic order, the renamed triple as signed picks from
+#: the old one: m'_{x,y} = m_{inv(x),inv(y)} for the pairs ab, ac, bc, where
+#: inv(x) = sigma.index(x)
+_MARGIN_PERM = {
+    sigma: tuple(
+        MARGIN_MATRIX[sigma.index(x)][sigma.index(y)] for x, y in ((A, B), (A, C), (B, C))
+    )
+    for sigma in PERMUTATIONS
+}
 
 
 def permute_margins(m: Margins, sigma: tuple[int, int, int]) -> Margins:
     """Margins of the renamed electorate: m'_{sigma(x),sigma(y)} = m_{x,y}."""
-    row = _MARGIN_PERM[PERMUTATIONS.index(sigma)]
-    return tuple(sign * m[src] for src, sign in row)
+    return tuple(sign * m[src] for src, sign in _MARGIN_PERM[sigma])
 
 
 def permute_choice_set(s: Iterable[int], sigma: tuple[int, int, int]) -> ChoiceSet:
     return frozenset(sigma[x] for x in s)
-
-
-def inverse_permutation(sigma: tuple[int, int, int]) -> tuple[int, int, int]:
-    inv = [0, 0, 0]
-    for x, y in enumerate(sigma):
-        inv[y] = x
-    return tuple(inv)
-
-
-_MARGIN_PERM = _margin_perm_table()
 
 
 @dataclass(frozen=True)
@@ -324,8 +304,11 @@ def classify(m: Margins) -> OrdinalClass:
     # The classes partition the Condorcet-winner-free graphs, so at most one
     # letter can ever match; scanning sigma in lexicographic order therefore
     # records the lexicographically smallest relabeling for that letter.
-    for sigma in PERMUTATIONS:
-        mm = permute_margins(m, sigma)
+    # Every canonical shape has m_ab >= 0.
+    for sigma, row in _MARGIN_PERM.items():
+        mm = [sign * m[src] for src, sign in row]
+        if mm[0] < 0:
+            continue
         for letter in CLASS_LETTERS:
             if _SHAPES[letter](*mm):
                 return OrdinalClass(kind=letter, relabel=sigma)

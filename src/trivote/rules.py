@@ -3,12 +3,13 @@
 Every rule is declared once, in :data:`RULES`, in presentation order.  An
 entry says what the rule reads of a profile and what computes it:
 
-* ``MARGINS`` -- a function of the margin triple alone: the definitional
-  rules (maximin, leximin, Copeland, Nanson variants, Black, Baldwin, Borda,
-  top cycle, defensible set), the rules read off the 12-class output table
-  (``table_rule``), and the maximin cluster of independent implementations
-  (split cycle, beat path, ranked pairs, Kemeny), which coincide with
-  maximin on three candidates;
+* ``MARGINS`` -- a function of the margin triple alone: maximin, leximin,
+  Copeland, the Nanson variants, Black, Baldwin and Borda, written in closed
+  form for three candidates (their n-candidate definitions are kept in the
+  tests as oracles); top cycle and defensible set; the rules read off the
+  12-class output table (``table_rule``); and the maximin cluster of
+  independent implementations (split cycle, beat path, ranked pairs,
+  Kemeny), which coincide with maximin on three candidates;
 * ``SCORES`` -- a positional score vector (plurality, and any
   ``scoring:s1,s2,s3`` id);
 * ``PROFILE`` -- a function of the whole profile: the artificial rule and the
@@ -33,6 +34,7 @@ from .core import (
     B,
     C,
     CANDIDATES,
+    CHOICE_SETS,
     ChoiceSet,
     Margins,
     Profile,
@@ -48,7 +50,8 @@ class UnsupportedRuleError(ValueError):
 
 
 class BoundExceededError(RuntimeError):
-    """Raised when a brute-force rule is asked about too large an electorate."""
+    """Raised when a brute-force rule is asked about too large an electorate,
+    or a check would need tables beyond its memory budget."""
 
 
 ALL_CANDIDATES: ChoiceSet = frozenset(CANDIDATES)
@@ -58,54 +61,51 @@ SEARCH_RULE_MAX_VOTERS = 9
 
 
 # ---------------------------------------------------------------------------
-# margin-graph helpers
+# margin rules in closed form
+#
+# Candidate a's two margins are (m_ab, m_ac), b's (-m_ab, m_bc) and c's
+# (-m_ac, -m_bc).  Each rule below is straight-line code over the triple;
+# the n-candidate definition it equals is kept in the tests as its oracle.
 
 
-def _worst_margin(m: Margins, x: int) -> int:
-    return min(margin(m, x, y) for y in CANDIDATES if y != x)
+def _argmax(key_a: Any, key_b: Any, key_c: Any) -> ChoiceSet:
+    """The candidates whose key is highest."""
+    best = max(key_a, key_b, key_c)
+    return CHOICE_SETS[(key_a == best) | (key_b == best) << 1 | (key_c == best) << 2]
 
 
-def _sorted_margins(m: Margins, x: int) -> tuple[int, int]:
-    """A candidate's two margins as an ascending pair (the leximin key)."""
-    pair = sorted(margin(m, x, y) for y in CANDIDATES if y != x)
-    return (pair[0], pair[1])
+#: per two-candidate mask: the coordinate of the pair's margin and the masks
+#: of its first and second candidate
+_PAIRS = {0b011: (0, 0b001, 0b010), 0b101: (1, 0b001, 0b100), 0b110: (2, 0b010, 0b100)}
 
 
-def _argmax(keys: dict[int, object]) -> ChoiceSet:
-    best = max(keys.values())
-    return frozenset(x for x, k in keys.items() if k == best)
-
-
-def _restricted_borda(m: Margins, remaining: frozenset) -> dict[int, int]:
-    return {
-        x: sum(margin(m, x, y) for y in remaining if y != x) for x in remaining
-    }
-
-
-# ---------------------------------------------------------------------------
-# definitional rules on the margin graph
+def _runoff(m: Margins, mask: int) -> int:
+    """The winners, as a mask, once only the candidates of ``mask`` remain:
+    a pair is decided by its margin and keeps both on a tie."""
+    if mask not in _PAIRS:
+        return mask
+    coordinate, first, second = _PAIRS[mask]
+    return first if m[coordinate] > 0 else second if m[coordinate] < 0 else mask
 
 
 def maximin_margins(m: Margins) -> ChoiceSet:
     """Candidates whose worst pairwise margin is highest."""
-    return _argmax({x: _worst_margin(m, x) for x in CANDIDATES})
+    ab, ac, bc = m
+    return _argmax(min(ab, ac), min(-ab, bc), min(-ac, -bc))
 
 
 def leximin_margins(m: Margins) -> ChoiceSet:
     """Candidates maximal under lexicographic comparison of sorted margins."""
-    return _argmax({x: _sorted_margins(m, x) for x in CANDIDATES})
+    ab, ac, bc = m
+    return _argmax(
+        (min(ab, ac), max(ab, ac)), (min(-ab, bc), max(-ab, bc)), (min(-ac, -bc), max(-ac, -bc))
+    )
 
 
 def copeland_margins(m: Margins) -> ChoiceSet:
     """Argmax of (#strict pairwise wins - #strict pairwise losses)."""
-    def net(x: int) -> int:
-        return sum(
-            (margin(m, x, y) > 0) - (margin(m, x, y) < 0)
-            for y in CANDIDATES
-            if y != x
-        )
-
-    return _argmax({x: net(x) for x in CANDIDATES})
+    ab, ac, bc = ((x > 0) - (x < 0) for x in m)
+    return _argmax(ab + ac, bc - ab, -ac - bc)
 
 
 def top_cycle_margins(m: Margins) -> ChoiceSet:
@@ -140,33 +140,29 @@ def nanson_margins(m: Margins, strict: bool = False) -> ChoiceSet:
 
     Non-strict: while some remaining candidate has positive restricted Borda
     score, delete all whose score is <= 0.  Strict: delete all with negative
-    score, stopping once none is negative.  Restricted scores always sum to
-    zero, so the remaining set never empties.
+    score, stopping once none is negative.  Borda scores sum to zero, so the
+    first round keeps everyone exactly when all scores are zero, and
+    otherwise keeps one or two candidates; the restricted scores of two are
+    their margin and its negation, so their round is their head-to-head.
     """
-    remaining = ALL_CANDIDATES
-    while True:
-        scores = _restricted_borda(m, remaining)
-        if strict:
-            losers = {x for x in remaining if scores[x] < 0}
-            if not losers:
-                return remaining
-            remaining = remaining - losers
-        else:
-            if all(s <= 0 for s in scores.values()):
-                return remaining
-            remaining = frozenset(x for x in remaining if scores[x] > 0)
+    a, b, c = borda_scores(m)
+    if strict:
+        mask = (a >= 0) | (b >= 0) << 1 | (c >= 0) << 2
+    else:
+        mask = (a > 0) | (b > 0) << 1 | (c > 0) << 2 or 0b111
+    return CHOICE_SETS[_runoff(m, mask)]
 
 
 def borda_margins(m: Margins) -> ChoiceSet:
     """Argmax of the Borda scores, which are sums of margins."""
-    return _argmax(dict(zip(CANDIDATES, borda_scores(m))))
+    return _argmax(*borda_scores(m))
 
 
 def black_margins(m: Margins) -> ChoiceSet:
     """The Condorcet winner if one exists, otherwise the Borda argmax."""
     w = condorcet_winner(m)
     if w is not None:
-        return frozenset({w})
+        return CHOICE_SETS[1 << w]
     return borda_margins(m)
 
 
@@ -175,23 +171,19 @@ def baldwin_margins(m: Margins) -> ChoiceSet:
 
     Every minimizer is tried as the eliminated candidate; a candidate wins if
     it survives in some branch.  A branch where all remaining scores are equal
-    (and more than one candidate remains) elects all of them.
+    (and more than one candidate remains) elects all of them.  Borda scores
+    sum to zero, so they are all equal exactly when the lowest is zero;
+    otherwise each minimizer leaves a pair that its margin decides.
     """
-
-    def branch(remaining: frozenset) -> ChoiceSet:
-        if len(remaining) == 1:
-            return remaining
-        scores = _restricted_borda(m, remaining)
-        low = min(scores.values())
-        if all(s == low for s in scores.values()):
-            return remaining
-        out: frozenset = frozenset()
-        for x in remaining:
-            if scores[x] == low:
-                out |= branch(remaining - {x})
-        return out
-
-    return branch(ALL_CANDIDATES)
+    scores = borda_scores(m)
+    low = min(scores)
+    if low == 0:
+        return ALL_CANDIDATES
+    mask = 0
+    for x, score in enumerate(scores):
+        if score == low:
+            mask |= _runoff(m, 0b111 ^ 1 << x)
+    return CHOICE_SETS[mask]
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +364,13 @@ def integer_scores(vector: tuple) -> tuple[int, int, int]:
 def scoring_rule(profile: Profile, vector: tuple) -> ChoiceSet:
     """Argmax of positional scores; exact integer arithmetic."""
     v = integer_scores(vector)
-    totals = {x: 0 for x in CANDIDATES}
+    totals = [0, 0, 0]
     for o, count in enumerate(profile):
         if not count:
             continue
         for x in CANDIDATES:
             totals[x] += count * v[core.ORDER_RANK_OF[o][x]]
-    return _argmax(totals)
+    return _argmax(*totals)
 
 
 def _rank_counts(profile: Profile) -> tuple[dict[int, int], dict[int, int]]:
@@ -484,12 +476,21 @@ def table_cells(rule_id: str) -> tuple[str, ...]:
     return _TABLE[canonical]
 
 
+#: the table column of each class letter
+_COLUMN = {letter: column for column, letter in enumerate(core.CLASS_LETTERS)}
+
+
+@functools.cache
+def _relabelled_cell(cell: str, sigma: tuple[int, int, int]) -> ChoiceSet:
+    """The candidates x whose relabelling sigma(x) lies in the cell."""
+    return frozenset(x for x in CANDIDATES if sigma[x] in _CELLS[cell])
+
+
 def _read_table(cells: tuple[str, ...], m: Margins) -> ChoiceSet:
     cls = core.classify(m)
     if cls.kind == "condorcet_winner":
-        return frozenset({cls.winner})
-    cell = _CELLS[cells[core.CLASS_LETTERS.index(cls.kind)]]
-    return frozenset(x for x in CANDIDATES if cls.relabel[x] in cell)
+        return CHOICE_SETS[1 << cls.winner]
+    return _relabelled_cell(cells[_COLUMN[cls.kind]], cls.relabel)
 
 
 def _table_reader(rule_id: str) -> Callable[[Margins], ChoiceSet]:

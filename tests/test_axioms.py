@@ -591,6 +591,33 @@ def test_a_holding_check_evaluates_each_triple_once_and_each_output_class_once(m
     assert clauses and len(set(clauses)) == len(clauses) <= 6 * 8 * 8
 
 
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda: axioms.check_condorcet("black", "standard", 12),
+        lambda: axioms.check_condorcet("nanson", "strong", 12),
+        lambda: axioms.check_refinement("leximin", "nanson", 12),
+    ],
+    ids=["condorcet", "strong_condorcet", "refinement"],
+)
+def test_a_per_profile_clause_is_called_once_per_output_class(monkeypatch, check):
+    calls, widths = [], []
+    profiles_fail = axioms._profiles_fail
+
+    def counting(bound, functions, fails):
+        def counted(*outputs):
+            calls.append(outputs)
+            return fails(*outputs)
+
+        widths.append(len(functions))
+        return profiles_fail(bound, functions, counted)
+
+    monkeypatch.setattr(axioms, "_profiles_fail", counting)
+    assert check().holds
+    (k,) = widths
+    assert calls and len(set(calls)) == len(calls) <= 8**k
+
+
 def test_a_failing_cell_without_a_failing_profile_is_an_error(monkeypatch):
     monkeypatch.setattr(axioms, "_profile_sweep", lambda bound, witnesses: iter(()))
     with pytest.raises(RuntimeError, match="a margin cell fails but no profile up to 10 does"):

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -271,6 +272,41 @@ def test_verify_refuses_an_electorate_above_the_voter_cap_before_any_work(
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and f"supports at most 9 voters, got {largest}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--rule", "borda", "--axiom", "reinforcement"],
+        ["--rule", "maximin", "--axiom", "optimist_participation"],
+        ["--rule", "maximin", "--axiom", "resolute_participation"],
+        ["--rule", "copeland", "--axiom", "monotonicity"],
+        ["--rule", "maximin", "--axiom", "homogeneity"],
+        ["--rule", "stable_voting", "--axiom", "neutrality"],
+        ["--rule", "black", "--axiom", "condorcet"],
+        ["--rule", "nanson", "--axiom", "strong_condorcet"],
+        ["--rule", "leximin", "--axiom", "refinement", "--upper", "nanson"],
+        ["--axiom", "optimist_equivalence"],
+    ],
+    ids=lambda argv: argv[argv.index("--axiom") + 1],
+)
+def test_verify_refuses_oversized_margin_tables_before_allocating(capsys, monkeypatch, argv):
+    def no_table(*args):
+        raise AssertionError("a margin table was allocated")
+
+    monkeypatch.setattr(axioms, "_surplus_cells", no_table)
+    monkeypatch.setattr(axioms, "_Outputs", no_table)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "verify", *argv, "--bound", str(10**12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert f"over the {axioms.TABLE_BUDGET >> 20} MB budget" in err
+    assert peak < 1 << 20
 
 
 def test_verify_requires_rule(capsys):

@@ -1,5 +1,6 @@
 """Rule semantics: pinned outputs, table fidelity, the maximin cluster, invariants."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -331,6 +332,146 @@ def test_uniquely_weighted_graphs_collapse_the_maximin_refinements():
         assert rules.nanson_margins(m, strict=True) == mm
         prof = mcgarvey(m)
         assert rules.table_rule("stable_voting", prof) == mm
+
+
+# ---------------------------------------------------------------------------
+# the n-candidate definitions of the closed-form margin rules, as oracles
+
+
+def _worst_margin(m, x):
+    return min(core.margin(m, x, y) for y in core.CANDIDATES if y != x)
+
+
+def _sorted_margins(m, x):
+    """A candidate's two margins as an ascending pair (the leximin key)."""
+    pair = sorted(core.margin(m, x, y) for y in core.CANDIDATES if y != x)
+    return (pair[0], pair[1])
+
+
+def _argmax(keys):
+    best = max(keys.values())
+    return frozenset(x for x, k in keys.items() if k == best)
+
+
+def _restricted_borda(m, remaining):
+    return {
+        x: sum(core.margin(m, x, y) for y in remaining if y != x) for x in remaining
+    }
+
+
+def maximin_oracle(m):
+    """Candidates whose worst pairwise margin is highest."""
+    return _argmax({x: _worst_margin(m, x) for x in core.CANDIDATES})
+
+
+def leximin_oracle(m):
+    """Candidates maximal under lexicographic comparison of sorted margins."""
+    return _argmax({x: _sorted_margins(m, x) for x in core.CANDIDATES})
+
+
+def copeland_oracle(m):
+    """Argmax of (#strict pairwise wins - #strict pairwise losses)."""
+    def net(x):
+        return sum(
+            (core.margin(m, x, y) > 0) - (core.margin(m, x, y) < 0)
+            for y in core.CANDIDATES
+            if y != x
+        )
+
+    return _argmax({x: net(x) for x in core.CANDIDATES})
+
+
+def nanson_oracle(m, strict=False):
+    """Iterated Borda elimination: non-strict deletes every candidate with
+    restricted score <= 0 while some score is positive, strict deletes every
+    negative one until none is."""
+    remaining = rules.ALL_CANDIDATES
+    while True:
+        scores = _restricted_borda(m, remaining)
+        if strict:
+            losers = {x for x in remaining if scores[x] < 0}
+            if not losers:
+                return remaining
+            remaining = remaining - losers
+        else:
+            if all(s <= 0 for s in scores.values()):
+                return remaining
+            remaining = frozenset(x for x in remaining if scores[x] > 0)
+
+
+def borda_oracle(m):
+    """Argmax of the Borda scores, which are sums of margins."""
+    return _argmax(_restricted_borda(m, rules.ALL_CANDIDATES))
+
+
+def black_oracle(m):
+    """The Condorcet winner if one exists, otherwise the Borda argmax."""
+    w = core.condorcet_winner(m)
+    return borda_oracle(m) if w is None else frozenset({w})
+
+
+def baldwin_oracle(m):
+    """Parallel-universe iterated elimination of Borda-score minimizers: a
+    candidate wins if it survives in some branch, and a branch where all
+    remaining scores are equal elects all of them."""
+
+    def branch(remaining):
+        if len(remaining) == 1:
+            return remaining
+        scores = _restricted_borda(m, remaining)
+        low = min(scores.values())
+        if all(s == low for s in scores.values()):
+            return remaining
+        out = frozenset()
+        for x in remaining:
+            if scores[x] == low:
+                out |= branch(remaining - {x})
+        return out
+
+    return branch(rules.ALL_CANDIDATES)
+
+
+MARGIN_ORACLES = {
+    "maximin": maximin_oracle,
+    "leximin": leximin_oracle,
+    "copeland": copeland_oracle,
+    "nanson": nanson_oracle,
+    "strict_nanson": functools.partial(nanson_oracle, strict=True),
+    "baldwin": baldwin_oracle,
+    "borda": borda_oracle,
+    "black": black_oracle,
+}
+
+#: every integer triple in [-14, 14]^3, realizable (same parity) or not
+TRIPLES = list(itertools.product(range(-14, 15), repeat=3))
+SAME_PARITY_TRIPLES = [m for m in TRIPLES if len({v % 2 for v in m}) == 1]
+
+
+@pytest.mark.parametrize("rule_id", MARGIN_ORACLES)
+def test_closed_form_margin_rules_equal_their_definitions(rule_id):
+    compute, oracle = rules.RULES[rule_id].compute, MARGIN_ORACLES[rule_id]
+    for m in TRIPLES:
+        assert compute(m) == oracle(m), m
+
+
+def table_oracle(rule_id, m):
+    """The class's cell of the table row, mapped through its relabelling."""
+    cls = core.classify(m)
+    if cls.kind == "condorcet_winner":
+        return frozenset({cls.winner})
+    cell = rules.table_cells(rule_id)[core.CLASS_LETTERS.index(cls.kind)]
+    return frozenset(x for x in core.CANDIDATES if core.CANDIDATE_NAMES[cls.relabel[x]] in cell)
+
+
+@pytest.mark.parametrize("rule_id", rules.TABLE_RULE_IDS)
+def test_table_readers_read_the_table(rule_id):
+    """The table reader, and the rule itself, agree with the table row."""
+    read = functools.partial(rules._read_table, rules.table_cells(rule_id))
+    compute = rules.resolve(rule_id)[1].compute
+    for m in SAME_PARITY_TRIPLES:
+        expected = table_oracle(rule_id, m)
+        assert read(m) == expected, m
+        assert compute(m) == expected, m
 
 
 def baldwin_class_oracle(m):
