@@ -22,9 +22,12 @@ Two drivers call the same clause functions, one per axiom:
   of two to the checker's least electorate, one array expression per block
   of cells.  Each key maps m to a second triple m' (m - v_o, m + shift,
   sigma m, 2m), or pairs two cells into m1 + m2 for reinforcement.  The
-  rule's choice set is kept as a 3-bit code and evaluated once per distinct
-  triple, block by block with the smallest cells first, so a violated check
-  stops early.  A clause sees only the key and the outputs, so it is called
+  rule's choice set is kept as a 3-bit code, block by block with the
+  smallest cells first, so a violated check stops early.  A rule registered
+  in ``rules.RULES`` is constant on every sign face, so its code is read
+  through the face layer of ``enumeration`` and it is evaluated at most once
+  per face in a process; any other margin function is evaluated once per
+  distinct triple.  A clause sees only the key and the outputs, so it is called
   once per key and pair (or triple) of codes met, on one row of that
   class.  The per-profile clauses are called once per tuple of codes met
   too: refinement reads two rules' outputs, and Condorcet reads the margins
@@ -37,7 +40,9 @@ Two drivers call the same clause functions, one per axiom:
 Every checker resolves its rules and refuses an electorate above a rule's
 voter cap before its first evaluation; a margin check whose cells and code
 tables would take more than :data:`TABLE_BUDGET` bytes is refused before
-anything is allocated.
+anything is allocated, and a profile sweep of a rule that reads more than
+the margins that would visit more than :data:`SWEEP_BUDGET` instances is
+refused before its first evaluation.
 
 A ``holds-up-to-bound`` verdict certifies nothing beyond the bound; the
 checkers are finite searches, not proofs.
@@ -47,6 +52,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Optional
 
@@ -79,7 +85,7 @@ from .core import (
     top,
     total_voters,
 )
-from .enumeration import ProfileCursor, _expand, profiles_up_to
+from .enumeration import ProfileCursor, _expand, _face_positions, _face_value, profiles_up_to
 
 HOLDS = "holds-up-to-bound"
 VIOLATED = "violated"
@@ -208,13 +214,47 @@ _CELL_BYTES = 160
 
 def _refuse_oversized(bound: int, radius: int, tables: int) -> None:
     """Refuse a check whose margin cells up to ``bound`` and ``tables`` code
-    tables of ``radius`` would take more than TABLE_BUDGET bytes."""
+    tables of ``radius`` would take more than TABLE_BUDGET bytes.  A
+    registered margin rule builds no code table, but is counted with one,
+    so that every margin function is refused at the same bounds."""
     cells = (2 * bound + 1) * (2 * bound * bound + 2 * bound + 3) // 3  # |d|_1 <= bound
     size = cells * _CELL_BYTES + tables * (2 * radius + 1) ** 3
     if size > TABLE_BUDGET:
         raise _rules.BoundExceededError(
             f"bound {bound} needs {size >> 20} MB of margin tables, "
             f"over the {TABLE_BUDGET >> 20} MB budget"
+        )
+
+
+#: the most profiles, profile pairs or removal instances that the profile
+#: sweeps of rules reading more than the margins may visit; a larger sweep is
+#: refused before its first evaluation.  Bounds up to 19 (profiles), 14
+#: (removal instances) and 9 (pairs) pass; the largest of these sweeps took
+#: at most 4.2 s and 140 MB above start-up on a 2-vCPU VM.
+SWEEP_BUDGET = 200_000
+
+#: per kind of sweep, the instances it visits up to a bound b: the profiles
+#: with 1 <= n <= b; the (profile, order it holds) pairs with 2 <= n <= b; and
+#: the unordered pairs, repeats allowed, of non-empty profiles with
+#: n1 + n2 <= b: half of the C(b+12, 12) - 2 C(b+6, 6) + 1 ordered pairs and
+#: of the C(b//2+6, 6) - 1 profiles paired with themselves
+_SWEEP_SIZE = {
+    "profiles": lambda b: math.comb(b + 6, 6) - 1,
+    "removal instances": lambda b: 6 * (math.comb(b + 5, 6) - 1),
+    "profile pairs": lambda b: (
+        math.comb(b + 12, 12) - 2 * math.comb(b + 6, 6) + math.comb(b // 2 + 6, 6)
+    ) // 2,
+}
+
+
+def _refuse_oversized_sweep(bound: int, instances: str, sweeps: int = 1) -> None:
+    """Refuse ``sweeps`` profile sweeps over ``instances`` up to ``bound``
+    that would visit more than SWEEP_BUDGET instances in all."""
+    size = sweeps * _SWEEP_SIZE[instances](bound)
+    if size > SWEEP_BUDGET:
+        raise _rules.BoundExceededError(
+            f"bound {bound} needs a sweep of {size} {instances}, "
+            f"over the budget of {SWEEP_BUDGET}"
         )
 
 
@@ -255,18 +295,36 @@ def _new_classes(classes: np.ndarray, seen: np.ndarray) -> np.ndarray:
     return rows
 
 
+#: the margin functions of the rules registered in ``rules.RULES``: each is
+#: constant on every sign face (see ``enumeration``), so its outputs are read
+#: per face; any other margin function is evaluated per triple
+_FACE_RULES = frozenset(
+    rule.compute for rule in _rules.RULES.values() if rule.reads == _rules.MARGINS
+)
+
+
 class _Outputs:
-    """A margin rule's choice sets as output codes, each triple evaluated
-    once, when first asked for; triples lie within ``radius`` of zero."""
+    """A margin rule's choice sets as output codes.  A registered rule is
+    evaluated at most once per sign face in a process, through the face
+    layer of ``enumeration``; any other margin function once per distinct
+    triple, when first asked for, into a table of the triples within
+    ``radius`` of zero."""
 
     def __init__(self, f: MarginRule, radius: int) -> None:
         self._f = f
         self._radius = radius
         self._side = 2 * radius + 1
-        self._codes = np.full(self._side**3, -1, dtype=np.int8)
+        self._codes = None if f in _FACE_RULES else np.full(self._side**3, -1, dtype=np.int8)
 
     def __call__(self, m: np.ndarray) -> np.ndarray:
         """The code of each row of margins."""
+        if self._codes is None:
+            faces = _face_positions(m)
+            count = np.bincount(faces)
+            met = np.flatnonzero(count)
+            codes = np.zeros(count.size, dtype=np.intp)
+            codes[met] = [_CODE_OF[_face_value(self._f, face)] for face in met.tolist()]
+            return codes[faces]
         index = np.ravel_multi_index(tuple((m + self._radius).T), (self._side,) * 3)
         # with return_index, np.unique does not import numpy.ma (numpy 2.4)
         missing, _ = np.unique(index[self._codes[index] < 0], return_index=True)
@@ -368,11 +426,15 @@ def _decide(
     violations: Callable[[], Iterator[Witness]],
     fails: Optional[Callable[[], bool]],
     max_witnesses: Optional[int],
+    instances: str = "profiles",
 ) -> AxiomReport:
     """A margin rule's verdict from ``fails`` (its margin cells), with the
     profile sweep ``violations`` run only to list witnesses; any other rule
-    (``fails`` None) is swept outright."""
-    if fails is not None and not fails():
+    (``fails`` None) is swept outright, over ``instances`` within the sweep
+    budget."""
+    if fails is None:
+        _refuse_oversized_sweep(bound, instances)
+    elif not fails():
         return AxiomReport(rule_id, axiom, bound, HOLDS, ())
     report = _finish(rule_id, axiom, bound, violations(), max_witnesses)
     if fails is not None and report.holds:
@@ -468,9 +530,10 @@ def _reinforcement_cells_fail(f: MarginRule, variant: str, bound: int) -> bool:
     order = np.argsort(n, kind="stable")
     m, n = m[order], n[order]
     outputs = _Outputs(f, bound)
+    codes = outputs(m)
     seen = np.zeros(8**3, dtype=bool)
     for i, j in _cell_pairs(n, bound):
-        out1, out2, out12 = outputs(m[i]), outputs(m[j]), outputs(m[i] + m[j])
+        out1, out2, out12 = codes[i], codes[j], outputs(m[i] + m[j])
         rows = _new_classes((out1 * 8 + out2) * 8 + out12, seen)
         for a, b, c in zip(out1[rows].tolist(), out2[rows].tolist(), out12[rows].tolist()):
             agreed = _agreed(variant, CHOICE_SETS[a], CHOICE_SETS[b])
@@ -499,7 +562,7 @@ def check_reinforcement(
     (f,) = _margin_functions(max_witnesses, bound, rule_id)
     fails = None if f is None else functools.partial(_reinforcement_cells_fail, f, variant, bound)
     violations = functools.partial(_reinforcement_sweep, rule_id, variant, bound)
-    return _decide(rule_id, axiom, bound, violations, fails, max_witnesses)
+    return _decide(rule_id, axiom, bound, violations, fails, max_witnesses, "profile pairs")
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +725,7 @@ def _participation(
     (f,) = _margin_functions(max_witnesses, bound, rule_id)
     fails = None if f is None else functools.partial(_participation_cells_fail, f, clause, bound)
     violations = functools.partial(_participation_sweep, rule_id, axiom, bound, clause)
-    return _decide(rule_id, axiom, bound, violations, fails, max_witnesses)
+    return _decide(rule_id, axiom, bound, violations, fails, max_witnesses, "removal instances")
 
 
 def check_participation(
@@ -1115,6 +1178,10 @@ def verify_optimist_equivalence(
     rule_ids = list(rule_ids)
     axiom = "optimist_equivalence"
     functions = _margin_functions(max_witnesses, bound, *rule_ids)
+    if any(f is not None for f in functions):
+        # the tables of _participation_cells_fail, checked before the sweep
+        _refuse_oversized(bound, bound + 1, 1)
+    _refuse_oversized_sweep(bound, "removal instances", functions.count(None))
     cells_fail = [
         f is not None and _participation_cells_fail(f, _equivalence, bound) for f in functions
     ]

@@ -15,6 +15,7 @@ Primary output goes to standard output; diagnostics go to standard error.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import os
 import re
@@ -314,7 +315,9 @@ def cmd_search(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="trivote",
         description="Three-candidate voting rules and their verification suites.",

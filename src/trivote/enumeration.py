@@ -160,39 +160,61 @@ def _margin_cells(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 # the margins, their pairwise sums and differences, and the Borda-score
 # differences.  The design rests on one condition: a margin rule may compare
 # only these forms, so that it chooses the same set on every cell of a face.
-# All the rules in ``rules.RULES`` do (each is checked cell by cell in the
-# tests); a rule that compared anything else would be miscounted.  There are
-# 267 faces, all reached by n = 13, so each rule is decided once per face, on
-# one of its cells, and each face's profiles are counted together.
+# All the rules in ``rules.RULES`` do, and a new margin rule must pass the
+# face tests in ``tests/test_enumeration.py`` (every cell of n = 15, 16 and
+# every same-parity triple in [-24, 24]^3); a rule that compared anything
+# else would be miscounted.  There are 267 faces, all reached by n = 13, so
+# each rule is decided once per face, on one of its cells.  Two drivers read
+# this layer: the counting below weighs each face's profiles together, and
+# the axiom checkers (``axioms``) read a registered margin rule's output on
+# every triple they meet from its face.
 
 
-def _face_keys(m: np.ndarray) -> np.ndarray:
-    """Per cell, the signs of the 12 forms as a base-3 number in [0, 3**12)."""
+def _face_keys(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per cell, the signs of the 12 forms as a base-3 number in [0, 3**12),
+    split into its upper and its lower six trits."""
     ab, ac, bc = np.ascontiguousarray(m.T, dtype=np.int32)  # the forms stay within 4n
-    key = np.zeros(len(m), dtype=np.int32)
-    for form in (
-        ab, ac, bc,
-        ab + ac, ab - ac, ab + bc, ab - bc, ac + bc, ac - bc,
-        2 * ab + ac - bc, ab + 2 * ac + bc, ac + 2 * bc - ab,  # Borda differences
-    ):
-        key = 3 * key + np.sign(form) + 1
-    return key
+    halves = []
+    for forms in (
+        (ab, ac, bc, ab + ac, ab - ac, ab + bc),
+        (ab - bc, ac + bc, ac - bc, 2 * ab + ac - bc, ab + 2 * ac + bc, ac + 2 * bc - ab),
+    ):  # the last three are the Borda differences
+        key = np.zeros(len(m), dtype=np.int32)
+        for form in forms:
+            key = 3 * key + np.sign(form) + 1
+        halves.append(key)
+    return halves[0], halves[1]
 
 
 #: one cell of each face met so far, in the order met; a face's choices are
 #: read off its cell, and a face is named by its position here
 _FACE_CELLS: list[Margins] = []
-#: per face key, 1 + the face's position in _FACE_CELLS, or 0 for a key not met
-_FACE_SLOT = np.zeros(3**12, dtype=np.int32)
+#: a face key's upper and lower six trits index a two-level table: per upper
+#: half met, the start of its row of 3**6 in _FACE_TABLE (0, an empty row,
+#: for one not met), and per lower half the face's position in _FACE_CELLS,
+#: or -1.  The 80 rows met take 0.1 MB; one flat table would take 3**12
+#: entries and touch a page of memory per face.
+_FACE_ROWS = np.zeros(3**6, dtype=np.intp)
+_FACE_TABLE = np.full(3**6, -1, dtype=np.int16)
 
 
 def _face_positions(m: np.ndarray) -> np.ndarray:
     """Per cell, the position of its face in _FACE_CELLS; new faces are added."""
-    keys = _face_keys(m)
-    for key in dict.fromkeys(keys[_FACE_SLOT[keys] == 0].tolist()):
-        _FACE_CELLS.append(tuple(m[np.argmax(keys == key)].tolist()))
-        _FACE_SLOT[key] = len(_FACE_CELLS)
-    return _FACE_SLOT[keys] - 1
+    global _FACE_TABLE
+    upper, lower = _face_keys(m)
+    positions = _FACE_TABLE[_FACE_ROWS[upper] + lower]
+    new = np.flatnonzero(positions < 0)
+    if new.size:
+        rows = [u for u in dict.fromkeys(upper[new].tolist()) if not _FACE_ROWS[u]]
+        _FACE_ROWS[rows] = _FACE_TABLE.size + 3**6 * np.arange(len(rows))
+        _FACE_TABLE = np.concatenate((_FACE_TABLE, np.full(3**6 * len(rows), -1, np.int16)))
+        for u, l, cell in zip(upper[new].tolist(), lower[new].tolist(), new.tolist()):
+            slot = _FACE_ROWS[u] + l
+            if _FACE_TABLE[slot] < 0:  # the first cell met of a new face
+                _FACE_TABLE[slot] = len(_FACE_CELLS)
+                _FACE_CELLS.append(tuple(m[cell].tolist()))
+        positions = _FACE_TABLE[_FACE_ROWS[upper] + lower]
+    return positions
 
 
 @functools.lru_cache(maxsize=1)

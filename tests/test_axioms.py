@@ -592,6 +592,35 @@ def test_a_holding_check_evaluates_each_triple_once_and_each_output_class_once(m
 
 
 @pytest.mark.parametrize(
+    "rule_id, check",
+    [
+        ("maximin", lambda: axioms.check_participation("maximin", "optimist", 15)),
+        ("borda", lambda: axioms.check_reinforcement("borda", "full", 10)),
+    ],
+    ids=["participation", "reinforcement"],
+)
+def test_a_holding_check_evaluates_a_registered_rule_once_per_sign_face(
+    monkeypatch, rule_id, check
+):
+    triples = []
+    rule = rules.RULES[rule_id]
+
+    def margin_rule(m):
+        triples.append(m)
+        return rule.compute(m)
+
+    # a registered rule, counted: constant on faces like the rule it wraps
+    monkeypatch.setitem(rules.RULES, rule_id, rule._replace(compute=margin_rule))
+    monkeypatch.setattr(axioms, "_FACE_RULES", axioms._FACE_RULES | {margin_rule})
+    assert check().holds
+    faces = enumeration._face_positions(np.array(triples)).tolist()
+    assert triples and len(set(faces)) == len(faces) <= 267
+    evaluated = len(triples)
+    assert check().holds
+    assert len(triples) == evaluated
+
+
+@pytest.mark.parametrize(
     "check",
     [
         lambda: axioms.check_condorcet("black", "standard", 12),
@@ -679,3 +708,50 @@ def test_rules_reading_more_than_margins_are_swept(evaluations, rule_id):
 def test_a_margin_rule_refined_by_a_profile_rule_is_swept(evaluations):
     assert axioms.check_refinement("maximin", "artificial", 5).holds is False
     assert set(evaluations) >= {"maximin", "artificial"}
+
+
+def test_sweep_sizes_count_the_instances_each_sweep_visits():
+    for bound in range(2, 8):
+        sizes = {instances: size(bound) for instances, size in axioms._SWEEP_SIZE.items()}
+        assert sizes == {
+            "profiles": sum(1 for _ in enumeration.profiles_up_to(bound)),
+            "removal instances": sum(1 for _ in axioms._removal_instances(bound)),
+            "profile pairs": sum(1 for _ in axioms._profile_pairs(bound)),
+        }
+
+
+@pytest.mark.parametrize("rule_id", ["plurality", "scoring:2,1,0", "artificial"])
+def test_an_oversized_sweep_is_refused_before_any_profile(monkeypatch, evaluations, rule_id):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before the sweep budget was checked")
+
+    for name in ("ProfileCursor", "profiles_up_to", "_surplus_cells"):
+        monkeypatch.setattr(axioms, name, no_work)
+    bound = 10**5
+    checks = [
+        lambda: axioms.check_reinforcement(rule_id, "full", bound),
+        lambda: axioms.check_participation(rule_id, "optimist", bound),
+        lambda: axioms.check_resolute_participation(rule_id, 0, bound),
+        lambda: axioms.check_responsiveness(rule_id, "monotonicity", bound),
+        lambda: axioms.check_homogeneity(rule_id, bound),
+        lambda: axioms.check_condorcet(rule_id, "standard", bound),
+        lambda: axioms.check_neutrality(rule_id, bound),
+        # with a margin rule, at a bound whose margin tables fit the budget
+        lambda: axioms.check_refinement("maximin", rule_id, 20),
+        lambda: axioms.verify_optimist_equivalence(20, ["maximin", rule_id]),
+    ]
+    for check in checks:
+        with pytest.raises(rules.BoundExceededError, match="over the budget of 200000"):
+            check()
+    assert evaluations == []
+
+
+def test_the_sweep_budget_passes_the_largest_bounds_it_names():
+    for instances, largest in (("profiles", 19), ("removal instances", 14), ("profile pairs", 9)):
+        axioms._refuse_oversized_sweep(largest, instances)
+        with pytest.raises(rules.BoundExceededError):
+            axioms._refuse_oversized_sweep(largest + 1, instances)
+    # the default rule set of optimist_equivalence sweeps plurality and artificial
+    axioms._refuse_oversized_sweep(12, "removal instances", 2)
+    with pytest.raises(rules.BoundExceededError):
+        axioms._refuse_oversized_sweep(13, "removal instances", 2)

@@ -309,6 +309,30 @@ def test_verify_refuses_oversized_margin_tables_before_allocating(capsys, monkey
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--rule", "plurality", "--axiom", "neutrality", "--bound", "100000"],
+        ["--rule", "scoring:2,1,0", "--axiom", "reinforcement", "--bound", "10"],
+        ["--rule", "artificial", "--axiom", "optimist_participation", "--bound", "15"],
+        ["--rule", "maximin", "--axiom", "refinement", "--upper", "artificial", "--bound", "20"],
+        ["--axiom", "optimist_equivalence", "--bound", "13"],
+    ],
+    ids=["neutrality", "reinforcement", "participation", "refinement", "optimist_equivalence"],
+)
+def test_verify_refuses_an_oversized_sweep_before_any_work(capsys, monkeypatch, argv):
+    def no_work(*args):
+        raise AssertionError("work began before the sweep budget was checked")
+
+    monkeypatch.setattr(rules, "_evaluate_cached", no_work)
+    monkeypatch.setattr(axioms, "_surplus_cells", no_work)
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert f"over the budget of {axioms.SWEEP_BUDGET}" in err
+
+
 def test_verify_requires_rule(capsys):
     code, _, _ = run(capsys, "verify", "--axiom", "reinforcement", "--bound", "4")
     assert code == 2
@@ -619,6 +643,27 @@ def test_output_determinism(capsys):
     first = run(capsys, "figure4", "--rules", "nanson", "--max-n", "8")
     second = run(capsys, "figure4", "--rules", "nanson", "--max-n", "8")
     assert first == second
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    commands = [
+        ["verify", "--axiom", "reinforcement", "--bound", "4"],  # usage error: no --rule
+        ["verify", "--rule", "nanson", "--axiom", "reinforcement", "--bound", "4"],
+        ["figure4", "--rules", "nanson,artificial", "--max-n", "6"],
+        ["replay", "4.3"],
+        ["table"],
+    ]
+    together = [run(capsys, *argv)[:2] for argv in commands]
+    assert cli._build_parser() is cli._build_parser()
+    alone = []
+    for argv in commands:
+        result = subprocess.run(
+            [sys.executable, "-m", "trivote", *argv],
+            capture_output=True, text=True, env=_module_env(),
+        )
+        alone.append((result.returncode, result.stdout))
+    assert [code for code, _ in together] == [2, 1, 0, 0, 0]
+    assert together == alone
 
 
 def _module_env():

@@ -5,6 +5,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from trivote import core, enumeration, rules
@@ -121,6 +122,23 @@ def test_a_margin_rule_is_constant_on_every_sign_face(rule_id):
             for triple, face in zip(m.tolist(), enumeration._face_positions(m).tolist()):
                 expected = margin_rule(tuple(triple))
                 assert enumeration._face_value(margin_rule, face) == expected, triple
+
+
+#: every same-parity integer triple in [-24, 24]^3: the images that the axiom
+#: checkers read (m - v_o, m + shift, sigma m, 2m, m1 + m2) reach past the
+#: cells of n = 15, 16
+WIDE_TRIPLES = np.array([
+    t for t in itertools.product(range(-24, 25), repeat=3) if t[0] % 2 == t[1] % 2 == t[2] % 2
+])
+
+
+@pytest.mark.parametrize("rule_id", rules.PAIRWISE_RULE_IDS)
+def test_a_margin_rule_is_constant_on_every_sign_face_of_a_wide_cube(rule_id):
+    margin_rule = rules.RULES[rule_id].compute
+    faces = enumeration._face_positions(WIDE_TRIPLES).tolist()
+    assert len(WIDE_TRIPLES) == 29449 and len(set(faces)) == 267
+    for triple, face in zip(WIDE_TRIPLES.tolist(), faces):
+        assert margin_rule(tuple(triple)) == enumeration._face_value(margin_rule, face), triple
 
 
 # ---------------------------------------------------------------------------
