@@ -11,38 +11,36 @@ Two drivers call the same clause functions, one per axiom:
 * the profile sweep walks the profiles, profile pairs and removal or swap
   instances in canonical (n, colex) order and lists the witnesses;
 * for a rule that reads only the margins (``rules.MARGINS``) the verdict is
-  first decided over the margin cells.  Each surplus vector d with
-  |d|_1 <= bound (see the comment in ``enumeration``) gives one margin
-  triple m; the cells are numpy arrays of margins, per-order surplus and
-  |d|_1.  An instance key -- the order, move, relabelling or doubling the
-  axiom needs -- counts on a cell only if some profile within the bound
-  realizes it: the fewest voters of cell d holding at least k_o voters of
-  each order o the key needs is
+  first decided over the margin cells of ``enumeration``: the surplus
+  vectors d with |d|_1 <= bound, as arrays of margin triples m, per-order
+  surplus and |d|_1.  An instance key -- the order, move, relabelling or
+  doubling the axiom needs -- counts on a cell only if some profile within
+  the bound realizes it: the fewest voters of cell d holding at least k_o
+  voters of each order o the key needs is
   |d|_1 + 2 sum_i max_{o in pair i} (k_o - surplus_o(d))^+, raised in steps
   of two to the checker's least electorate, one array expression per block
-  of cells.  Each key maps m to a second triple m' (m - v_o, m + shift,
-  sigma m, 2m), or pairs two cells into m1 + m2 for reinforcement.  The
-  rule's choice set is kept as a 3-bit code, block by block with the
-  smallest cells first, so a violated check stops early.  A rule registered
-  in ``rules.RULES`` is constant on every sign face, so its code is read
-  through the face layer of ``enumeration`` and it is evaluated at most once
-  per face in a process; any other margin function is evaluated once per
-  distinct triple.  A clause sees only the key and the outputs, so it is called
-  once per key and pair (or triple) of codes met, on one row of that
-  class.  The per-profile clauses are called once per tuple of codes met
-  too: refinement reads two rules' outputs, and Condorcet reads the margins
-  only through the candidates who must win (the Condorcet winner, or the
-  unbeaten candidates), which are coded as a second output.  When nothing
-  fails, the verdict is ``holds-up-to-bound`` and no profile is touched;
-  otherwise the profile sweep runs as for any other rule, to list the
-  witnesses in its order.
+  of cells.  One driver reads every key and cell: each output column is a
+  margin function on an image of m (m, m - v_o, m + shift, sigma m or 2m),
+  kept as a 3-bit code, block by block with the smallest cells first, so a
+  violated check stops early.  A clause sees only the key and the outputs,
+  so it is called once per key and tuple of codes met, on one row of that
+  class.  The per-profile axioms have one key; refinement reads two rules,
+  and Condorcet a second column: the candidates who must win (the Condorcet
+  winner, or the unbeaten candidates).  Reinforcement pairs two cells into
+  m1 + m2.  The registered rules and those candidates are constant on every
+  sign face, so each is evaluated at most once per face in a process,
+  through the face layer of ``enumeration``; any other margin function once
+  per distinct triple.  When nothing fails, the verdict is
+  ``holds-up-to-bound`` and no profile is touched; otherwise the profile
+  sweep runs as for any other rule, to list the witnesses in its order.
 
 Every checker resolves its rules and refuses an electorate above a rule's
-voter cap before its first evaluation; a margin check whose cells and code
-tables would take more than :data:`TABLE_BUDGET` bytes is refused before
-anything is allocated, and a profile sweep of a rule that reads more than
-the margins that would visit more than :data:`SWEEP_BUDGET` instances is
-refused before its first evaluation.
+voter cap before its first evaluation.  A margin check whose cells would
+take more than :data:`TABLE_BUDGET` bytes, or a reinforcement check over
+more than :data:`CELL_PAIR_BUDGET` cell pairs, is refused before anything
+is allocated; a profile sweep of a rule that reads more than the margins
+that would visit more than :data:`SWEEP_BUDGET` instances is refused before
+its first evaluation.
 
 A ``holds-up-to-bound`` verdict certifies nothing beyond the bound; the
 checkers are finite searches, not proofs.
@@ -85,7 +83,8 @@ from .core import (
     top,
     total_voters,
 )
-from .enumeration import ProfileCursor, _expand, _face_positions, _face_value, profiles_up_to
+from .enumeration import _ORDERS, _REVERSES, _SURPLUS_TO_MARGINS, ProfileCursor, profiles_up_to
+from .enumeration import _face_positions, _face_value, _order_surplus, _surplus_vectors
 
 HOLDS = "holds-up-to-bound"
 VIOLATED = "violated"
@@ -177,24 +176,11 @@ def _candidate(c: int) -> str:
 # Margin cells
 # ---------------------------------------------------------------------------
 
-#: each pair kind as (order, reverse order); d_i is the surplus of the order
-_PAIR_KINDS = ((0, 5), (1, 3), (4, 2))
-_ORDERS = [order for order, _ in _PAIR_KINDS]
-_REVERSES = [reverse for _, reverse in _PAIR_KINDS]
-
-#: row i maps the surplus vector d to margin i: (d1+d2+d3, d1+d2-d3, d1-d2-d3)
-_SURPLUS_TO_MARGINS = np.array([[1, 1, 1], [1, 1, -1], [1, -1, -1]])
-
 #: the voters per order that an instance taking nobody away needs
 _NOBODY = (0,) * 6
 
 #: the one key of the per-profile axioms
 _EVERY_PROFILE = ((None, _NOBODY),)
-
-#: the images of the margins as (matrix, offset): m -> matrix m + offset
-_IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-_DOUBLING = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
-_NO_SHIFT = (0, 0, 0)
 
 #: rows per block of (key, cell) pairs or of cell pairs: small enough that a
 #: failure among small profiles is met after few evaluations and that the
@@ -204,24 +190,23 @@ _BLOCK_ROWS = 1 << 11
 #: the 3-bit output code of each choice set, its mask in CHOICE_SETS
 _CODE_OF = {choice: code for code, choice in enumerate(CHOICE_SETS)}
 
-#: the most bytes that the margin cells and code tables of one check may
-#: take; a larger check is refused before anything is allocated
+#: the most bytes that the margin cells of one check may take; a larger
+#: check is refused before anything is allocated
 TABLE_BUDGET = 64 << 20
 #: bytes per margin cell at the peak of building its arrays: margins,
-#: surplus and size as int64, with their temporaries (145 measured)
+#: surplus and size as int64, with their temporaries (144 measured)
 _CELL_BYTES = 160
 
 
-def _refuse_oversized(bound: int, radius: int, tables: int) -> None:
-    """Refuse a check whose margin cells up to ``bound`` and ``tables`` code
-    tables of ``radius`` would take more than TABLE_BUDGET bytes.  A
-    registered margin rule builds no code table, but is counted with one,
-    so that every margin function is refused at the same bounds."""
+def _refuse_oversized(bound: int) -> None:
+    """Refuse a check whose margin cells up to ``bound`` would take more than
+    TABLE_BUDGET bytes; every axiom and margin function is refused at the
+    same bounds."""
     cells = (2 * bound + 1) * (2 * bound * bound + 2 * bound + 3) // 3  # |d|_1 <= bound
-    size = cells * _CELL_BYTES + tables * (2 * radius + 1) ** 3
+    size = cells * _CELL_BYTES
     if size > TABLE_BUDGET:
         raise _rules.BoundExceededError(
-            f"bound {bound} needs {size >> 20} MB of margin tables, "
+            f"bound {bound} needs {size >> 20} MB of margin cells, "
             f"over the {TABLE_BUDGET >> 20} MB budget"
         )
 
@@ -260,19 +245,11 @@ def _refuse_oversized_sweep(bound: int, instances: str, sweeps: int = 1) -> None
 
 def _surplus_cells(bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Arrays (margins, surplus, size) over every surplus vector d with
-    |d|_1 <= bound, built d1 slab by d1 slab: row i holds the margin triple
-    of d, the voters each order holds beyond its reverse and |d|_1."""
-    d1 = np.arange(-bound, bound + 1)
-    r1 = bound - np.abs(d1)
-    slab, k = _expand(2 * r1 + 1)
-    d1, d2, r1 = d1[slab], k - r1[slab], r1[slab]
-    r2 = r1 - np.abs(d2)
-    row, k = _expand(2 * r2 + 1)
-    d = np.stack((d1[row], d2[row], k - r2[row]), axis=1)
-    surplus = np.zeros((len(d), 6), dtype=d.dtype)
-    surplus[:, _ORDERS] = np.maximum(d, 0)
-    surplus[:, _REVERSES] = np.maximum(-d, 0)
-    return d @ _SURPLUS_TO_MARGINS.T, surplus, np.abs(d).sum(axis=1)
+    |d|_1 <= bound, the cells of ``bound`` and of ``bound - 1`` voters: row i
+    holds the margin triple of d, the voters each order holds beyond its
+    reverse and |d|_1."""
+    d = np.concatenate([*_surplus_vectors(bound), *_surplus_vectors(bound - 1)])
+    return d @ _SURPLUS_TO_MARGINS.T, _order_surplus(d), sum(np.abs(d).T)
 
 
 def _fewest_voters(
@@ -295,45 +272,40 @@ def _new_classes(classes: np.ndarray, seen: np.ndarray) -> np.ndarray:
     return rows
 
 
-#: the margin functions of the rules registered in ``rules.RULES``: each is
-#: constant on every sign face (see ``enumeration``), so its outputs are read
-#: per face; any other margin function is evaluated per triple
+def _condorcet_winner_set(m: Margins) -> ChoiceSet:
+    """The Condorcet winner as a singleton, or the empty set."""
+    champion = condorcet_winner(m)
+    return CHOICE_SETS[0 if champion is None else 1 << champion]
+
+
+#: the margin functions of the registered rules and of the candidates who must
+#: win under Condorcet: each is constant on every sign face (see ``enumeration``),
+#: so it is read per face; any other margin function is evaluated per triple
 _FACE_RULES = frozenset(
-    rule.compute for rule in _rules.RULES.values() if rule.reads == _rules.MARGINS
+    [rule.compute for rule in _rules.RULES.values() if rule.reads == _rules.MARGINS]
+    + [_condorcet_winner_set, intermediate_condorcet_winners]
 )
 
 
 class _Outputs:
-    """A margin rule's choice sets as output codes.  A registered rule is
-    evaluated at most once per sign face in a process, through the face
-    layer of ``enumeration``; any other margin function once per distinct
-    triple, when first asked for, into a table of the triples within
-    ``radius`` of zero."""
+    """A margin function's choice sets as output codes.  One of _FACE_RULES is
+    evaluated at most once per sign face in a process, through the face layer
+    of ``enumeration``; any other (only tests make them) once per triple."""
 
-    def __init__(self, f: MarginRule, radius: int) -> None:
+    def __init__(self, f: MarginRule) -> None:
         self._f = f
-        self._radius = radius
-        self._side = 2 * radius + 1
-        self._codes = None if f in _FACE_RULES else np.full(self._side**3, -1, dtype=np.int8)
+        self._code = None if f in _FACE_RULES else functools.cache(lambda m: _CODE_OF[f(m)])
 
     def __call__(self, m: np.ndarray) -> np.ndarray:
         """The code of each row of margins."""
-        if self._codes is None:
-            faces = _face_positions(m)
-            count = np.bincount(faces)
-            met = np.flatnonzero(count)
-            codes = np.zeros(count.size, dtype=np.intp)
-            codes[met] = [_CODE_OF[_face_value(self._f, face)] for face in met.tolist()]
-            return codes[faces]
-        index = np.ravel_multi_index(tuple((m + self._radius).T), (self._side,) * 3)
-        # with return_index, np.unique does not import numpy.ma (numpy 2.4)
-        missing, _ = np.unique(index[self._codes[index] < 0], return_index=True)
-        if missing.size:
-            triples = np.stack(np.unravel_index(missing, (self._side,) * 3), axis=1)
-            self._codes[missing] = [
-                _CODE_OF[self._f(tuple(t))] for t in (triples - self._radius).tolist()
-            ]
-        return self._codes[index].astype(np.intp)
+        if self._code is not None:
+            return np.array([self._code(tuple(t)) for t in m.tolist()], dtype=np.intp)
+        faces = _face_positions(m)
+        count = np.bincount(faces)
+        met = np.flatnonzero(count)
+        codes = np.zeros(count.size, dtype=np.intp)
+        codes[met] = [_CODE_OF[_face_value(self._f, face)] for face in met.tolist()]
+        return codes[faces]
 
 
 def _realized(
@@ -354,32 +326,31 @@ def _realized(
         yield key, margins_d[rows][row]
 
 
+def _unchanged(key: np.ndarray, m: np.ndarray) -> np.ndarray:
+    return m
+
+
 def _cells_fail(
-    f: MarginRule,
     bound: int,
     least: int,
     keys: tuple[tuple[Hashable, tuple[int, ...]], ...],
-    image: Callable[[Hashable], tuple[tuple[tuple[int, ...], ...], Margins]],
-    fails: Callable[[Hashable, ChoiceSet, ChoiceSet], bool],
+    columns: tuple[tuple[MarginRule, Callable[[np.ndarray, np.ndarray], np.ndarray]], ...],
+    fails: Callable[..., bool],
 ) -> bool:
-    """Whether ``fails(key, f(m), f(m'))`` for some margins m and key that a
-    profile with ``least <= n <= bound`` realizes, where ``image(key)`` is
-    (matrix, offset) and m' = matrix m + offset.  ``fails`` sees only the
-    key and the two outputs, so it is called once per key and pair of
-    output codes met, on one of the rows that share them."""
-    maps = [image(key) for key, _ in keys]
-    matrices = np.array([matrix for matrix, _ in maps])
-    offsets = np.array([offset for _, offset in maps])
-    radius = bound * int(np.abs(matrices).sum(axis=2).max()) + int(np.abs(offsets).max())
-    _refuse_oversized(bound, radius, 1)
-    outputs = _Outputs(f, radius)
-    seen = np.zeros(len(keys) * 64, dtype=bool)
+    """Whether ``fails(key, f1(m1), f2(m2), ...)`` for some margins m and key
+    that a profile with ``least <= n <= bound`` realizes, where column i is
+    ``(fi, image)`` and ``image(keys, margins)`` maps the margins of each row
+    to mi for the row's key.  ``fails`` sees only the key and the outputs, so
+    it is called once per key and tuple of output codes met, on one row of
+    them."""
+    _refuse_oversized(bound)
+    outputs = {f: _Outputs(f) for f, _ in columns}
+    seen = np.zeros(len(keys) * 8 ** len(columns), dtype=bool)
     for key, m in _realized(bound, least, keys):
-        first = outputs(m)
-        second = outputs(np.einsum("kij,kj->ki", matrices[key], m) + offsets[key])
-        rows = _new_classes(key * 64 + first * 8 + second, seen)
-        for k, a, b in zip(key[rows].tolist(), first[rows].tolist(), second[rows].tolist()):
-            if fails(keys[k][0], CHOICE_SETS[a], CHOICE_SETS[b]):
+        codes = [outputs[f](image(key, m)) for f, image in columns]
+        rows = _new_classes(functools.reduce(lambda acc, c: acc * 8 + c, codes, key), seen)
+        for k, *row in zip(key[rows].tolist(), *(c[rows].tolist() for c in codes)):
+            if fails(keys[k][0], *(CHOICE_SETS[c] for c in row)):
                 return True
     return False
 
@@ -388,19 +359,9 @@ def _profiles_fail(
     bound: int, functions: tuple[MarginRule, ...], fails: Callable[..., bool]
 ) -> bool:
     """Whether ``fails(f1(m), f2(m), ...)`` for the margins m of some profile
-    with ``1 <= n <= bound``.  ``fails`` sees only the outputs, so it is
-    called once per tuple of output codes met, on one of the rows that
-    share them."""
-    _refuse_oversized(bound, bound, len(functions))
-    outputs = [_Outputs(f, bound) for f in functions]
-    seen = np.zeros(8 ** len(outputs), dtype=bool)
-    for _, m in _realized(bound, 1, _EVERY_PROFILE):
-        codes = [o(m) for o in outputs]
-        rows = _new_classes(functools.reduce(lambda acc, c: acc * 8 + c, codes), seen)
-        for row in zip(*(c[rows].tolist() for c in codes)):
-            if fails(*(CHOICE_SETS[c] for c in row)):
-                return True
-    return False
+    with ``1 <= n <= bound``."""
+    columns = tuple((f, _unchanged) for f in functions)
+    return _cells_fail(bound, 1, _EVERY_PROFILE, columns, lambda _, *outputs: fails(*outputs))
 
 
 def _margin_functions(
@@ -519,17 +480,39 @@ def _cell_pairs(n: np.ndarray, bound: int) -> Iterator[tuple[np.ndarray, np.ndar
         yield i, i + pair - starts[i]
 
 
+#: the most cell pairs a reinforcement check over margin cells may walk; a
+#: larger check is refused before its cells are built.  Bound 24 (9,829,809
+#: pairs) passes and took 2.1 s on a 2-vCPU VM; bound 25 is refused.
+CELL_PAIR_BUDGET = 10_000_000
+
+
+def _refuse_oversized_pairs(bound: int) -> None:
+    """Refuse a reinforcement check over the cells, first by their budget (which
+    bounds the loop below), then for more than CELL_PAIR_BUDGET _cell_pairs."""
+    _refuse_oversized(bound)
+    # cells by fewest voters: 4 s^2 + 2 with |d|_1 = s, and the origin at two
+    cells = [0] + [4 * s * s + 2 for s in range(1, bound + 1)]
+    cells[2] += 1
+    ordered = sum(cells[v] * sum(cells[1 : bound - v + 1]) for v in range(1, bound))
+    pairs = (ordered + sum(cells[1 : bound // 2 + 1])) // 2
+    if pairs > CELL_PAIR_BUDGET:
+        raise _rules.BoundExceededError(
+            f"bound {bound} needs {pairs} margin cell pairs, "
+            f"over the budget of {CELL_PAIR_BUDGET}"
+        )
+
+
 def _reinforcement_cells_fail(f: MarginRule, variant: str, bound: int) -> bool:
     """Reinforcement over the cell pairs whose fewest voters sum to at most
     ``bound``; the clause is symmetric, so each unordered pair is taken
     once, and it sees only the three outputs, so it is called once per
     triple of output codes met."""
-    _refuse_oversized(bound, bound, 1)
+    _refuse_oversized_pairs(bound)
     m, surplus, size = _surplus_cells(bound - 1)
     n = _fewest_voters(surplus, size, _NOBODY, 1)
     order = np.argsort(n, kind="stable")
     m, n = m[order], n[order]
-    outputs = _Outputs(f, bound)
+    outputs = _Outputs(f)
     codes = outputs(m)
     seen = np.zeros(8**3, dtype=bool)
     for i, j in _cell_pairs(n, bound):
@@ -704,12 +687,12 @@ def _participation_sweep(
 
 def _participation_cells_fail(f: MarginRule, clause: ParticipationClause, bound: int) -> bool:
     """``clause`` on every (margins of P, order of the voter who joins)."""
+    joining = np.array(ORDER_MARGIN_VECTOR)  # what each order's voter adds to the margins
     return _cells_fail(
-        f,
         bound,
         2,
         _JOINING_VOTER,
-        lambda order: (_IDENTITY, tuple(-v for v in ORDER_MARGIN_VECTOR[order])),
+        ((f, _unchanged), (f, lambda order, m: m - joining[order])),
         lambda order, after, before: clause(order, before, after) is not None,
     )
 
@@ -925,13 +908,14 @@ def check_responsiveness(
         x, y, _ = key
         return _promotes_a_winner(variant, winners, x, y) and not _responds(variant, x, outcome)
 
+    keys = _promotions(max_simultaneous_swaps)
+    shifts = np.array([shift for (_, _, shift), _ in keys])  # what each move adds to the margins
     fails = None if f is None else functools.partial(
         _cells_fail,
-        f,
         bound,
         1,
-        _promotions(max_simultaneous_swaps),
-        lambda key: (_IDENTITY, key[2]),
+        keys,
+        ((f, _unchanged), (f, lambda key, m: m + shifts[key])),
         cell_fails,
     )
     witnesses = functools.partial(
@@ -965,11 +949,10 @@ def check_homogeneity(
     (f,) = _margin_functions(max_witnesses, 2 * bound, rule_id)
     fails = None if f is None else functools.partial(
         _cells_fail,
-        f,
         bound,
         1,
         _EVERY_PROFILE,
-        lambda _: (_DOUBLING, _NO_SHIFT),
+        ((f, _unchanged), (f, lambda _, m: 2 * m)),
         lambda _, once, doubled: _homogeneity(once, doubled) is not None,
     )
     witnesses = functools.partial(homogeneity_witnesses, rule_id)
@@ -978,12 +961,6 @@ def check_homogeneity(
 
 
 _CONDORCET_AXIOMS = {"standard": "condorcet_consistency", "strong": "strong_condorcet"}
-
-
-def _condorcet_winner_set(m: Margins) -> ChoiceSet:
-    """The Condorcet winner as a singleton, or the empty set."""
-    champion = condorcet_winner(m)
-    return CHOICE_SETS[0 if champion is None else 1 << champion]
 
 
 #: per variant, the candidates who must be exactly the winners, if any
@@ -1078,7 +1055,7 @@ def _neutrality(
 
 def _permutation_matrix(sigma: tuple[int, int, int]) -> tuple[tuple[int, ...], ...]:
     """The signed permutation matrix of ``permute_margins(., sigma)``."""
-    columns = [permute_margins(unit, sigma) for unit in _IDENTITY]
+    columns = [permute_margins(unit, sigma) for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
     return tuple(zip(*columns))
 
 
@@ -1104,13 +1081,13 @@ def check_neutrality(
     """Relabelling the candidates must relabel the winners the same way."""
     _validate_bound(bound, 1)
     (f,) = _margin_functions(max_witnesses, bound, rule_id)
+    relabel = np.array([_permutation_matrix(sigma) for sigma in PERMUTATIONS[1:]])
     fails = None if f is None else functools.partial(
         _cells_fail,
-        f,
         bound,
         1,
         tuple((sigma, _NOBODY) for sigma in PERMUTATIONS[1:]),
-        lambda sigma: (_permutation_matrix(sigma), _NO_SHIFT),
+        ((f, _unchanged), (f, lambda key, m: np.einsum("kij,kj->ki", relabel[key], m))),
         lambda sigma, winners, relabelled: _neutrality(sigma, winners, relabelled) is not None,
     )
     witnesses = functools.partial(neutrality_witnesses, rule_id)
@@ -1179,8 +1156,8 @@ def verify_optimist_equivalence(
     axiom = "optimist_equivalence"
     functions = _margin_functions(max_witnesses, bound, *rule_ids)
     if any(f is not None for f in functions):
-        # the tables of _participation_cells_fail, checked before the sweep
-        _refuse_oversized(bound, bound + 1, 1)
+        # the cells of _participation_cells_fail, checked before the sweep
+        _refuse_oversized(bound)
     _refuse_oversized_sweep(bound, "removal instances", functions.count(None))
     cells_fail = [
         f is not None and _participation_cells_fail(f, _equivalence, bound) for f in functions

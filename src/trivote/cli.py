@@ -301,6 +301,10 @@ def cmd_search(args: argparse.Namespace) -> int:
         return _fail(f"unknown predicate {args.predicate!r} (known: {known})")
     if args.bound < 1:
         return _fail(f"--bound must be at least 1, got {args.bound}")
+    try:
+        axioms._refuse_oversized_sweep(args.bound, "profiles")
+    except rules.BoundExceededError as exc:
+        return _fail(str(exc))
     hits = enumeration.search(predicate, args.bound, mode=args.mode)
     for profile in hits:
         print(format_profile(profile))

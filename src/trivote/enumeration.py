@@ -109,16 +109,24 @@ def profiles_up_to(bound: int, min_n: int = 1) -> Iterator[Profile]:
 
 
 # ---------------------------------------------------------------------------
-# Counting over margin cells
+# Margin cells
 # ---------------------------------------------------------------------------
 #
-# Let d_i be the surplus of an order over its reverse in the pairs (abc, cba),
-# (acb, bca) and (cab, bac).  Then m_ab = d1+d2+d3, m_ac = d1+d2-d3 and
-# m_bc = d1-d2-d3, and the profiles with surplus d put |d_i| + 2 t_i voters on
-# pair i with t1+t2+t3 = J = (n - |d|_1) / 2: C(J+2, 2) of them share the
-# margin triple.  With u = d2+d3 and v = d2-d3, |d2| + |d3| = max(|u|, |v|), so
-# the cells with a given d1 are the grid u, v in {-r, -r+2, ..., r} with
-# r = n - |d1|, and their margins are (d1+u, d1+v, d1-u).
+# The one cell layer: the counting below and the axiom checkers (``axioms``)
+# read the cells built here.  Let d_i be the surplus of an order over its
+# reverse in the pairs (abc, cba), (acb, bca) and (cab, bac).  Then
+# m_ab = d1+d2+d3, m_ac = d1+d2-d3 and m_bc = d1-d2-d3, and the profiles with
+# surplus d put |d_i| + 2 t_i voters on pair i with t1+t2+t3 = J =
+# (n - |d|_1) / 2: C(J+2, 2) of them (the fibre of d) share the margin triple,
+# so the cells of n voters are the d with |d|_1 <= n and the parity of n.
+# With u = d2+d3 and v = d2-d3, |d2| + |d3| = max(|u|, |v|): the cells with a
+# given d1 are the grid u = 2q - r, v = 2p - r, q and p in [0, r], r = n - |d1|.
+
+#: the order and the reverse order of each pair kind; d_i is the order's surplus
+_ORDERS, _REVERSES = [0, 1, 4], [5, 3, 2]
+
+#: row i maps the surplus vector d to margin i: (d1+d2+d3, d1+d2-d3, d1-d2-d3)
+_SURPLUS_TO_MARGINS = np.array([[1, 1, 1], [1, 1, -1], [1, -1, -1]])
 
 #: cells per chunk; whole d1 slabs are grouped up to this size, so small
 #: electorates take a few numpy calls and memory stays O(n^2) for large ones
@@ -131,27 +139,42 @@ def _expand(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return owner, np.arange(owner.size) - (np.cumsum(sizes) - sizes)[owner]
 
 
-def _cell_chunk(n: int, d1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Margins and profile counts of every ``n``-voter cell in the ``d1`` slabs."""
-    side = n + 1 - np.abs(d1)
-    slab, index = _expand(side * side)
-    side = side[slab]
-    u = 2 * (index // side) - (side - 1)
-    v = 2 * (index % side) - (side - 1)
-    d1 = d1[slab]
-    j = (side - 1 - np.maximum(np.abs(u), np.abs(v))) // 2
-    return np.stack((d1 + u, d1 + v, d1 - u), axis=1), (j + 1) * (j + 2) // 2
-
-
-def _margin_cells(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Chunks ``(margins, weights)`` of the margin triples reachable with
-    ``n`` voters: ``weights[i]`` profiles have the margins ``margins[i]``."""
+def _surplus_vectors(n: int) -> Iterator[np.ndarray]:
+    """Chunks of the surplus vectors d of the ``n``-voter cells, one row each."""
     lo, cells = -n, 0
     for d1 in range(-n, n + 1):
         cells += (n + 1 - abs(d1)) ** 2
         if cells >= _CELL_CHUNK or d1 == n:
-            yield _cell_chunk(n, np.arange(lo, d1 + 1, dtype=np.int64))
+            r = n - np.abs(np.arange(lo, d1 + 1))
+            slab, index = _expand((r + 1) ** 2)
+            side = r[slab] + 1
+            q, p = np.divmod(index, side)
+            d = np.stack((slab + lo, q + p + 1 - side, q - p), axis=1)
+            del slab, index, side, q, p  # not held while the caller works on d
+            yield d
             lo, cells = d1 + 1, 0
+
+
+def _order_surplus(d: np.ndarray) -> np.ndarray:
+    """Per cell, the voters each order holds beyond its reverse."""
+    surplus = np.empty((len(d), 6), dtype=d.dtype)
+    for i, (order, reverse) in enumerate(zip(_ORDERS, _REVERSES)):  # column by column,
+        np.maximum(d[:, i], 0, out=surplus[:, order])  # as index arrays are slow here
+        np.maximum(-d[:, i], 0, out=surplus[:, reverse])
+    return surplus
+
+
+def _fibres(n: int, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(J, C(J+2, 2))`` per ``n``-voter cell: its voter pairs and profiles."""
+    j = (n - sum(np.abs(d).T)) // 2  # |d|_1 as column sums: faster than .sum(axis=1)
+    return j, (j + 1) * (j + 2) // 2
+
+
+def _margin_cells(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Chunks (margins, weights) of the ``n``-voter cells: ``weights[i]`` profiles
+    have the margins ``margins[i]``."""
+    for d in _surplus_vectors(n):
+        yield d @ _SURPLUS_TO_MARGINS.T, _fibres(n, d)[1]
 
 
 # --- sign faces -------------------------------------------------------------
@@ -164,10 +187,9 @@ def _margin_cells(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 # face tests in ``tests/test_enumeration.py`` (every cell of n = 15, 16 and
 # every same-parity triple in [-24, 24]^3); a rule that compared anything
 # else would be miscounted.  There are 267 faces, all reached by n = 13, so
-# each rule is decided once per face, on one of its cells.  Two drivers read
-# this layer: the counting below weighs each face's profiles together, and
-# the axiom checkers (``axioms``) read a registered margin rule's output on
-# every triple they meet from its face.
+# each rule is decided once per face, on one of its cells.  The counting
+# below weighs each face's profiles together, and the axiom checkers read a
+# registered margin rule's output on every triple they meet from its face.
 
 
 def _face_keys(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -218,15 +240,16 @@ def _face_positions(m: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def _face_weights(n: int) -> list[int]:
-    """The number of ``n``-voter profiles on each face, by position."""
-    total = np.zeros(0, dtype=np.int64)
+def _faces(n: int) -> tuple[list[int], list[np.ndarray]]:
+    """The number of ``n``-voter profiles on each face, by position, and the
+    face position of each ``n``-voter cell, chunk by chunk."""
+    total, positions = np.zeros(0, dtype=np.int64), []
     for m, weights in _margin_cells(n):
-        faces = _face_positions(m)
+        positions.append(_face_positions(m))
         # float sums of integer weights are exact below 2**53 profiles a chunk
-        counts = np.bincount(faces, weights, minlength=len(_FACE_CELLS)).astype(np.int64)
-        total = counts + np.pad(total, (0, counts.size - total.size))
-    return total.tolist()
+        counts = np.bincount(positions[-1], weights, minlength=len(_FACE_CELLS))
+        total = counts.astype(np.int64) + np.pad(total, (0, counts.size - total.size))
+    return total.tolist(), positions
 
 
 @functools.cache
@@ -239,7 +262,7 @@ def _margin_cell_count(margin_rule: Callable[[Margins], ChoiceSet], n: int) -> i
     """Profiles with ``n`` voters on which a margin rule is irresolute."""
     return sum(
         count
-        for face, count in enumerate(_face_weights(n))
+        for face, count in enumerate(_faces(n)[0])
         if count and len(_face_value(margin_rule, face)) >= 2
     )
 
@@ -248,7 +271,7 @@ def condorcet_profile_count(n: int) -> int:
     """Number of ``n``-voter profiles with a Condorcet winner."""
     return sum(
         count
-        for face, count in enumerate(_face_weights(n))
+        for face, count in enumerate(_faces(n)[0])
         if count and _face_value(condorcet_winner, face) is not None
     )
 
@@ -262,9 +285,6 @@ def condorcet_profile_count(n: int) -> int:
 # When every order gives each candidate fixed points, x scores
 # K_x + sum_i A_i[x] t_i: K_x from the surplus voters, A_i[x] from one pair of
 # kind i.
-
-#: the order and the reverse order of each pair kind; d_i is the order's surplus
-_ORDERS, _REVERSES = [0, 1, 4], [5, 3, 2]
 
 
 def _ties_at_max(*scores: np.ndarray) -> np.ndarray:
@@ -282,14 +302,6 @@ def _order_points(by_position: Sequence[Sequence[int]]) -> np.ndarray:
     return np.take_along_axis(rows, np.array(ORDER_RANK_OF), axis=1)
 
 
-def _surplus_points(m: np.ndarray, n: int, points: np.ndarray) -> tuple:
-    """``(J, K)`` per cell: the number of pairs, and the points the surplus
-    voters give each candidate."""
-    d = m @ np.array([[1, 0, 1], [0, 1, -1], [1, -1, 0]]) // 2  # inverts the margins
-    j = (n - np.abs(d).sum(axis=1)) // 2
-    return j, np.maximum(d, 0) @ points[_ORDERS] + np.maximum(-d, 0) @ points[_REVERSES]
-
-
 def _scoring_count(n: int, vector: tuple) -> int:
     """Profiles with ``n`` voters on which the scoring rule ties.
 
@@ -304,8 +316,9 @@ def _scoring_count(n: int, vector: tuple) -> int:
     gamma = s1 - 2 * s2 + s3
     points = _order_points([(s1, s2, s3)] * 6)
     count = 0
-    for m, weights in _margin_cells(n):
-        j, score = _surplus_points(m, n, points)
+    for d in _surplus_vectors(n):
+        j, weights = _fibres(n, d)
+        score = _order_surplus(d) @ points  # K
         if gamma == 0:  # the scores are the same on the whole cell
             count += int(weights[_ties_at_max(*score.T)].sum())
             continue
@@ -339,17 +352,18 @@ def _artificial_count(n: int) -> int:
     table = _rules.artificial_table(n)
     points = _order_points([(top, mid, 0) for top, mid in table])
     pair = points[_ORDERS] + points[_REVERSES]  # A_i[x]
+    _, positions = _faces(n)
+    # every face met so far, which includes those of the n-voter cells
+    maximin = np.array([
+        [x in _face_value(_rules.maximin_margins, f) for x in CANDIDATES]
+        for f in range(len(_FACE_CELLS))
+    ])
     count = 0
-    for m, weights in _margin_cells(n):
-        face = _face_positions(m)
-        # every face met so far, which includes those of this chunk
-        maximin = np.array([
-            [x in _face_value(_rules.maximin_margins, f) for x in CANDIDATES]
-            for f in range(len(_FACE_CELLS))
-        ])
+    for d, face in zip(_surplus_vectors(n), positions):
         tied = maximin.sum(axis=1)[face] >= 2
-        winners, weights = maximin[face[tied]], weights[tied]
-        j, surplus = _surplus_points(m[tied], n, points)
+        winners, d = maximin[face[tied]], d[tied]
+        j, weights = _fibres(n, d)
+        surplus = _order_surplus(d) @ points
         # fibres in pieces of about _CELL_CHUNK profiles, so memory stays bounded
         ends = np.cumsum(weights)
         cuts = np.searchsorted(ends, np.arange(_CELL_CHUNK, ends[-1:].sum(), _CELL_CHUNK))

@@ -572,6 +572,22 @@ def test_cell_pairs_arrive_in_bounded_blocks():
     assert np.array_equal(pairs, expected)
 
 
+def test_the_cell_pair_budget_counts_the_pairs_reinforcement_walks(monkeypatch):
+    for bound in range(2, 13):
+        margins, surplus, size = axioms._surplus_cells(bound - 1)
+        n = np.sort(axioms._fewest_voters(surplus, size, axioms._NOBODY, 1))
+        pairs = sum(len(i) for i, _ in axioms._cell_pairs(n, bound))
+        monkeypatch.setattr(axioms, "CELL_PAIR_BUDGET", pairs)
+        axioms._refuse_oversized_pairs(bound)
+        monkeypatch.setattr(axioms, "CELL_PAIR_BUDGET", pairs - 1)
+        with pytest.raises(rules.BoundExceededError, match=f"needs {pairs} margin cell pairs"):
+            axioms._refuse_oversized_pairs(bound)
+    monkeypatch.undo()
+    axioms._refuse_oversized_pairs(24)  # the largest bound the budget passes
+    with pytest.raises(rules.BoundExceededError):
+        axioms._refuse_oversized_pairs(25)
+
+
 def test_a_holding_check_evaluates_each_triple_once_and_each_output_class_once(monkeypatch):
     triples, clauses = [], []
     maximin = rules.RULES["maximin"]

@@ -274,22 +274,26 @@ def test_verify_refuses_an_electorate_above_the_voter_cap_before_any_work(
     assert err.count("\n") == 1 and f"supports at most 9 voters, got {largest}" in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["--rule", "borda", "--axiom", "reinforcement"],
-        ["--rule", "maximin", "--axiom", "optimist_participation"],
-        ["--rule", "maximin", "--axiom", "resolute_participation"],
-        ["--rule", "copeland", "--axiom", "monotonicity"],
-        ["--rule", "maximin", "--axiom", "homogeneity"],
-        ["--rule", "stable_voting", "--axiom", "neutrality"],
-        ["--rule", "black", "--axiom", "condorcet"],
-        ["--rule", "nanson", "--axiom", "strong_condorcet"],
-        ["--rule", "leximin", "--axiom", "refinement", "--upper", "nanson"],
-        ["--axiom", "optimist_equivalence"],
-    ],
-    ids=lambda argv: argv[argv.index("--axiom") + 1],
-)
+#: one margin-rule check of each axiom decided over margin cells
+MARGIN_CHECKS = [
+    ["--rule", "borda", "--axiom", "reinforcement"],
+    ["--rule", "maximin", "--axiom", "optimist_participation"],
+    ["--rule", "maximin", "--axiom", "resolute_participation"],
+    ["--rule", "copeland", "--axiom", "monotonicity"],
+    ["--rule", "maximin", "--axiom", "homogeneity"],
+    ["--rule", "stable_voting", "--axiom", "neutrality"],
+    ["--rule", "black", "--axiom", "condorcet"],
+    ["--rule", "nanson", "--axiom", "strong_condorcet"],
+    ["--rule", "leximin", "--axiom", "refinement", "--upper", "nanson"],
+    ["--axiom", "optimist_equivalence"],
+]
+
+
+def _axiom_id(argv):
+    return argv[argv.index("--axiom") + 1]
+
+
+@pytest.mark.parametrize("argv", MARGIN_CHECKS, ids=_axiom_id)
 def test_verify_refuses_oversized_margin_tables_before_allocating(capsys, monkeypatch, argv):
     def no_table(*args):
         raise AssertionError("a margin table was allocated")
@@ -307,6 +311,27 @@ def test_verify_refuses_oversized_margin_tables_before_allocating(capsys, monkey
     assert err.count("\n") == 1
     assert f"over the {axioms.TABLE_BUDGET >> 20} MB budget" in err
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("argv", MARGIN_CHECKS, ids=_axiom_id)
+def test_the_margin_cell_budget_refuses_every_axiom_at_the_same_bound(capsys, monkeypatch, argv):
+    def no_table(*args):
+        raise AssertionError("a margin table was allocated")
+
+    monkeypatch.setattr(axioms, "_surplus_cells", no_table)
+    code, out, err = run(capsys, "verify", *argv, "--bound", "68")
+    assert (code, out) == (2, "")
+    budget = axioms.TABLE_BUDGET >> 20
+    assert err == f"bound 68 needs 65 MB of margin cells, over the {budget} MB budget\n"
+    axioms._refuse_oversized(67)  # the largest bound that passes, whatever the axiom
+
+
+def test_a_margin_check_runs_up_to_the_cell_budget(capsys):
+    # doubling reaches margins of 4 * 62 voters; only the cells count
+    code, out, _ = run(
+        capsys, "verify", "--rule", "maximin", "--axiom", "homogeneity", "--bound", "62"
+    )
+    assert (code, out) == (0, "maximin axiom=homogeneity bound=62 verdict=holds-up-to-bound\n")
 
 
 @pytest.mark.parametrize(
@@ -331,6 +356,22 @@ def test_verify_refuses_an_oversized_sweep_before_any_work(capsys, monkeypatch, 
     assert out == ""
     assert err.count("\n") == 1
     assert f"over the budget of {axioms.SWEEP_BUDGET}" in err
+
+
+@pytest.mark.parametrize("bound", ["25", "65", "67"])
+def test_verify_refuses_oversized_cell_pairs_before_any_work(capsys, monkeypatch, bound):
+    def no_work(*args):
+        raise AssertionError("work began before the cell pair budget was checked")
+
+    monkeypatch.setattr(rules, "_evaluate_cached", no_work)
+    monkeypatch.setattr(axioms, "_surplus_cells", no_work)
+    code, out, err = run(
+        capsys, "verify", "--rule", "borda", "--axiom", "reinforcement", "--bound", bound
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert f"over the budget of {axioms.CELL_PAIR_BUDGET}" in err
 
 
 def test_verify_requires_rule(capsys):
@@ -620,6 +661,21 @@ def test_search_rejects_a_bound_below_one(capsys, bound):
     assert code == 2
     assert out == ""
     assert err == f"--bound must be at least 1, got {bound}\n"
+
+
+def test_search_refuses_an_oversized_sweep_before_any_profile(capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the search began before the sweep budget was checked")
+
+    monkeypatch.setattr(enumeration, "profiles_up_to", no_work)
+    code, out, err = run(
+        capsys, "search", "nanson-positive-responsiveness-violation",
+        "--bound", "100000", "--mode", "all",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert f"over the budget of {axioms.SWEEP_BUDGET}" in err
 
 
 def test_search_list_and_unknown(capsys):

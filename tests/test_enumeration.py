@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from trivote import core, enumeration, rules
+from trivote import axioms, core, enumeration, rules
 from trivote.core import parse_profile
 from trivote.enumeration import (
     FrequencyRow,
@@ -139,6 +139,36 @@ def test_a_margin_rule_is_constant_on_every_sign_face_of_a_wide_cube(rule_id):
     assert len(WIDE_TRIPLES) == 29449 and len(set(faces)) == 267
     for triple, face in zip(WIDE_TRIPLES.tolist(), faces):
         assert margin_rule(tuple(triple)) == enumeration._face_value(margin_rule, face), triple
+
+
+@pytest.mark.parametrize(
+    "champions",
+    [axioms._condorcet_winner_set, core.intermediate_condorcet_winners],
+    ids=["condorcet_winner", "unbeaten"],
+)
+def test_the_candidates_who_must_win_are_constant_on_every_sign_face(champions):
+    assert champions in axioms._FACE_RULES
+    faces = enumeration._face_positions(WIDE_TRIPLES).tolist()
+    for triple, face in zip(WIDE_TRIPLES.tolist(), faces):
+        assert champions(tuple(triple)) == enumeration._face_value(champions, face), triple
+
+
+def test_each_cell_chunk_is_mapped_to_its_faces_once_per_voter_count(monkeypatch):
+    calls = []
+    face_positions = enumeration._face_positions
+
+    def counting(m):
+        calls.append(len(m))
+        return face_positions(m)
+
+    monkeypatch.setattr(enumeration, "_face_positions", counting)
+    enumeration._faces.cache_clear()
+    chunks = []
+    for n in (8, 9, 48):  # 48 voters take two chunks
+        for rule_id in ("maximin", "artificial", "plurality", "black"):
+            irresoluteness(rule_id, n)
+        chunks += [len(m) for m, _ in enumeration._margin_cells(n)]
+    assert calls == chunks and len(chunks) == 4
 
 
 # ---------------------------------------------------------------------------
