@@ -6,33 +6,41 @@ report's verdict is ``"violated"`` exactly when its witness list is
 non-empty, and every witness replays: re-evaluating the report's rule on
 ``witness.profiles[i]`` reproduces ``witness.outputs[i]``.
 
-Two drivers call the same clause functions, one per axiom:
+Every axiom but reinforcement is one key table.  Per key -- the joining
+voter's order, the promotion move, the relabelling, the doubling, or P
+itself -- it holds the voters of each order the instance takes from a
+profile P and both images of the instance: its second profile (P - e_o,
+P - need + give, sigma P or 2P) and that profile's margins as an image of
+P's margins m (m - v_o, m + shift, sigma m or 2m).  Two drivers read the
+table and call the same clause, ``clause(key, *outputs)``, which returns
+the witness note or None:
 
-* the profile sweep walks the profiles, profile pairs and removal or swap
-  instances in canonical (n, colex) order and lists the witnesses;
+* the sweep walks P in canonical (n, colex) order and the keys in table
+  order, takes each key whose need P holds, and lists the witnesses;
 * for a rule that reads only the margins (``rules.MARGINS``) the verdict is
   first decided over the margin cells of ``enumeration``: the surplus
   vectors d with |d|_1 <= bound, as arrays of margin triples m, per-order
-  surplus and |d|_1.  An instance key -- the order, move, relabelling or
-  doubling the axiom needs -- counts on a cell only if some profile within
+  surplus and |d|_1.  A key counts on a cell only if some profile within
   the bound realizes it: the fewest voters of cell d holding at least k_o
   voters of each order o the key needs is
   |d|_1 + 2 sum_i max_{o in pair i} (k_o - surplus_o(d))^+, raised in steps
   of two to the checker's least electorate, one array expression per block
-  of cells.  One driver reads every key and cell: each output column is a
-  margin function on an image of m (m, m - v_o, m + shift, sigma m or 2m),
+  of cells.  Each output column is a margin function on m or on its image,
   kept as a 3-bit code, block by block with the smallest cells first, so a
   violated check stops early.  A clause sees only the key and the outputs,
   so it is called once per key and tuple of codes met, on one row of that
-  class.  The per-profile axioms have one key; refinement reads two rules,
-  and Condorcet a second column: the candidates who must win (the Condorcet
-  winner, or the unbeaten candidates).  Reinforcement pairs two cells into
-  m1 + m2.  The registered rules and those candidates are constant on every
-  sign face, so each is evaluated at most once per face in a process,
+  class.  Refinement reads a second rule, and Condorcet a second column:
+  the candidates who must win (the Condorcet winner, or the unbeaten
+  candidates).  The registered rules and those candidates are constant on
+  every sign face, so each is evaluated at most once per face in a process,
   through the face layer of ``enumeration``; any other margin function once
   per distinct triple.  When nothing fails, the verdict is
-  ``holds-up-to-bound`` and no profile is touched; otherwise the profile
-  sweep runs as for any other rule, to list the witnesses in its order.
+  ``holds-up-to-bound`` and no profile is touched; otherwise the sweep runs
+  as for any other rule, to list the witnesses in its order.
+
+Reinforcement, over pairs of profiles, has a driver of each kind of its
+own: its sweep walks the profile pairs, and its cells pair two cells into
+m1 + m2.
 
 Every checker resolves its rules and refuses an electorate above a rule's
 voter cap before its first evaluation.  A margin check whose cells would
@@ -51,16 +59,17 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, Optional
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
 from . import rules as _rules
 from .core import (
     CANDIDATE_NAMES,
-    CANDIDATES,
     CHOICE_SETS,
+    IDENTITY,
     ChoiceSet,
     Margins,
     ORDER_MARGIN_VECTOR,
@@ -83,7 +92,7 @@ from .core import (
     top,
     total_voters,
 )
-from .enumeration import _ORDERS, _REVERSES, _SURPLUS_TO_MARGINS, ProfileCursor, profiles_up_to
+from .enumeration import _ORDERS, _REVERSES, _SURPLUS_TO_MARGINS, profiles_up_to
 from .enumeration import _face_positions, _face_value, _order_surplus, _surplus_vectors
 
 HOLDS = "holds-up-to-bound"
@@ -179,9 +188,6 @@ def _candidate(c: int) -> str:
 #: the voters per order that an instance taking nobody away needs
 _NOBODY = (0,) * 6
 
-#: the one key of the per-profile axioms
-_EVERY_PROFILE = ((None, _NOBODY),)
-
 #: rows per block of (key, cell) pairs or of cell pairs: small enough that a
 #: failure among small profiles is met after few evaluations and that the
 #: temporaries stay small, large enough for few numpy calls
@@ -219,10 +225,11 @@ def _refuse_oversized(bound: int) -> None:
 SWEEP_BUDGET = 200_000
 
 #: per kind of sweep, the instances it visits up to a bound b: the profiles
-#: with 1 <= n <= b; the (profile, order it holds) pairs with 2 <= n <= b; and
-#: the unordered pairs, repeats allowed, of non-empty profiles with
-#: n1 + n2 <= b: half of the C(b+12, 12) - 2 C(b+6, 6) + 1 ordered pairs and
-#: of the C(b//2+6, 6) - 1 profiles paired with themselves
+#: with 1 <= n <= b; the (profile, order it holds) pairs with 2 <= n <= b, the
+#: participation keys the sweep takes; and the unordered pairs, repeats
+#: allowed, of non-empty profiles with n1 + n2 <= b: half of the
+#: C(b+12, 12) - 2 C(b+6, 6) + 1 ordered pairs and of the C(b//2+6, 6) - 1
+#: profiles paired with themselves
 _SWEEP_SIZE = {
     "profiles": lambda b: math.comb(b + 6, 6) - 1,
     "removal instances": lambda b: 6 * (math.comb(b + 5, 6) - 1),
@@ -308,17 +315,130 @@ class _Outputs:
         return codes[faces]
 
 
+# ---------------------------------------------------------------------------
+# Key tables and their two drivers
+# ---------------------------------------------------------------------------
+
+
+def _permutation_matrix(sigma: tuple[int, int, int]) -> tuple[tuple[int, ...], ...]:
+    """The signed permutation matrix of ``permute_margins(., sigma)``."""
+    columns = [permute_margins(unit, sigma) for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    return tuple(zip(*columns))
+
+
+_UNIT = _permutation_matrix(IDENTITY)
+
+
+@dataclass(frozen=True, slots=True)
+class _Key:
+    """One instance key of an axiom on a profile P, with both images of the
+    instance: ``profile(P)`` is its second profile, or None when P lacks the
+    voters of each order that it takes (``need``), and that profile has the
+    margins ``matrix @ m + offset`` when P has the margins m, and at most
+    ``scale`` times P's voters.  ``key`` is what the clause sees."""
+
+    key: Hashable
+    profile: Callable[[Profile], Optional[Profile]] = lambda profile: profile
+    need: tuple[int, ...] = _NOBODY
+    matrix: tuple[tuple[int, ...], ...] = _UNIT
+    offset: tuple[int, ...] = (0, 0, 0)
+    scale: int = 1
+
+
+def _moved(delta: tuple[int, ...], profile: Profile) -> Optional[Profile]:
+    """P + delta, or None when P lacks the voters that delta takes."""
+    moved = tuple(map(operator.add, profile, delta))
+    return moved if min(moved) >= 0 else None
+
+
+def _moving(key: Hashable, taken: Iterable[int], given: Iterable[int] = ()) -> _Key:
+    """The key of an instance that takes one voter of each order in ``taken``
+    from P and adds one of each order in ``given``, none of them taken."""
+    delta = [0] * 6
+    for order in taken:
+        delta[order] -= 1
+    for order in given:
+        delta[order] += 1
+    shift = [sum(d * v[i] for d, v in zip(delta, ORDER_MARGIN_VECTOR)) for i in range(3)]
+    need = tuple(max(0, -d) for d in delta)
+    return _Key(key, functools.partial(_moved, tuple(delta)), need, offset=tuple(shift))
+
+
+class _Table(NamedTuple):
+    """An axiom's instances on every profile P, as both drivers read them.
+
+    ``clause(key, *outputs)`` returns the witness note, or None when the
+    instance passes.  The outputs are ``rule`` on P or on the instance's
+    second profile, one per entry of ``reads`` (True for the second profile):
+    on both in either order, or ``(False,)`` on P alone, followed then by each
+    of ``also`` (a rule id or a margin function) on P.  A witness shows the
+    profiles and outputs that ``reads`` names.  The sweep evaluates the rule
+    on a second profile only for keys that ``guard(key, output on P)``
+    admits; it starts at ``least`` voters, and its budget counts
+    ``instances``.
+    """
+
+    axiom: str
+    rule: str
+    keys: tuple[_Key, ...]
+    reads: tuple[bool, ...]
+    clause: Callable[..., Optional[str]]
+    also: tuple[Union[str, MarginRule], ...] = ()
+    guard: Optional[Callable[[Hashable, ChoiceSet], bool]] = None
+    least: int = 1
+    instances: str = "profiles"
+
+
+def _stepper(table: _Table) -> Callable[[Profile], list[Witness]]:
+    """The step of the sweep of ``table`` on one profile P: the witnesses of
+    its keys in table order, those whose need P holds.  The rule is evaluated
+    on P once, and on a second profile only for a key the guard admits."""
+    axiom, rule, keys, clause = table.axiom, table.rule, table.keys, table.clause
+    guard, image_first = table.guard, table.reads[0]
+
+    def alone(profile: Profile) -> list[Witness]:
+        on_p = _f(rule, profile)
+        also = [_f(g, profile) if isinstance(g, str) else g(margins(profile)) for g in table.also]
+        notes = [clause(k.key, on_p, *also) for k in keys]
+        return [Witness(axiom, (profile,), (on_p,), note) for note in notes if note is not None]
+
+    def paired(profile: Profile) -> list[Witness]:
+        on_p, found = _f(rule, profile), []
+        for k in keys:
+            if guard is not None and not guard(k.key, on_p):
+                continue
+            image = k.profile(profile)
+            if image is None:
+                continue
+            on_image = _f(rule, image)
+            outputs = (on_image, on_p) if image_first else (on_p, on_image)
+            note = clause(k.key, *outputs)
+            if note is not None:
+                shown = (image, profile) if image_first else (profile, image)
+                found.append(Witness(axiom, shown, outputs, note))
+        return found
+
+    return paired if True in table.reads else alone
+
+
+def _sweep(table: _Table, bound: int) -> Iterator[Witness]:
+    """The witnesses of ``table`` on every profile with ``least <= n <=
+    bound``, in (n, colex) order."""
+    step = _stepper(table)
+    for profile in profiles_up_to(bound, table.least):
+        yield from step(profile)
+
+
 def _realized(
-    bound: int, least: int, keys: tuple[tuple[Hashable, tuple[int, ...]], ...]
+    bound: int, least: int, needs: list[tuple[int, ...]]
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Blocks (key, margins) of the pairs of a key's index and a cell's
-    margins that a profile with ``least <= n <= bound`` realizes; ``keys``
-    pairs each key with the voters of each order its instance takes from
-    the profile.  Cells come in order of |d|_1, so small profiles first."""
+    margins that a profile with ``least <= n <= bound`` realizes; ``needs``
+    gives the voters of each order each key's instance takes from the
+    profile.  Cells come in order of |d|_1, so small profiles first."""
     margins_d, surplus, size = _surplus_cells(bound)
     order = np.argsort(size, kind="stable")
-    needs = np.array([need for _, need in keys])
-    step = max(1, _BLOCK_ROWS // len(keys))
+    step = max(1, _BLOCK_ROWS // len(needs))
     for lo in range(0, len(order), step):
         rows = order[lo : lo + step]
         n = _fewest_voters(surplus[rows], size[rows], needs, least)
@@ -326,53 +446,53 @@ def _realized(
         yield key, margins_d[rows][row]
 
 
-def _unchanged(key: np.ndarray, m: np.ndarray) -> np.ndarray:
-    return m
+@functools.cache
+def _margin_maps(keys: tuple[_Key, ...]) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Arrays A and b, index for index with ``keys``, such that the second
+    profile of a key has the margins A m + b when P has the margins m, built
+    once per key table; and whether every A is the identity: keys that only
+    move voters shift the margins, which is cheaper to apply."""
+    matrix, offset = np.array([k.matrix for k in keys]), np.array([k.offset for k in keys])
+    return matrix, offset, bool((matrix == np.identity(3, dtype=int)).all())
 
 
-def _cells_fail(
-    bound: int,
-    least: int,
-    keys: tuple[tuple[Hashable, tuple[int, ...]], ...],
-    columns: tuple[tuple[MarginRule, Callable[[np.ndarray, np.ndarray], np.ndarray]], ...],
-    fails: Callable[..., bool],
-) -> bool:
-    """Whether ``fails(key, f1(m1), f2(m2), ...)`` for some margins m and key
-    that a profile with ``least <= n <= bound`` realizes, where column i is
-    ``(fi, image)`` and ``image(keys, margins)`` maps the margins of each row
-    to mi for the row's key.  ``fails`` sees only the key and the outputs, so
-    it is called once per key and tuple of output codes met, on one row of
-    them."""
+def _cells_fail(table: _Table, functions: tuple[MarginRule, ...], bound: int) -> bool:
+    """Whether the clause of ``table`` fails on the margins m of some cell
+    and a key that a profile with ``least <= n <= bound`` realizes, where
+    ``functions`` gives the margin function of each output; the outputs that
+    ``reads`` puts on the second profile read its margins A m + b.  The
+    clause sees only the key and the outputs, so it is called once per key
+    and tuple of output codes met, on one row of them."""
     _refuse_oversized(bound)
-    outputs = {f: _Outputs(f) for f, _ in columns}
-    seen = np.zeros(len(keys) * 8 ** len(columns), dtype=bool)
-    for key, m in _realized(bound, least, keys):
-        codes = [outputs[f](image(key, m)) for f, image in columns]
+    outputs = {f: _Outputs(f) for f in functions}
+    on_image = table.reads + (False,) * len(table.also)
+    matrix, offset, shifts = _margin_maps(table.keys)
+    seen = np.zeros(len(table.keys) * 8 ** len(functions), dtype=bool)
+    for key, m in _realized(bound, table.least, [k.need for k in table.keys]):
+        image = m
+        if True in on_image:
+            image = (m if shifts else np.einsum("kij,kj->ki", matrix[key], m)) + offset[key]
+        codes = [outputs[f](image if i else m) for f, i in zip(functions, on_image)]
         rows = _new_classes(functools.reduce(lambda acc, c: acc * 8 + c, codes, key), seen)
         for k, *row in zip(key[rows].tolist(), *(c[rows].tolist() for c in codes)):
-            if fails(keys[k][0], *(CHOICE_SETS[c] for c in row)):
+            if table.clause(table.keys[k].key, *(CHOICE_SETS[c] for c in row)) is not None:
                 return True
     return False
 
 
-def _profiles_fail(
-    bound: int, functions: tuple[MarginRule, ...], fails: Callable[..., bool]
-) -> bool:
-    """Whether ``fails(f1(m), f2(m), ...)`` for the margins m of some profile
-    with ``1 <= n <= bound``."""
-    columns = tuple((f, _unchanged) for f in functions)
-    return _cells_fail(bound, 1, _EVERY_PROFILE, columns, lambda _, *outputs: fails(*outputs))
-
-
 def _margin_functions(
-    max_witnesses: Optional[int], largest: int, *rule_ids: str
+    max_witnesses: Optional[int], largest: int, *rule_ids: Union[str, MarginRule]
 ) -> list[Optional[MarginRule]]:
     """Check the witness cap, then resolve each rule and refuse it above its
     voter cap, all before the first evaluation.  Returns each rule's margin
-    function, or None for a rule that reads more than the margins."""
+    function, or None for a rule that reads more than the margins; a margin
+    function in place of a rule id is returned as it is."""
     validate_cap(max_witnesses)
     functions: list[Optional[MarginRule]] = []
     for rule_id in rule_ids:
+        if not isinstance(rule_id, str):
+            functions.append(rule_id)
+            continue
         canonical, rule = _rules.resolve(rule_id)
         _rules.check_voter_cap(canonical, rule, largest)
         reads_margins = rule.reads == _rules.MARGINS
@@ -390,7 +510,7 @@ def _decide(
     instances: str = "profiles",
 ) -> AxiomReport:
     """A margin rule's verdict from ``fails`` (its margin cells), with the
-    profile sweep ``violations`` run only to list witnesses; any other rule
+    sweep ``violations`` run only to list witnesses; any other rule
     (``fails`` None) is swept outright, over ``instances`` within the sweep
     budget."""
     if fails is None:
@@ -403,6 +523,19 @@ def _decide(
             f"{rule_id} {axiom}: a margin cell fails but no profile up to {bound} does"
         )
     return report
+
+
+def _check(table: _Table, bound: int, max_witnesses: Optional[int]) -> AxiomReport:
+    """The verdict of ``table`` up to ``bound``: over the margin cells when
+    every function it reads reads only the margins, otherwise by the sweep."""
+    _validate_bound(bound, table.least)
+    largest = bound * max(k.scale for k in table.keys)
+    f, *also = _margin_functions(max_witnesses, largest, table.rule, *table.also)
+    functions = (f,) * len(table.reads) + tuple(also)
+    fails = None if None in functions else functools.partial(_cells_fail, table, functions, bound)
+    violations = functools.partial(_sweep, table, bound)
+    axiom, instances = table.axiom, table.instances
+    return _decide(table.rule, axiom, bound, violations, fails, max_witnesses, instances)
 
 
 # ---------------------------------------------------------------------------
@@ -557,17 +690,6 @@ def check_reinforcement(
 # returns the failure note, or None when the instance passes.
 
 
-def _removal_instances(bound: int) -> Iterator[tuple[Profile, int, Profile]]:
-    """(P, order, P minus one order-voter) for all P with 2 <= n <= bound."""
-    for n in range(2, bound + 1):
-        for profile in ProfileCursor(n):
-            for order in range(6):
-                if profile[order]:
-                    reduced = list(profile)
-                    reduced[order] -= 1
-                    yield profile, order, tuple(reduced)
-
-
 def _best_of(order: int, winners: ChoiceSet) -> int:
     return min(winners, key=lambda c: ORDER_RANK_OF[order][c])
 
@@ -638,7 +760,9 @@ def _resolute(
     return None
 
 
-def _equivalence(order: int, before: ChoiceSet, after: ChoiceSet) -> Optional[str]:
+def _equivalence(
+    rule_id: str, order: int, before: ChoiceSet, after: ChoiceSet
+) -> Optional[str]:
     """The optimist clause must pass exactly when both involvement clauses do."""
     optimist_ok = _optimist(order, before, after) is None
     involvement_ok = (
@@ -647,7 +771,7 @@ def _equivalence(order: int, before: ChoiceSet, after: ChoiceSet) -> Optional[st
     )
     if optimist_ok != involvement_ok:
         return (
-            f"voter {ORDER_NAMES[order]}: optimist "
+            f"rule {rule_id}, voter {ORDER_NAMES[order]}: optimist "
             f"{'passes' if optimist_ok else 'fails'} but involvement "
             f"checks {'pass' if involvement_ok else 'fail'}"
         )
@@ -667,48 +791,16 @@ _PARTICIPATION = {
 
 ParticipationClause = Callable[[int, ChoiceSet, ChoiceSet], Optional[str]]
 
-#: the removal keys: each order, with the one voter of it who joins
-_JOINING_VOTER = tuple(
-    (order, tuple(int(o == order) for o in range(6))) for order in range(6)
-)
+#: the removal keys: each order, with the one voter of it who joins P - e_o
+_JOINING_VOTER = tuple(_moving(order, [order]) for order in range(6))
 
 
-def _participation_sweep(
-    rule_id: str, axiom: str, bound: int, clause: ParticipationClause
-) -> Iterator[Witness]:
-    """Run ``clause`` on every single-voter removal instance up to ``bound``."""
-    for profile, order, reduced in _removal_instances(bound):
-        before = _f(rule_id, reduced)
-        after = _f(rule_id, profile)
-        note = clause(order, before, after)
-        if note is not None:
-            yield Witness(axiom, (reduced, profile), (before, after), note)
-
-
-def _participation_cells_fail(f: MarginRule, clause: ParticipationClause, bound: int) -> bool:
-    """``clause`` on every (margins of P, order of the voter who joins)."""
-    joining = np.array(ORDER_MARGIN_VECTOR)  # what each order's voter adds to the margins
-    return _cells_fail(
-        bound,
-        2,
-        _JOINING_VOTER,
-        ((f, _unchanged), (f, lambda order, m: m - joining[order])),
-        lambda order, after, before: clause(order, before, after) is not None,
+def _participation_table(rule_id: str, axiom: str, clause: ParticipationClause) -> _Table:
+    """``clause(order, before, after)`` on P - e_o and P, for P with n >= 2."""
+    return _Table(
+        axiom, rule_id, _JOINING_VOTER, (True, False), clause,
+        least=2, instances="removal instances",
     )
-
-
-def _participation(
-    rule_id: str,
-    axiom: str,
-    bound: int,
-    clause: ParticipationClause,
-    max_witnesses: Optional[int],
-) -> AxiomReport:
-    _validate_bound(bound, 2)
-    (f,) = _margin_functions(max_witnesses, bound, rule_id)
-    fails = None if f is None else functools.partial(_participation_cells_fail, f, clause, bound)
-    violations = functools.partial(_participation_sweep, rule_id, axiom, bound, clause)
-    return _decide(rule_id, axiom, bound, violations, fails, max_witnesses, "removal instances")
 
 
 def check_participation(
@@ -730,8 +822,7 @@ def check_participation(
     entry = _PARTICIPATION.get(variant)
     if entry is None:
         raise ValueError(f"unknown participation variant: {variant!r}")
-    axiom, clause = entry
-    return _participation(rule_id, axiom, bound, clause, max_witnesses)
+    return _check(_participation_table(rule_id, *entry), bound, max_witnesses)
 
 
 def check_resolute_participation(
@@ -750,22 +841,12 @@ def check_resolute_participation(
         raise ValueError(f"tiebreak must be an order index in 0..5, got {tiebreak}")
     axiom = f"resolute_participation({ORDER_NAMES[tiebreak]})"
     clause = functools.partial(_resolute, tiebreak)
-    return _participation(rule_id, axiom, bound, clause, max_witnesses)
+    return _check(_participation_table(rule_id, axiom, clause), bound, max_witnesses)
 
 
 # ---------------------------------------------------------------------------
 # Single-profile axioms
 # ---------------------------------------------------------------------------
-#
-# Each ``*_witnesses`` generator yields the failures of one axiom on one
-# profile; ``_profile_sweep`` drives it over every profile up to a bound.
-
-
-def _profile_sweep(
-    bound: int, witnesses: Callable[[Profile], Iterator[Witness]]
-) -> Iterator[Witness]:
-    return (w for profile in profiles_up_to(bound) for w in witnesses(profile))
-
 
 _RESPONSIVENESS_AXIOMS = {
     "monotonicity": "monotonicity",
@@ -774,82 +855,31 @@ _RESPONSIVENESS_AXIOMS = {
 }
 
 
-def _improvement_moves() -> tuple[tuple[int, int, int, int], ...]:
-    """All (order, swapped order, promoted x, demoted y) adjacent swaps."""
-    moves = []
+def _promotions() -> dict[int, tuple[_Key, ...]]:
+    """The promotion keys for at most one and at most two simultaneous
+    swaps: one voter, then two voters (of one order or of two), move x from
+    just below y to just above it.  A key holds (x, y, the witness note)."""
+    singles, swaps = [], {}
     for order, ranking in enumerate(ORDER_RANKING):
         for position in (0, 1):
-            swapped = list(ranking)
-            swapped[position], swapped[position + 1] = (
-                swapped[position + 1],
-                swapped[position],
-            )
-            target = ORDER_RANKING.index(tuple(swapped))
-            moves.append((order, target, ranking[position + 1], ranking[position]))
-    return tuple(moves)
-
-
-_MOVES = _improvement_moves()
-
-
-def _double_moves() -> tuple[tuple[int, int, int, int, int, int], ...]:
-    """All (order, swapped, order, swapped, x, y): two single swaps promoting
-    the same x over y, the same swap twice included."""
-    moves = []
-    for x in CANDIDATES:
-        for y in CANDIDATES:
-            if x == y:
-                continue
-            first, second = [(o, t) for o, t, mx, my in _MOVES if (mx, my) == (x, y)]
-            for (o1, t1), (o2, t2) in ((first, first), (first, second), (second, second)):
-                moves.append((o1, t1, o2, t2, x, y))
-    return tuple(moves)
-
-
-_DOUBLE_MOVES = _double_moves()
-
-
-def _single_swaps(profile: Profile) -> Iterator[tuple[Profile, int, int, str]]:
-    for order, target, x, y in _MOVES:
-        if profile[order]:
-            counts = list(profile)
-            counts[order] -= 1
-            counts[target] += 1
+            y, x = ranking[position : position + 2]
+            target = ORDER_RANKING.index(ranking[:position] + (x, y) + ranking[position + 2 :])
             note = f"one {ORDER_NAMES[order]} voter moves {_candidate(x)} above {_candidate(y)}"
-            yield tuple(counts), x, y, note
+            singles.append(_moving((x, y, note), [order], [target]))
+            swaps.setdefault((x, y), []).append((order, target))
+    doubles = []
+    for (x, y), (first, second) in sorted(swaps.items()):
+        for (o1, t1), (o2, t2) in ((first, first), (first, second), (second, second)):
+            note = (
+                f"two voters ({ORDER_NAMES[o1]}, {ORDER_NAMES[o2]}) move "
+                f"{_candidate(x)} above {_candidate(y)}"
+            )
+            doubles.append(_moving((x, y, note), [o1, o2], [t1, t2]))
+    return {1: tuple(singles), 2: tuple(singles + doubles)}
 
 
-def _double_swaps(profile: Profile) -> Iterator[tuple[Profile, int, int, str]]:
-    """Two simultaneous single swaps promoting the same candidate pair."""
-    for o1, t1, o2, t2, x, y in _DOUBLE_MOVES:
-        counts = list(profile)
-        counts[o1] -= 1
-        counts[t1] += 1
-        counts[o2] -= 1
-        counts[t2] += 1
-        if min(counts) < 0:
-            continue
-        note = (
-            f"two voters ({ORDER_NAMES[o1]}, {ORDER_NAMES[o2]}) move "
-            f"{_candidate(x)} above {_candidate(y)}"
-        )
-        yield tuple(counts), x, y, note
-
-
-def _promotions(max_simultaneous_swaps: int) -> tuple[tuple[Hashable, tuple[int, ...]], ...]:
-    """The move keys: ((x, y, margin shift), voters each order gives up)."""
-    swaps = [(((order, target),), x, y) for order, target, x, y in _MOVES]
-    if max_simultaneous_swaps == 2:
-        swaps += [(((o1, t1), (o2, t2)), x, y) for o1, t1, o2, t2, x, y in _DOUBLE_MOVES]
-    keys = []
-    for moves, x, y in swaps:
-        need, shift = [0] * 6, [0, 0, 0]
-        for order, target in moves:
-            need[order] += 1
-            for k in range(3):
-                shift[k] += ORDER_MARGIN_VECTOR[target][k] - ORDER_MARGIN_VECTOR[order][k]
-        keys.append(((x, y, tuple(shift)), tuple(need)))
-    return tuple(keys)
+#: max simultaneous swaps -> the promotion keys
+_PROMOTIONS = _promotions()
 
 
 def _promotes_a_winner(variant: str, winners: ChoiceSet, x: int, y: int) -> bool:
@@ -862,21 +892,20 @@ def _responds(variant: str, x: int, outcome: ChoiceSet) -> bool:
     return x in outcome if variant == "monotonicity" else outcome == frozenset((x,))
 
 
-def responsiveness_witnesses(
-    rule_id: str, variant: str, profile: Profile, max_simultaneous_swaps: int = 1
-) -> Iterator[Witness]:
-    """The failures :func:`check_responsiveness` finds on one profile."""
+def _responsiveness_table(rule_id: str, variant: str, swaps: int = 1) -> _Table:
+    """The promotions of x over y on P, constrained only where x wins: the
+    sweep evaluates the promoted profile of no other key."""
+
+    def constrained(key: tuple[int, int, str], winners: ChoiceSet) -> bool:
+        return _promotes_a_winner(variant, winners, key[0], key[1])
+
+    def clause(key: tuple[int, int, str], winners: ChoiceSet, outcome: ChoiceSet) -> Optional[str]:
+        x, _, note = key
+        failed = constrained(key, winners) and not _responds(variant, x, outcome)
+        return note if failed else None
+
     axiom = _RESPONSIVENESS_AXIOMS[variant]
-    winners = _f(rule_id, profile)
-    improvements: Iterable[tuple[Profile, int, int, str]] = _single_swaps(profile)
-    if max_simultaneous_swaps == 2:
-        improvements = itertools.chain(improvements, _double_swaps(profile))
-    for improved, x, y, how in improvements:
-        if not _promotes_a_winner(variant, winners, x, y):
-            continue
-        outcome = _f(rule_id, improved)
-        if not _responds(variant, x, outcome):
-            yield Witness(axiom, (profile, improved), (winners, outcome), how)
+    return _Table(axiom, rule_id, _PROMOTIONS[swaps], (False, True), clause, guard=constrained)
 
 
 def check_responsiveness(
@@ -896,78 +925,54 @@ def check_responsiveness(
     ``max_simultaneous_swaps=2``, pairs of moves promoting the same (x, y)
     are checked as well.
     """
-    axiom = _RESPONSIVENESS_AXIOMS.get(variant)
-    if axiom is None:
+    if variant not in _RESPONSIVENESS_AXIOMS:
         raise ValueError(f"unknown responsiveness variant: {variant!r}")
     if max_simultaneous_swaps not in (1, 2):
         raise ValueError("only 1 or 2 simultaneous swaps are supported")
-    _validate_bound(bound, 1)
-    (f,) = _margin_functions(max_witnesses, bound, rule_id)
-
-    def cell_fails(key: tuple[int, int, Margins], winners: ChoiceSet, outcome: ChoiceSet) -> bool:
-        x, y, _ = key
-        return _promotes_a_winner(variant, winners, x, y) and not _responds(variant, x, outcome)
-
-    keys = _promotions(max_simultaneous_swaps)
-    shifts = np.array([shift for (_, _, shift), _ in keys])  # what each move adds to the margins
-    fails = None if f is None else functools.partial(
-        _cells_fail,
-        bound,
-        1,
-        keys,
-        ((f, _unchanged), (f, lambda key, m: m + shifts[key])),
-        cell_fails,
-    )
-    witnesses = functools.partial(
-        responsiveness_witnesses, rule_id, variant, max_simultaneous_swaps=max_simultaneous_swaps
-    )
-    violations = functools.partial(_profile_sweep, bound, witnesses)
-    return _decide(rule_id, axiom, bound, violations, fails, max_witnesses)
+    table = _responsiveness_table(rule_id, variant, max_simultaneous_swaps)
+    return _check(table, bound, max_witnesses)
 
 
-def _homogeneity(once: ChoiceSet, doubled: ChoiceSet) -> Optional[str]:
+def _homogeneity(_: None, once: ChoiceSet, doubled: ChoiceSet) -> Optional[str]:
     if once != doubled:
         return "doubling the electorate changes the outcome"
     return None
 
 
-def homogeneity_witnesses(rule_id: str, profile: Profile) -> Iterator[Witness]:
-    """The failures :func:`check_homogeneity` finds on one profile."""
-    once = _f(rule_id, profile)
-    doubled_profile = t_fold(profile, 2)
-    doubled = _f(rule_id, doubled_profile)
-    note = _homogeneity(once, doubled)
-    if note is not None:
-        yield Witness("homogeneity", (profile, doubled_profile), (once, doubled), note)
+#: the doubling 2P
+_DOUBLING = (
+    _Key(None, functools.partial(t_fold, t=2), matrix=((2, 0, 0), (0, 2, 0), (0, 0, 2)), scale=2),
+)
+
+
+def _homogeneity_table(rule_id: str) -> _Table:
+    return _Table("homogeneity", rule_id, _DOUBLING, (False, True), _homogeneity)
 
 
 def check_homogeneity(
     rule_id: str, bound: int, max_witnesses: Optional[int] = None
 ) -> AxiomReport:
     """Doubling every voter count must not change the outcome."""
-    _validate_bound(bound, 1)
-    (f,) = _margin_functions(max_witnesses, 2 * bound, rule_id)
-    fails = None if f is None else functools.partial(
-        _cells_fail,
-        bound,
-        1,
-        _EVERY_PROFILE,
-        ((f, _unchanged), (f, lambda _, m: 2 * m)),
-        lambda _, once, doubled: _homogeneity(once, doubled) is not None,
-    )
-    witnesses = functools.partial(homogeneity_witnesses, rule_id)
-    violations = functools.partial(_profile_sweep, bound, witnesses)
-    return _decide(rule_id, "homogeneity", bound, violations, fails, max_witnesses)
+    return _check(_homogeneity_table(rule_id), bound, max_witnesses)
 
 
-_CONDORCET_AXIOMS = {"standard": "condorcet_consistency", "strong": "strong_condorcet"}
+#: condorcet variant -> (check name, axiom name of its reports)
+_CONDORCET_AXIOMS = {
+    "standard": ("condorcet", "condorcet_consistency"),
+    "strong": ("strong_condorcet", "strong_condorcet"),
+}
 
 
 #: per variant, the candidates who must be exactly the winners, if any
 _CHAMPIONS = {"standard": _condorcet_winner_set, "strong": intermediate_condorcet_winners}
 
+#: the one key of an axiom read on P alone
+_EVERY_PROFILE = (_Key(None),)
 
-def _condorcet(variant: str, winners: ChoiceSet, champions: ChoiceSet) -> Optional[str]:
+
+def _condorcet(
+    variant: str, _: None, winners: ChoiceSet, champions: ChoiceSet
+) -> Optional[str]:
     if not champions or winners == champions:
         return None
     if variant == "standard":
@@ -976,12 +981,11 @@ def _condorcet(variant: str, winners: ChoiceSet, champions: ChoiceSet) -> Option
     return f"unbeaten candidates {choice_set_to_str(champions)} not selected exactly"
 
 
-def condorcet_witnesses(rule_id: str, variant: str, profile: Profile) -> Iterator[Witness]:
-    """The failures :func:`check_condorcet` finds on one profile."""
-    winners = _f(rule_id, profile)
-    note = _condorcet(variant, winners, _CHAMPIONS[variant](margins(profile)))
-    if note is not None:
-        yield Witness(_CONDORCET_AXIOMS[variant], (profile,), (winners,), note)
+def _condorcet_table(rule_id: str, variant: str) -> _Table:
+    return _Table(
+        _CONDORCET_AXIOMS[variant][1], rule_id, _EVERY_PROFILE, (False,),
+        functools.partial(_condorcet, variant), also=(_CHAMPIONS[variant],),
+    )
 
 
 def check_condorcet(
@@ -997,51 +1001,29 @@ def check_condorcet(
     comparison and wins at least one, the winners must be exactly the set of
     such candidates.
     """
-    axiom = _CONDORCET_AXIOMS.get(variant)
-    if axiom is None:
+    if variant not in _CONDORCET_AXIOMS:
         raise ValueError(f"unknown condorcet variant: {variant!r}")
-    _validate_bound(bound, 1)
-    (f,) = _margin_functions(max_witnesses, bound, rule_id)
-    fails = None if f is None else functools.partial(
-        _profiles_fail,
-        bound,
-        (f, _CHAMPIONS[variant]),
-        lambda winners, champions: _condorcet(variant, winners, champions) is not None,
-    )
-    witnesses = functools.partial(condorcet_witnesses, rule_id, variant)
-    violations = functools.partial(_profile_sweep, bound, witnesses)
-    return _decide(rule_id, axiom, bound, violations, fails, max_witnesses)
+    return _check(_condorcet_table(rule_id, variant), bound, max_witnesses)
 
 
-def _refinement(upper: str, fine: ChoiceSet, coarse: ChoiceSet) -> Optional[str]:
+def _refinement(upper: str, _: None, fine: ChoiceSet, coarse: ChoiceSet) -> Optional[str]:
     if not fine <= coarse:
         return f"{upper} gives {choice_set_to_str(coarse)}"
     return None
 
 
-def refinement_witnesses(lower: str, upper: str, profile: Profile) -> Iterator[Witness]:
-    """The failures :func:`check_refinement` finds on one profile."""
-    fine = _f(lower, profile)
-    note = _refinement(upper, fine, _f(upper, profile))
-    if note is not None:
-        yield Witness(f"refinement({upper})", (profile,), (fine,), note)
+def _refinement_table(lower: str, upper: str) -> _Table:
+    return _Table(
+        f"refinement({upper})", lower, _EVERY_PROFILE, (False,),
+        functools.partial(_refinement, upper), also=(upper,),
+    )
 
 
 def check_refinement(
     lower: str, upper: str, bound: int, max_witnesses: Optional[int] = None
 ) -> AxiomReport:
     """Every winner of ``lower`` must also win under ``upper``."""
-    _validate_bound(bound, 1)
-    f_lower, f_upper = _margin_functions(max_witnesses, bound, lower, upper)
-    fails = None if f_lower is None or f_upper is None else functools.partial(
-        _profiles_fail,
-        bound,
-        (f_lower, f_upper),
-        lambda fine, coarse: _refinement(upper, fine, coarse) is not None,
-    )
-    witnesses = functools.partial(refinement_witnesses, lower, upper)
-    violations = functools.partial(_profile_sweep, bound, witnesses)
-    return _decide(lower, f"refinement({upper})", bound, violations, fails, max_witnesses)
+    return _check(_refinement_table(lower, upper), bound, max_witnesses)
 
 
 def _neutrality(
@@ -1053,46 +1035,42 @@ def _neutrality(
     return None
 
 
-def _permutation_matrix(sigma: tuple[int, int, int]) -> tuple[tuple[int, ...], ...]:
-    """The signed permutation matrix of ``permute_margins(., sigma)``."""
-    columns = [permute_margins(unit, sigma) for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    return tuple(zip(*columns))
+#: the relabellings sigma P, but the identity
+_RELABELLINGS = tuple(
+    _Key(sigma, functools.partial(permute_profile, sigma=sigma), matrix=_permutation_matrix(sigma))
+    for sigma in PERMUTATIONS[1:]
+)
 
 
-def neutrality_witnesses(rule_id: str, profile: Profile) -> Iterator[Witness]:
-    """The failures :func:`check_neutrality` finds on one profile."""
-    winners = _f(rule_id, profile)
-    for sigma in PERMUTATIONS[1:]:
-        relabelled_profile = permute_profile(profile, sigma)
-        relabelled_winners = _f(rule_id, relabelled_profile)
-        note = _neutrality(sigma, winners, relabelled_winners)
-        if note is not None:
-            yield Witness(
-                "neutrality",
-                (profile, relabelled_profile),
-                (winners, relabelled_winners),
-                note,
-            )
+def _neutrality_table(rule_id: str) -> _Table:
+    return _Table("neutrality", rule_id, _RELABELLINGS, (False, True), _neutrality)
 
 
 def check_neutrality(
     rule_id: str, bound: int, max_witnesses: Optional[int] = None
 ) -> AxiomReport:
     """Relabelling the candidates must relabel the winners the same way."""
-    _validate_bound(bound, 1)
-    (f,) = _margin_functions(max_witnesses, bound, rule_id)
-    relabel = np.array([_permutation_matrix(sigma) for sigma in PERMUTATIONS[1:]])
-    fails = None if f is None else functools.partial(
-        _cells_fail,
-        bound,
-        1,
-        tuple((sigma, _NOBODY) for sigma in PERMUTATIONS[1:]),
-        ((f, _unchanged), (f, lambda key, m: np.einsum("kij,kj->ki", relabel[key], m))),
-        lambda sigma, winners, relabelled: _neutrality(sigma, winners, relabelled) is not None,
-    )
-    witnesses = functools.partial(neutrality_witnesses, rule_id)
-    violations = functools.partial(_profile_sweep, bound, witnesses)
-    return _decide(rule_id, "neutrality", bound, violations, fails, max_witnesses)
+    return _check(_neutrality_table(rule_id), bound, max_witnesses)
+
+
+#: the check name of each axiom that ``search`` reads on one profile P, the
+#: first profile of each of its witnesses -> its table for a rule id
+_TABLES: dict[str, Callable[[str], _Table]] = {
+    **{
+        axiom: functools.partial(_responsiveness_table, variant=variant)
+        for variant, axiom in _RESPONSIVENESS_AXIOMS.items()
+    },
+    "homogeneity": _homogeneity_table,
+    "neutrality": _neutrality_table,
+}
+
+
+def profile_step(axiom: str, rule_id: str) -> Callable[[Profile], list[Witness]]:
+    """The step of the sweep of the ``axiom`` check of ``rule_id`` on one
+    profile P: the witnesses it finds there, P the first profile of each.
+    ``axiom`` names a responsiveness variant (one swap at a time),
+    ``homogeneity`` or ``neutrality``."""
+    return _stepper(_TABLES[axiom](rule_id))
 
 
 # ---------------------------------------------------------------------------
@@ -1146,8 +1124,9 @@ def verify_optimist_equivalence(
     the optimist comparison passes if and only if both the positive
     involvement and the singleton negative involvement checks pass on that
     same instance.  The returned report uses rule id ``"all"``; witnesses
-    carry the offending rule in their note.  A margin rule whose cells all
-    pass is left out of the sweep: it has no witness to list.
+    carry the offending rule in their note.  Each rule is the participation
+    check of its own; a margin rule whose cells all pass is left out of the
+    sweep: it has no witness to list.
     """
     _validate_bound(bound, 2)
     if rule_ids is None:
@@ -1156,28 +1135,42 @@ def verify_optimist_equivalence(
     axiom = "optimist_equivalence"
     functions = _margin_functions(max_witnesses, bound, *rule_ids)
     if any(f is not None for f in functions):
-        # the cells of _participation_cells_fail, checked before the sweep
+        # the cells of every margin rule, checked before the first sweep
         _refuse_oversized(bound)
     _refuse_oversized_sweep(bound, "removal instances", functions.count(None))
-    cells_fail = [
-        f is not None and _participation_cells_fail(f, _equivalence, bound) for f in functions
+    tables = [
+        _participation_table(r, axiom, functools.partial(_equivalence, r)) for r in rule_ids
     ]
-    swept = [r for r, f, fails in zip(rule_ids, functions, cells_fail) if f is None or fails]
-    if not swept:
-        return AxiomReport("all", axiom, bound, HOLDS, ())
-
-    def violations() -> Iterator[Witness]:
-        instances = list(_removal_instances(bound))
-        for rule_id in swept:
-            for profile, order, reduced in instances:
-                before = _f(rule_id, reduced)
-                after = _f(rule_id, profile)
-                note = _equivalence(order, before, after)
-                if note is not None:
-                    note = f"rule {rule_id}, {note}"
-                    yield Witness(axiom, (reduced, profile), (before, after), note)
-
-    report = _finish("all", axiom, bound, violations(), max_witnesses)
+    cells_fail = [
+        f is not None and _cells_fail(table, (f, f), bound) for table, f in zip(tables, functions)
+    ]
+    swept = [t for t, f, fails in zip(tables, functions, cells_fail) if f is None or fails]
+    violations = (w for table in swept for w in _sweep(table, bound))
+    report = _finish("all", axiom, bound, violations, max_witnesses)
     if any(cells_fail) and report.holds:
         raise RuntimeError(f"{axiom}: a margin cell fails but no profile up to {bound} does")
     return report
+
+
+#: every axiom name of a check that takes (rule_id, bound, max_witnesses) ->
+#: that check; each check function is looked up by name when it is called
+CHECKERS: dict[str, Callable[[str, int, Optional[int]], AxiomReport]] = {
+    **{
+        axiom: lambda r, b, w, v=variant: check_reinforcement(r, v, b, w)
+        for variant, axiom in _REINFORCEMENT_AXIOMS.items()
+    },
+    **{
+        axiom: lambda r, b, w, v=variant: check_participation(r, v, b, w)
+        for variant, (axiom, _) in _PARTICIPATION.items()
+    },
+    **{
+        axiom: lambda r, b, w, v=variant: check_responsiveness(r, v, b, max_witnesses=w)
+        for variant, axiom in _RESPONSIVENESS_AXIOMS.items()
+    },
+    "homogeneity": lambda r, b, w: check_homogeneity(r, b, w),
+    **{
+        name: lambda r, b, w, v=variant: check_condorcet(r, v, b, w)
+        for variant, (name, _) in _CONDORCET_AXIOMS.items()
+    },
+    "neutrality": lambda r, b, w: check_neutrality(r, b, w),
+}

@@ -20,7 +20,7 @@ import io
 import os
 import re
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import axioms, enumeration, rules, satgen
 from .core import (
@@ -96,30 +96,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-#: axiom id -> checker taking (rule_id, bound, max_witnesses)
-_AXIOM_CHECKERS = {
-    "reinforcement": lambda r, b, w: axioms.check_reinforcement(r, "full", b, w),
-    "subset_reinforcement": lambda r, b, w: axioms.check_reinforcement(r, "subset", b, w),
-    "superset_reinforcement": lambda r, b, w: axioms.check_reinforcement(r, "superset", b, w),
-    "optimist_participation": lambda r, b, w: axioms.check_participation(r, "optimist", b, w),
-    "positive_involvement": lambda r, b, w: axioms.check_participation(r, "positive_involvement", b, w),
-    "singleton_negative_involvement": lambda r, b, w: axioms.check_participation(
-        r, "singleton_negative_involvement", b, w
-    ),
-    "fishburn_participation": lambda r, b, w: axioms.check_participation(r, "fishburn", b, w),
-    "monotonicity": lambda r, b, w: axioms.check_responsiveness(r, "monotonicity", b, max_witnesses=w),
-    "positive_responsiveness": lambda r, b, w: axioms.check_responsiveness(r, "positive", b, max_witnesses=w),
-    "tiebreak_positive_responsiveness": lambda r, b, w: axioms.check_responsiveness(
-        r, "tiebreak_positive", b, max_witnesses=w
-    ),
-    "homogeneity": lambda r, b, w: axioms.check_homogeneity(r, b, w),
-    "condorcet": lambda r, b, w: axioms.check_condorcet(r, "standard", b, w),
-    "strong_condorcet": lambda r, b, w: axioms.check_condorcet(r, "strong", b, w),
-    "neutrality": lambda r, b, w: axioms.check_neutrality(r, b, w),
-}
-
 _SPECIAL_AXIOMS = ("resolute_participation", "refinement", "continuity", "optimist_equivalence")
-AXIOM_IDS = tuple(sorted(_AXIOM_CHECKERS)) + _SPECIAL_AXIOMS
+AXIOM_IDS = tuple(sorted(axioms.CHECKERS)) + _SPECIAL_AXIOMS
 
 
 def _note_rules_left_out(bound: int) -> None:
@@ -168,7 +146,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             )
             return 0
         else:
-            report = _AXIOM_CHECKERS[axiom](args.rule, bound, cap)
+            report = axioms.CHECKERS[axiom](args.rule, bound, cap)
     except (rules.UnsupportedRuleError, rules.BoundExceededError, ValueError) as exc:
         return _fail(str(exc))
     print(report.render())
@@ -264,8 +242,14 @@ def _weak_scoring_overrides_condorcet(profile: Profile) -> bool:
     )
 
 
-#: named predicates for ``search``: id -> (predicate, description); the axiom
-#: predicates ask whether the checker's per-profile generator finds a witness
+def _violates(axiom: str, rule_id: str) -> Callable[[Profile], bool]:
+    """Whether the ``axiom`` check of ``rule_id`` finds a witness on a profile,
+    by the one step of its sweep on that profile."""
+    step = axioms.profile_step(axiom, rule_id)
+    return lambda profile: bool(step(profile))
+
+
+#: named predicates for ``search``: id -> (predicate, description)
 SEARCH_PREDICATES = {
     "weak-scoring-overrides-condorcet": (
         _weak_scoring_overrides_condorcet,
@@ -273,15 +257,15 @@ SEARCH_PREDICATES = {
         "weakly monotonic scoring vector",
     ),
     "artificial-homogeneity-violation": (
-        lambda profile: any(axioms.homogeneity_witnesses("artificial", profile)),
+        _violates("homogeneity", "artificial"),
         "doubling the profile changes the artificial rule's winners",
     ),
     "artificial-neutrality-violation": (
-        lambda profile: any(axioms.neutrality_witnesses("artificial", profile)),
+        _violates("neutrality", "artificial"),
         "relabeling candidates changes the artificial rule's winners",
     ),
     "nanson-positive-responsiveness-violation": (
-        lambda profile: any(axioms.responsiveness_witnesses("nanson", "positive", profile)),
+        _violates("positive_responsiveness", "nanson"),
         "promoting a Nanson winner on one ballot fails to make it the unique winner",
     ),
 }
@@ -302,10 +286,12 @@ def cmd_search(args: argparse.Namespace) -> int:
     if args.bound < 1:
         return _fail(f"--bound must be at least 1, got {args.bound}")
     try:
-        axioms._refuse_oversized_sweep(args.bound, "profiles")
+        # a first-mode search stops at the budget, as it may end long before it
+        if args.mode == "all":
+            axioms._refuse_oversized_sweep(args.bound, "profiles")
+        hits = enumeration.search(predicate, args.bound, args.mode, axioms.SWEEP_BUDGET)
     except rules.BoundExceededError as exc:
         return _fail(str(exc))
-    hits = enumeration.search(predicate, args.bound, mode=args.mode)
     for profile in hits:
         print(format_profile(profile))
     if hits:

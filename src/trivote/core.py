@@ -16,6 +16,7 @@ same-parity margin graph.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -202,13 +203,17 @@ _ORDER_PERM = tuple(
 )
 
 
+#: per sigma, the picks from a profile that give the renamed profile: order t
+#: gets the voters of the order that sigma renames to t
+_PROFILE_PICK = {
+    sigma: operator.itemgetter(*(renamed.index(t) for t in range(6)))
+    for sigma, renamed in zip(PERMUTATIONS, _ORDER_PERM)
+}
+
+
 def permute_profile(profile: Profile, sigma: tuple[int, int, int]) -> Profile:
     """Profile with every voter's order renamed through sigma."""
-    s = PERMUTATIONS.index(sigma)
-    out = [0] * 6
-    for o, count in enumerate(profile):
-        out[_ORDER_PERM[s][o]] += count
-    return tuple(out)
+    return _PROFILE_PICK[sigma](profile)
 
 
 #: per sigma, in lexicographic order, the renamed triple as signed picks from

@@ -450,17 +450,24 @@ def search(
     predicate: Callable[[Profile], bool],
     bound: int,
     mode: str = "first",
+    budget: Optional[int] = None,
 ) -> list[Profile]:
     """Profiles with ``1 <= n <= bound`` satisfying a pure predicate.
 
     Profiles are visited by voter count and then in colex order, so the
     witness list is deterministic; ``mode="first"`` short-circuits at the
-    first hit.
+    first hit.  A search that would visit more than ``budget`` profiles
+    raises ``rules.BoundExceededError`` once it has visited that many.
     """
     if mode not in ("first", "all"):
         raise ValueError(f"unknown search mode: {mode!r}")
     hits: list[Profile] = []
-    for profile in profiles_up_to(bound):
+    for visited, profile in enumerate(profiles_up_to(bound)):
+        if visited == budget:
+            raise _rules.BoundExceededError(
+                f"search stopped unfinished after {budget} profiles up to {bound} "
+                f"voters: a longer search is over the budget of {budget}"
+            )
         if predicate(profile):
             hits.append(profile)
             if mode == "first":

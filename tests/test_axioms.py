@@ -1,7 +1,6 @@
 """Axiom checkers: pinned verdicts, witness plumbing, and cross-rule laws."""
 
 import functools
-import itertools
 import random
 
 import numpy as np
@@ -419,40 +418,37 @@ def _reinforcement(variant):
     )
 
 
+def _swept(checker, table):
+    """(checker, the one sweep of the key table ``table(rule_id)``)"""
+    return checker, lambda r, b: axioms._sweep(table(r), b)
+
+
 def _participation(variant):
-    axiom, clause = axioms._PARTICIPATION[variant]
-    return (
+    return _swept(
         lambda r, b: axioms.check_participation(r, variant, b, max_witnesses=1),
-        lambda r, b: axioms._participation_sweep(r, axiom, b, clause),
+        lambda r: axioms._participation_table(r, *axioms._PARTICIPATION[variant]),
     )
 
 
 def _resolute(tiebreak):
     clause = functools.partial(axioms._resolute, tiebreak)
-    return (
+    return _swept(
         lambda r, b: axioms.check_resolute_participation(r, tiebreak, b, max_witnesses=1),
-        lambda r, b: axioms._participation_sweep(r, "resolute", b, clause),
-    )
-
-
-def _per_profile(checker, witnesses):
-    return (
-        lambda r, b: checker(r, b),
-        lambda r, b: axioms._profile_sweep(b, functools.partial(witnesses, r)),
+        lambda r: axioms._participation_table(r, "resolute", clause),
     )
 
 
 def _responsiveness(variant, swaps):
-    return _per_profile(
+    return _swept(
         lambda r, b: axioms.check_responsiveness(r, variant, b, swaps, max_witnesses=1),
-        lambda r, p: axioms.responsiveness_witnesses(r, variant, p, swaps),
+        lambda r: axioms._responsiveness_table(r, variant, swaps),
     )
 
 
 def _condorcet(variant):
-    return _per_profile(
+    return _swept(
         lambda r, b: axioms.check_condorcet(r, variant, b, max_witnesses=1),
-        lambda r, p: axioms.condorcet_witnesses(r, variant, p),
+        lambda r: axioms._condorcet_table(r, variant),
     )
 
 
@@ -461,27 +457,29 @@ CELL_VARIANTS = {
     **{f"reinforcement-{v}": _reinforcement(v) for v in ("full", "subset", "superset")},
     **{f"participation-{v}": _participation(v) for v in axioms._PARTICIPATION},
     **{f"resolute-{core.ORDER_NAMES[t]}": _resolute(t) for t in range(6)},
-    "optimist_equivalence": (
+    "optimist_equivalence": _swept(
         lambda r, b: axioms.verify_optimist_equivalence(b, [r], max_witnesses=1),
-        lambda r, b: axioms._participation_sweep(r, "equivalence", b, axioms._equivalence),
+        lambda r: axioms._participation_table(
+            r, "equivalence", functools.partial(axioms._equivalence, r)
+        ),
     ),
     **{
         f"responsiveness-{v}-{s}": _responsiveness(v, s)
         for v in ("monotonicity", "positive", "tiebreak_positive")
         for s in (1, 2)
     },
-    "homogeneity": _per_profile(
+    "homogeneity": _swept(
         lambda r, b: axioms.check_homogeneity(r, b, max_witnesses=1),
-        axioms.homogeneity_witnesses,
+        axioms._homogeneity_table,
     ),
     **{f"condorcet-{v}": _condorcet(v) for v in ("standard", "strong")},
-    "neutrality": _per_profile(
+    "neutrality": _swept(
         lambda r, b: axioms.check_neutrality(r, b, max_witnesses=1),
-        axioms.neutrality_witnesses,
+        axioms._neutrality_table,
     ),
-    "refinement-maximin": _per_profile(
+    "refinement-maximin": _swept(
         lambda r, b: axioms.check_refinement(r, "maximin", b, max_witnesses=1),
-        lambda r, p: axioms.refinement_witnesses(r, "maximin", p),
+        lambda r: axioms._refinement_table(r, "maximin"),
     ),
 }
 
@@ -530,10 +528,27 @@ def test_cell_verdicts_of_a_biased_margin_rule_match_the_profile_sweep(monkeypat
         assert not swept_holds
 
 
+def test_each_key_maps_the_margins_as_it_maps_the_profile():
+    keys = (
+        axioms._PROMOTIONS[2] + axioms._JOINING_VOTER + axioms._DOUBLING
+        + axioms._RELABELLINGS + axioms._EVERY_PROFILE
+    )
+    for profile in enumeration.profiles_up_to(4):
+        m = np.array(core.margins(profile))
+        for key in keys:
+            second = key.profile(profile)
+            holds = all(c >= k for c, k in zip(profile, key.need))
+            assert (second is not None) == holds
+            if second is not None:
+                assert min(second) >= 0
+                (matrix,), (offset,), _ = axioms._margin_maps((key,))
+                assert core.margins(second) == tuple(matrix @ m + offset)
+
+
 def test_fewest_voters_is_the_smallest_realizing_profile():
     bound = 6
-    keys = axioms._promotions(2) + axioms._JOINING_VOTER + axioms._EVERY_PROFILE
-    needs = sorted({need for _, need in keys})
+    keys = axioms._PROMOTIONS[2] + axioms._JOINING_VOTER + axioms._EVERY_PROFILE
+    needs = sorted({key.need for key in keys})
     margins, surplus, size = axioms._surplus_cells(bound)
     cells = [tuple(m) for m in margins.tolist()]
     assert len(set(cells)) == len(cells)
@@ -553,8 +568,8 @@ def test_fewest_voters_is_the_smallest_realizing_profile():
         }
         assert fewest == smallest
         realized = [
-            (tuple(m), keys[k][1])
-            for key, block in axioms._realized(bound, least, keys)
+            (tuple(m), keys[k].need)
+            for key, block in axioms._realized(bound, least, [key.need for key in keys])
             for k, m in zip(key.tolist(), block.tolist())
         ]
         assert set(realized) == set(smallest)
@@ -647,44 +662,29 @@ def test_a_holding_check_evaluates_a_registered_rule_once_per_sign_face(
 )
 def test_a_per_profile_clause_is_called_once_per_output_class(monkeypatch, check):
     calls, widths = [], []
-    profiles_fail = axioms._profiles_fail
+    cells_fail = axioms._cells_fail
 
-    def counting(bound, functions, fails):
-        def counted(*outputs):
+    def counting(table, functions, bound):
+        def counted(key, *outputs):
             calls.append(outputs)
-            return fails(*outputs)
+            return table.clause(key, *outputs)
 
         widths.append(len(functions))
-        return profiles_fail(bound, functions, counted)
+        return cells_fail(table._replace(clause=counted), functions, bound)
 
-    monkeypatch.setattr(axioms, "_profiles_fail", counting)
+    monkeypatch.setattr(axioms, "_cells_fail", counting)
     assert check().holds
     (k,) = widths
     assert calls and len(set(calls)) == len(calls) <= 8**k
 
 
 def test_a_failing_cell_without_a_failing_profile_is_an_error(monkeypatch):
-    monkeypatch.setattr(axioms, "_profile_sweep", lambda bound, witnesses: iter(()))
+    monkeypatch.setattr(axioms, "_sweep", lambda table, bound: iter(()))
     with pytest.raises(RuntimeError, match="a margin cell fails but no profile up to 10 does"):
         axioms.check_responsiveness("baldwin", "monotonicity", 10)
-    monkeypatch.setattr(axioms, "_participation_cells_fail", lambda f, clause, bound: True)
-    monkeypatch.setattr(axioms, "_removal_instances", lambda bound: iter(()))
+    monkeypatch.setattr(axioms, "_cells_fail", lambda table, functions, bound: True)
     with pytest.raises(RuntimeError, match="a margin cell fails but no profile up to 4 does"):
         axioms.verify_optimist_equivalence(4, ["maximin"])
-
-
-def test_promotion_keys_are_the_moves_the_sweep_makes():
-    profile = (2,) * 6
-    m = core.margins(profile)
-    moves = itertools.chain(axioms._single_swaps(profile), axioms._double_swaps(profile))
-    swept = [
-        (
-            (x, y, tuple(a - b for a, b in zip(core.margins(improved), m))),
-            tuple(max(0, before - after) for before, after in zip(profile, improved)),
-        )
-        for improved, x, y, _ in moves
-    ]
-    assert sorted(swept) == sorted(axioms._promotions(2))
 
 
 @pytest.fixture
@@ -727,13 +727,21 @@ def test_a_margin_rule_refined_by_a_profile_rule_is_swept(evaluations):
 
 
 def test_sweep_sizes_count_the_instances_each_sweep_visits():
+    # per kind, a table whose sweep calls its clause once per instance it takes
+    tables = {
+        "profiles": axioms._condorcet_table("plurality", "standard"),
+        "removal instances": axioms._participation_table("plurality", "x", axioms._optimist),
+    }
     for bound in range(2, 8):
         sizes = {instances: size(bound) for instances, size in axioms._SWEEP_SIZE.items()}
-        assert sizes == {
-            "profiles": sum(1 for _ in enumeration.profiles_up_to(bound)),
-            "removal instances": sum(1 for _ in axioms._removal_instances(bound)),
-            "profile pairs": sum(1 for _ in axioms._profile_pairs(bound)),
-        }
+        visited = {"profile pairs": sum(1 for _ in axioms._profile_pairs(bound))}
+        for instances, table in tables.items():
+            assert table.instances == instances
+            taken = []
+            counted = table._replace(clause=lambda key, *outputs: taken.append(key))
+            assert next(axioms._sweep(counted, bound), None) is None
+            visited[instances] = len(taken)
+        assert sizes == visited
 
 
 @pytest.mark.parametrize("rule_id", ["plurality", "scoring:2,1,0", "artificial"])
@@ -741,7 +749,7 @@ def test_an_oversized_sweep_is_refused_before_any_profile(monkeypatch, evaluatio
     def no_work(*args, **kwargs):
         raise AssertionError("work began before the sweep budget was checked")
 
-    for name in ("ProfileCursor", "profiles_up_to", "_surplus_cells"):
+    for name in ("profiles_up_to", "_stepper", "_surplus_cells"):
         monkeypatch.setattr(axioms, name, no_work)
     bound = 10**5
     checks = [

@@ -421,6 +421,25 @@ def test_verify_output_matches_the_recorded_digests(capsys, axiom):
         assert _exit_and_digest(capsys, command) == tuple(DIGESTS[command]), command
 
 
+#: [exit code, stdout sha256] of every axiom but continuity, for plurality,
+#: artificial and scoring:3,1,0 (rules that read more than the margins, so
+#: every check sweeps) at bounds 4-6 (refinement with --upper maximin), at the
+#: default witness cap and at 1000; recorded at commit 48a45d6, from the
+#: sweeps each axiom had before the key tables drove them
+PROFILE_RULE_DIGESTS = json.loads(
+    Path(__file__).with_name("verify_digests_profile_rules.json").read_text()
+)["commands"]
+
+
+@pytest.mark.parametrize("axiom", [a for a in cli.AXIOM_IDS if a != "continuity"])
+def test_swept_verify_output_matches_the_recorded_digests(capsys, axiom):
+    commands = [c for c in PROFILE_RULE_DIGESTS if c.split()[4] == axiom]
+    assert len(commands) == 3 * 3 * 2
+    for command in commands:
+        expected = tuple(PROFILE_RULE_DIGESTS[command])
+        assert _exit_and_digest(capsys, command) == expected, command
+
+
 # ---------------------------------------------------------------------------
 # figure4
 # ---------------------------------------------------------------------------
@@ -676,6 +695,33 @@ def test_search_refuses_an_oversized_sweep_before_any_profile(capsys, monkeypatc
     assert out == ""
     assert err.count("\n") == 1
     assert f"over the budget of {axioms.SWEEP_BUDGET}" in err
+
+
+def test_search_first_mode_stops_at_the_sweep_budget(capsys, monkeypatch):
+    predicate = "nanson-positive-responsiveness-violation"  # first hit at 4 voters
+    monkeypatch.setattr(axioms, "SWEEP_BUDGET", 60)  # the profiles up to 3 voters are 83
+    code, out, err = run(capsys, "search", predicate, "--bound", "5")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "stopped unfinished after 60 profiles up to 5 voters" in err
+    assert "over the budget of 60" in err
+    # a bound whose profiles all fit the budget is searched to the end
+    code, out, err = run(capsys, "search", "artificial-homogeneity-violation", "--bound", "2")
+    assert (code, out) == (0, "")
+    # the all mode is refused before any profile
+    monkeypatch.setattr(enumeration, "profiles_up_to", None)
+    code, out, err = run(capsys, "search", predicate, "--bound", "5", "--mode", "all")
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    assert "over the budget of 60" in err
+
+
+def test_search_first_mode_finds_a_hit_past_the_bound_of_the_budget(capsys):
+    # all profiles up to 20 voters are 230229, over the budget; the first hit has 4
+    code, out, err = run(
+        capsys, "search", "nanson-positive-responsiveness-violation", "--bound", "20"
+    )
+    assert (code, out, err) == (1, "1abc+1acb+2bac\n", "")
 
 
 def test_search_list_and_unknown(capsys):
