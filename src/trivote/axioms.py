@@ -32,9 +32,15 @@ the witness note or None:
   class.  Refinement reads a second rule, and Condorcet a second column:
   the candidates who must win (the Condorcet winner, or the unbeaten
   candidates).  The registered rules and those candidates are constant on
-  every sign face, so each is evaluated at most once per face in a process,
-  through the face layer of ``enumeration``; any other margin function once
-  per distinct triple.  When nothing fails, the verdict is
+  every sign face, so each is evaluated at most once per face in a process
+  and kept as a vector of codes by face (``enumeration``).  Each block of
+  cells, and its image, is mapped to faces once and shared by every
+  column: the check first grows the process's box of face positions to its
+  bound plus the largest shift of an image, so the mapping is one gather
+  (a doubling 2m has m's face), and a column is one more gather of its
+  codes.  Any other margin function is evaluated once per distinct triple.
+  ``optimist_equivalence`` walks the cells once for all its margin rules.
+  When nothing fails, the verdict is
   ``holds-up-to-bound`` and no profile is touched; otherwise the sweep runs
   as for any other rule, to list the witnesses in its order.
 
@@ -81,7 +87,6 @@ from .core import (
     bottom,
     choice_set_to_str,
     combine,
-    condorcet_winner,
     format_profile,
     intermediate_condorcet_winners,
     margins,
@@ -92,8 +97,9 @@ from .core import (
     top,
     total_voters,
 )
-from .enumeration import _ORDERS, _REVERSES, _SURPLUS_TO_MARGINS, profiles_up_to
-from .enumeration import _face_positions, _face_value, _order_surplus, _surplus_vectors
+from .enumeration import _CODE_OF, _ORDERS, _REVERSES, _SURPLUS_TO_MARGINS, profiles_up_to
+from .enumeration import _condorcet_winner_set, _face_codes, _face_positions, _grow_box
+from .enumeration import _order_surplus, _surplus_vectors
 
 HOLDS = "holds-up-to-bound"
 VIOLATED = "violated"
@@ -193,9 +199,6 @@ _NOBODY = (0,) * 6
 #: temporaries stay small, large enough for few numpy calls
 _BLOCK_ROWS = 1 << 11
 
-#: the 3-bit output code of each choice set, its mask in CHOICE_SETS
-_CODE_OF = {choice: code for code, choice in enumerate(CHOICE_SETS)}
-
 #: the most bytes that the margin cells of one check may take; a larger
 #: check is refused before anything is allocated
 TABLE_BUDGET = 64 << 20
@@ -272,17 +275,16 @@ def _fewest_voters(
 
 
 def _new_classes(classes: np.ndarray, seen: np.ndarray) -> np.ndarray:
-    """One row of each class not ``seen`` before, which is then marked seen."""
-    _, rows = np.unique(classes, return_index=True)
-    rows = rows[~seen[classes[rows]]]
+    """One row of each class not ``seen`` before, in row order, which is then
+    marked seen: each class's rows write their index to its slot, and the
+    row whose write was kept is taken."""
+    rows = np.flatnonzero(~seen[classes])
+    fresh = classes[rows]
+    slot = np.empty(seen.size, dtype=np.intp)
+    slot[fresh] = rows
+    rows = rows[slot[fresh] == rows]
     seen[classes[rows]] = True
     return rows
-
-
-def _condorcet_winner_set(m: Margins) -> ChoiceSet:
-    """The Condorcet winner as a singleton, or the empty set."""
-    champion = condorcet_winner(m)
-    return CHOICE_SETS[0 if champion is None else 1 << champion]
 
 
 #: the margin functions of the registered rules and of the candidates who must
@@ -296,23 +298,19 @@ _FACE_RULES = frozenset(
 
 class _Outputs:
     """A margin function's choice sets as output codes.  One of _FACE_RULES is
-    evaluated at most once per sign face in a process, through the face layer
-    of ``enumeration``; any other (only tests make them) once per triple."""
+    read from its vector of codes by face (``enumeration._face_codes``), so it
+    is evaluated at most once per sign face in a process; any other (only
+    tests make them) once per triple."""
 
     def __init__(self, f: MarginRule) -> None:
         self._f = f
         self._code = None if f in _FACE_RULES else functools.cache(lambda m: _CODE_OF[f(m)])
 
-    def __call__(self, m: np.ndarray) -> np.ndarray:
-        """The code of each row of margins."""
+    def __call__(self, m: np.ndarray, faces: np.ndarray) -> np.ndarray:
+        """The code of each row of margins, whose face positions are ``faces``."""
         if self._code is not None:
             return np.array([self._code(tuple(t)) for t in m.tolist()], dtype=np.intp)
-        faces = _face_positions(m)
-        count = np.bincount(faces)
-        met = np.flatnonzero(count)
-        codes = np.zeros(count.size, dtype=np.intp)
-        codes[met] = [_CODE_OF[_face_value(self._f, face)] for face in met.tolist()]
-        return codes[faces]
+        return _face_codes(self._f)[faces]
 
 
 # ---------------------------------------------------------------------------
@@ -447,37 +445,67 @@ def _realized(
 
 
 @functools.cache
-def _margin_maps(keys: tuple[_Key, ...]) -> tuple[np.ndarray, np.ndarray, bool]:
+def _margin_maps(keys: tuple[_Key, ...]) -> tuple[np.ndarray, np.ndarray, bool, bool]:
     """Arrays A and b, index for index with ``keys``, such that the second
     profile of a key has the margins A m + b when P has the margins m, built
-    once per key table; and whether every A is the identity: keys that only
-    move voters shift the margins, which is cheaper to apply."""
+    once per key table; whether every A is the identity: keys that only
+    move voters shift the margins, which is cheaper to apply; and whether
+    every A m + b is a positive multiple of m, which has m's sign face."""
     matrix, offset = np.array([k.matrix for k in keys]), np.array([k.offset for k in keys])
-    return matrix, offset, bool((matrix == np.identity(3, dtype=int)).all())
+    factor = matrix[:, :1, :1]
+    scales = (matrix == factor * np.identity(3, dtype=int)).all() and (factor > 0).all()
+    scales = scales and not offset.any()
+    return matrix, offset, bool((matrix == np.identity(3, dtype=int)).all()), bool(scales)
+
+
+#: a key table and the margin function of each output that its clause reads
+_Check = tuple[_Table, tuple[MarginRule, ...]]
+
+
+def _cells_fail_each(checks: list[_Check], bound: int) -> list[bool]:
+    """Per check (table, functions), whether the clause of ``table`` fails on
+    the margins m of some cell and a key that a profile with ``least <= n <=
+    bound`` realizes, where ``functions`` gives the margin function of each
+    output; the outputs that ``reads`` puts on the second profile read its
+    margins A m + b.  The tables share their keys, reads and least
+    electorate, so one walk of the cells serves every check: each block of
+    margins, and its image, is mapped to sign faces once, from the box of
+    ``enumeration``, and each output column is a gather of codes by face.
+    The clause sees only the key and the outputs, so it is called once per
+    key and tuple of output codes met, on one row of them; a check stops at
+    its first failure, the walk when every check has failed."""
+    _refuse_oversized(bound)
+    table = checks[0][0]
+    matrix, offset, shifts, scales = _margin_maps(table.keys)
+    _grow_box(bound + int(np.abs(offset).max()))
+    outputs = {f: _Outputs(f) for _, functions in checks for f in functions}
+    on_image = [table.reads + (False,) * len(t.also) for t, _ in checks]
+    seen = [np.zeros(len(table.keys) * 8 ** len(functions), dtype=bool) for _, functions in checks]
+    failed = [False] * len(checks)
+    for key, m in _realized(bound, table.least, [k.need for k in table.keys]):
+        sides, faces = [m], [_face_positions(m)]
+        if True in table.reads:
+            sides.append((m if shifts else np.einsum("kij,kj->ki", matrix[key], m)) + offset[key])
+            faces.append(faces[0] if scales else _face_positions(sides[1]))
+        for check, (t, functions) in enumerate(checks):
+            if failed[check]:
+                continue
+            codes = [outputs[f](sides[i], faces[i]) for f, i in zip(functions, on_image[check])]
+            classes = functools.reduce(lambda acc, c: acc * 8 + c, codes, key)
+            rows = _new_classes(classes, seen[check])
+            for k, *row in zip(key[rows].tolist(), *(c[rows].tolist() for c in codes)):
+                if t.clause(t.keys[k].key, *(CHOICE_SETS[c] for c in row)) is not None:
+                    failed[check] = True
+                    break
+        if all(failed):
+            break
+    return failed
 
 
 def _cells_fail(table: _Table, functions: tuple[MarginRule, ...], bound: int) -> bool:
-    """Whether the clause of ``table`` fails on the margins m of some cell
-    and a key that a profile with ``least <= n <= bound`` realizes, where
-    ``functions`` gives the margin function of each output; the outputs that
-    ``reads`` puts on the second profile read its margins A m + b.  The
-    clause sees only the key and the outputs, so it is called once per key
-    and tuple of output codes met, on one row of them."""
-    _refuse_oversized(bound)
-    outputs = {f: _Outputs(f) for f in functions}
-    on_image = table.reads + (False,) * len(table.also)
-    matrix, offset, shifts = _margin_maps(table.keys)
-    seen = np.zeros(len(table.keys) * 8 ** len(functions), dtype=bool)
-    for key, m in _realized(bound, table.least, [k.need for k in table.keys]):
-        image = m
-        if True in on_image:
-            image = (m if shifts else np.einsum("kij,kj->ki", matrix[key], m)) + offset[key]
-        codes = [outputs[f](image if i else m) for f, i in zip(functions, on_image)]
-        rows = _new_classes(functools.reduce(lambda acc, c: acc * 8 + c, codes, key), seen)
-        for k, *row in zip(key[rows].tolist(), *(c[rows].tolist() for c in codes)):
-            if table.clause(table.keys[k].key, *(CHOICE_SETS[c] for c in row)) is not None:
-                return True
-    return False
+    """Whether the clause of ``table`` fails on some cell: _cells_fail_each
+    of the one check."""
+    return _cells_fail_each([(table, functions)], bound)[0]
 
 
 def _margin_functions(
@@ -641,15 +669,17 @@ def _reinforcement_cells_fail(f: MarginRule, variant: str, bound: int) -> bool:
     once, and it sees only the three outputs, so it is called once per
     triple of output codes met."""
     _refuse_oversized_pairs(bound)
+    _grow_box(bound)
     m, surplus, size = _surplus_cells(bound - 1)
     n = _fewest_voters(surplus, size, _NOBODY, 1)
     order = np.argsort(n, kind="stable")
     m, n = m[order], n[order]
     outputs = _Outputs(f)
-    codes = outputs(m)
+    codes = outputs(m, _face_positions(m))
     seen = np.zeros(8**3, dtype=bool)
     for i, j in _cell_pairs(n, bound):
-        out1, out2, out12 = codes[i], codes[j], outputs(m[i] + m[j])
+        merged = m[i] + m[j]
+        out1, out2, out12 = codes[i], codes[j], outputs(merged, _face_positions(merged))
         rows = _new_classes((out1 * 8 + out2) * 8 + out12, seen)
         for a, b, c in zip(out1[rows].tolist(), out2[rows].tolist(), out12[rows].tolist()):
             agreed = _agreed(variant, CHOICE_SETS[a], CHOICE_SETS[b])
@@ -1141,9 +1171,10 @@ def verify_optimist_equivalence(
     tables = [
         _participation_table(r, axiom, functools.partial(_equivalence, r)) for r in rule_ids
     ]
-    cells_fail = [
-        f is not None and _cells_fail(table, (f, f), bound) for table, f in zip(tables, functions)
-    ]
+    # one walk of the cells for every margin rule
+    checks = [(table, (f, f)) for table, f in zip(tables, functions) if f is not None]
+    failing = iter(_cells_fail_each(checks, bound) if checks else ())
+    cells_fail = [f is not None and next(failing) for f in functions]
     swept = [t for t, f, fails in zip(tables, functions, cells_fail) if f is None or fails]
     violations = (w for table in swept for w in _sweep(table, bound))
     report = _finish("all", axiom, bound, violations, max_witnesses)

@@ -23,12 +23,13 @@ import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import rules as _rules
-from .core import CANDIDATES, ORDER_RANK_OF, ChoiceSet, Margins, Profile, condorcet_winner
+from .core import CANDIDATES, CHOICE_SETS, ORDER_RANK_OF, ChoiceSet, Margins, Profile
+from .core import condorcet_winner
 
 CSV_HEADER = "n,rule,irresolute,total,fraction"
 
@@ -187,9 +188,18 @@ def _margin_cells(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 # face tests in ``tests/test_enumeration.py`` (every cell of n = 15, 16 and
 # every same-parity triple in [-24, 24]^3); a rule that compared anything
 # else would be miscounted.  There are 267 faces, all reached by n = 13, so
-# each rule is decided once per face, on one of its cells.  The counting
-# below weighs each face's profiles together, and the axiom checkers read a
-# registered margin rule's output on every triple they meet from its face.
+# each rule is decided once per face, on one of its cells, and kept as a
+# vector of output codes by face.  The counting below weighs each face's
+# profiles together, and the axiom checkers read a registered margin rule's
+# output on every triple they meet from its face: a column of outputs is one
+# gather of that vector.
+#
+# A triple's face is found from its 12 signs, the face key, or from the
+# box: the face positions of every triple with |m_i| <= R, filled through
+# the keys and grown when a check needs a larger R.  The axiom checkers grow
+# it to their bound plus the largest shift of an image, so every block of
+# triples they map is one gather; the counting's chunks never fit (the box
+# is empty unless a check grew it) and are keyed.
 
 
 def _face_keys(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -220,27 +230,77 @@ _FACE_ROWS = np.zeros(3**6, dtype=np.intp)
 _FACE_TABLE = np.full(3**6, -1, dtype=np.int16)
 
 
-def _face_positions(m: np.ndarray) -> np.ndarray:
-    """Per cell, the position of its face in _FACE_CELLS; new faces are added."""
+def _keyed_positions(m: np.ndarray) -> np.ndarray:
+    """Per cell, the position of its face in _FACE_CELLS, read through its
+    face key; the faces not met before are added in the order of their first
+    cells, one table write per face."""
     global _FACE_TABLE
     upper, lower = _face_keys(m)
     positions = _FACE_TABLE[_FACE_ROWS[upper] + lower]
     new = np.flatnonzero(positions < 0)
     if new.size:
+        _, first = np.unique(upper[new] * 3**6 + lower[new], return_index=True)
+        new = new[np.sort(first)]  # the first cell of each new face
         rows = [u for u in dict.fromkeys(upper[new].tolist()) if not _FACE_ROWS[u]]
         _FACE_ROWS[rows] = _FACE_TABLE.size + 3**6 * np.arange(len(rows))
         _FACE_TABLE = np.concatenate((_FACE_TABLE, np.full(3**6 * len(rows), -1, np.int16)))
-        for u, l, cell in zip(upper[new].tolist(), lower[new].tolist(), new.tolist()):
-            slot = _FACE_ROWS[u] + l
-            if _FACE_TABLE[slot] < 0:  # the first cell met of a new face
-                _FACE_TABLE[slot] = len(_FACE_CELLS)
-                _FACE_CELLS.append(tuple(m[cell].tolist()))
+        _FACE_TABLE[_FACE_ROWS[upper[new]] + lower[new]] = len(_FACE_CELLS) + np.arange(new.size)
+        _FACE_CELLS.extend(map(tuple, m[new].tolist()))
         positions = _FACE_TABLE[_FACE_ROWS[upper] + lower]
     return positions
 
 
+class _Box(NamedTuple):
+    """The face positions of every margin triple m with |m_i| <= ``reach``.
+    The three margins share their parity, so with R the reach and s = R + 1
+    the triple sits at ((m_ab + R) s + (m_ac + R) // 2) s + (m_bc + R) // 2:
+    m_ab + R tells the parity, and the two parities share one array of
+    (2R + 1) s^2 positions, 1.5 MB at R = 71.  That index is
+    (m . ``strides`` + ``base`` - (s + 1) (m_ab + R mod 2)) / 2."""
+
+    reach: int
+    strides: np.ndarray
+    base: int
+    positions: np.ndarray
+
+
+#: the box of this process, empty until a check grows it
+_box = _Box(-1, np.zeros(3, dtype=np.int64), 0, np.zeros(0, dtype=np.int16))
+
+
+def _grow_box(reach: int) -> None:
+    """Make the box hold every triple with |m_i| <= ``reach``; a larger box
+    is filled afresh through the face keys, slab by slab of m_ab."""
+    global _box
+    if reach <= _box.reach:
+        return
+    side = reach + 1
+    halves = 2 * np.stack(np.divmod(np.arange(side * side), side), axis=1) - reach
+    positions = np.empty((2 * reach + 1) * side * side, dtype=np.int16)
+    step = max(1, _CELL_CHUNK // side**2)
+    for lo in range(0, 2 * reach + 1, step):
+        first = np.arange(lo, min(lo + step, 2 * reach + 1))  # m_ab + reach
+        rest = halves + (first & 1)[:, None, None]  # m_ac and m_bc share m_ab's parity
+        ab = np.broadcast_to((first - reach)[:, None, None], (first.size, side * side, 1))
+        m = np.concatenate((ab, rest), axis=2).reshape(-1, 3)
+        positions[lo * side * side : (lo + first.size) * side * side] = _keyed_positions(m)
+    strides = np.array([2 * side * side, side, 1])
+    _box = _Box(reach, strides, int(strides.sum()) * reach, positions)
+
+
+def _face_positions(m: np.ndarray) -> np.ndarray:
+    """Per row of margins, three integers of one parity, the position of its
+    face in _FACE_CELLS: one gather from the box when every row fits in it,
+    otherwise through the face keys, which add new faces."""
+    box = _box
+    if m.size and -box.reach <= m.min() and m.max() <= box.reach:
+        parity = (m[:, 0] + box.reach) & 1
+        return box.positions[(m @ box.strides + box.base - (box.strides[1] + 1) * parity) >> 1]
+    return _keyed_positions(m)
+
+
 @functools.lru_cache(maxsize=1)
-def _faces(n: int) -> tuple[list[int], list[np.ndarray]]:
+def _faces(n: int) -> tuple[np.ndarray, list[np.ndarray]]:
     """The number of ``n``-voter profiles on each face, by position, and the
     face position of each ``n``-voter cell, chunk by chunk."""
     total, positions = np.zeros(0, dtype=np.int64), []
@@ -249,31 +309,51 @@ def _faces(n: int) -> tuple[list[int], list[np.ndarray]]:
         # float sums of integer weights are exact below 2**53 profiles a chunk
         counts = np.bincount(positions[-1], weights, minlength=len(_FACE_CELLS))
         total = counts.astype(np.int64) + np.pad(total, (0, counts.size - total.size))
-    return total.tolist(), positions
+    return total, positions
 
 
-@functools.cache
 def _face_value(function: Callable[[Margins], Any], face: int) -> Any:
     """``function`` of the margins, which is the same on every cell of the face."""
     return function(_FACE_CELLS[face])
 
 
+#: the output code of each choice set: its mask, its index in CHOICE_SETS
+_CODE_OF = {choice: code for code, choice in enumerate(CHOICE_SETS)}
+#: per output code, whether it holds several candidates, and which
+_SEVERAL = np.array([len(choice) >= 2 for choice in CHOICE_SETS])
+_MEMBERS = np.array([[x in choice for x in CANDIDATES] for choice in CHOICE_SETS])
+
+#: per margin function read by faces, its output code on each face met so far
+_FACE_CODES: dict[Callable[[Margins], ChoiceSet], np.ndarray] = {}
+
+
+def _face_codes(function: Callable[[Margins], ChoiceSet]) -> np.ndarray:
+    """The output code of ``function`` on each face met so far, by position.
+    ``function`` must be constant on every face: it is evaluated once per
+    face in a process, on the face's cell."""
+    codes = _FACE_CODES.get(function, np.zeros(0, dtype=np.intp))
+    if codes.size < len(_FACE_CELLS):
+        new = [_CODE_OF[_face_value(function, f)] for f in range(codes.size, len(_FACE_CELLS))]
+        codes = _FACE_CODES[function] = np.concatenate((codes, np.array(new, dtype=np.intp)))
+    return codes
+
+
+def _condorcet_winner_set(m: Margins) -> ChoiceSet:
+    """The Condorcet winner as a singleton, or the empty set."""
+    champion = condorcet_winner(m)
+    return CHOICE_SETS[0 if champion is None else 1 << champion]
+
+
 def _margin_cell_count(margin_rule: Callable[[Margins], ChoiceSet], n: int) -> int:
     """Profiles with ``n`` voters on which a margin rule is irresolute."""
-    return sum(
-        count
-        for face, count in enumerate(_faces(n)[0])
-        if count and len(_face_value(margin_rule, face)) >= 2
-    )
+    total = _faces(n)[0]
+    return int(total[_SEVERAL[_face_codes(margin_rule)[: total.size]]].sum())
 
 
 def condorcet_profile_count(n: int) -> int:
     """Number of ``n``-voter profiles with a Condorcet winner."""
-    return sum(
-        count
-        for face, count in enumerate(_faces(n)[0])
-        if count and _face_value(condorcet_winner, face) is not None
-    )
+    total = _faces(n)[0]
+    return int(total[_face_codes(_condorcet_winner_set)[: total.size] > 0].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -353,15 +433,12 @@ def _artificial_count(n: int) -> int:
     points = _order_points([(top, mid, 0) for top, mid in table])
     pair = points[_ORDERS] + points[_REVERSES]  # A_i[x]
     _, positions = _faces(n)
-    # every face met so far, which includes those of the n-voter cells
-    maximin = np.array([
-        [x in _face_value(_rules.maximin_margins, f) for x in CANDIDATES]
-        for f in range(len(_FACE_CELLS))
-    ])
+    maximin = _face_codes(_rules.maximin_margins)
     count = 0
     for d, face in zip(_surplus_vectors(n), positions):
-        tied = maximin.sum(axis=1)[face] >= 2
-        winners, d = maximin[face[tied]], d[tied]
+        codes = maximin[face]
+        tied = _SEVERAL[codes]
+        winners, d = _MEMBERS[codes[tied]], d[tied]
         j, weights = _fibres(n, d)
         surplus = _order_surplus(d) @ points
         # fibres in pieces of about _CELL_CHUNK profiles, so memory stays bounded

@@ -541,7 +541,7 @@ def test_each_key_maps_the_margins_as_it_maps_the_profile():
             assert (second is not None) == holds
             if second is not None:
                 assert min(second) >= 0
-                (matrix,), (offset,), _ = axioms._margin_maps((key,))
+                (matrix,), (offset,), *_ = axioms._margin_maps((key,))
                 assert core.margins(second) == tuple(matrix @ m + offset)
 
 
@@ -678,11 +678,73 @@ def test_a_per_profile_clause_is_called_once_per_output_class(monkeypatch, check
     assert calls and len(set(calls)) == len(calls) <= 8**k
 
 
+@pytest.mark.parametrize(
+    "check, reach",
+    [
+        (lambda: axioms.check_participation("maximin", "optimist", 15), 16),
+        (lambda: axioms.check_responsiveness("copeland", "monotonicity", 13, 2), 17),
+        (lambda: axioms.check_neutrality("stable_voting", 12), 12),
+        (lambda: axioms.check_condorcet("black", "standard", 16), 16),
+        (lambda: axioms.check_reinforcement("borda", "full", 10), 10),
+        (lambda: axioms.check_homogeneity("maximin", 12), 12),  # 2m has m's face
+    ],
+    ids=["participation", "two_swaps", "neutrality", "condorcet", "reinforcement", "homogeneity"],
+)
+def test_a_holding_check_keys_no_row_outside_the_box_fill(monkeypatch, check, reach):
+    keyed = []
+    face_keys = enumeration._face_keys
+
+    def counting(m):
+        keyed.append(len(m))
+        return face_keys(m)
+
+    monkeypatch.setattr(enumeration, "_box", enumeration._box._replace(reach=-1))
+    monkeypatch.setattr(enumeration, "_face_keys", counting)
+    assert check().holds
+    assert enumeration._box.reach == reach
+    assert sum(keyed) == (2 * reach + 1) * (reach + 1) ** 2  # the box, once
+
+
+def unique_new_classes(classes, seen):
+    """The reference: one row of each class not seen, by a sort."""
+    _, rows = np.unique(classes, return_index=True)
+    rows = rows[~seen[classes[rows]]]
+    seen[classes[rows]] = True
+    return rows
+
+
+def test_new_classes_agrees_with_a_sorting_reference():
+    generator = np.random.default_rng(5)
+    for size, classes in ((40, 64), (2048, 384), (0, 8), (500, 1)):
+        seen = generator.random(classes) < 0.3
+        expected_seen = seen.copy()
+        for _ in range(3):
+            rows = generator.integers(0, classes, size)
+            found = axioms._new_classes(rows, seen)
+            expected = unique_new_classes(rows, expected_seen)
+            assert (np.diff(found) > 0).all()  # in row order
+            assert sorted(rows[found].tolist()) == sorted(rows[expected].tolist())
+            assert (seen == expected_seen).all()
+
+
+def test_optimist_equivalence_walks_the_cells_once_for_every_margin_rule(monkeypatch):
+    walks = []
+    surplus_cells = axioms._surplus_cells
+
+    def counting(bound):
+        walks.append(bound)
+        return surplus_cells(bound)
+
+    monkeypatch.setattr(axioms, "_surplus_cells", counting)
+    assert axioms.verify_optimist_equivalence(8).holds
+    assert walks == [8]
+
+
 def test_a_failing_cell_without_a_failing_profile_is_an_error(monkeypatch):
     monkeypatch.setattr(axioms, "_sweep", lambda table, bound: iter(()))
     with pytest.raises(RuntimeError, match="a margin cell fails but no profile up to 10 does"):
         axioms.check_responsiveness("baldwin", "monotonicity", 10)
-    monkeypatch.setattr(axioms, "_cells_fail", lambda table, functions, bound: True)
+    monkeypatch.setattr(axioms, "_cells_fail_each", lambda checks, bound: [True] * len(checks))
     with pytest.raises(RuntimeError, match="a margin cell fails but no profile up to 4 does"):
         axioms.verify_optimist_equivalence(4, ["maximin"])
 

@@ -300,6 +300,7 @@ def test_verify_refuses_oversized_margin_tables_before_allocating(capsys, monkey
 
     monkeypatch.setattr(axioms, "_surplus_cells", no_table)
     monkeypatch.setattr(axioms, "_Outputs", no_table)
+    monkeypatch.setattr(axioms, "_grow_box", no_table)
     tracemalloc.start()
     try:
         code, out, err = run(capsys, "verify", *argv, "--bound", str(10**12))

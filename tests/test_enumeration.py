@@ -171,6 +171,55 @@ def test_each_cell_chunk_is_mapped_to_its_faces_once_per_voter_count(monkeypatch
     assert calls == chunks and len(chunks) == 4
 
 
+@pytest.fixture
+def keyed_rows(monkeypatch):
+    """An empty box for the test; the keyed rows are counted."""
+    keyed = []
+    face_keys = enumeration._face_keys
+
+    def counting(m):
+        keyed.append(len(m))
+        return face_keys(m)
+
+    monkeypatch.setattr(enumeration, "_box", enumeration._box._replace(reach=-1))
+    monkeypatch.setattr(enumeration, "_face_keys", counting)
+    return keyed
+
+
+def test_the_box_agrees_with_the_face_keys_as_it_grows(keyed_rows):
+    inside = WIDE_TRIPLES[np.abs(WIDE_TRIPLES).max(axis=1) <= 10]
+    for reach, triples in ((10, inside), (24, WIDE_TRIPLES), (25, WIDE_TRIPLES)):
+        enumeration._grow_box(reach)
+        assert enumeration._box.positions.size == (2 * reach + 1) * (reach + 1) ** 2
+        keyed_rows.clear()
+        faces = enumeration._face_positions(triples)
+        assert not keyed_rows  # read from the box
+        assert (faces == enumeration._keyed_positions(triples)).all()
+    enumeration._grow_box(12)  # a smaller box is never asked for
+    assert enumeration._box.reach == 25
+    keyed_rows.clear()
+    enumeration._face_positions(2 * WIDE_TRIPLES)  # past the box: keyed
+    assert keyed_rows == [len(WIDE_TRIPLES)]
+
+
+def test_new_faces_are_registered_once_each_in_the_order_met(monkeypatch):
+    monkeypatch.setattr(enumeration, "_FACE_CELLS", [])
+    monkeypatch.setattr(enumeration, "_FACE_ROWS", np.zeros(3**6, dtype=np.intp))
+    monkeypatch.setattr(enumeration, "_FACE_TABLE", np.full(3**6, -1, dtype=np.int16))
+    monkeypatch.setattr(enumeration, "_FACE_CODES", {})
+    monkeypatch.setattr(enumeration, "_box", enumeration._box._replace(reach=-1))
+    faces = enumeration._keyed_positions(WIDE_TRIPLES)
+    cells = enumeration._FACE_CELLS
+    assert len(cells) == 267
+    _, first = np.unique(faces, return_index=True)
+    assert (faces[np.sort(first)] == np.arange(267)).all()  # numbered in the order met
+    assert cells == [tuple(t) for t in WIDE_TRIPLES[first].tolist()]  # on its first cell
+    keys = np.stack(enumeration._face_keys(WIDE_TRIPLES))
+    assert (keys == np.stack(enumeration._face_keys(np.array(cells)))[:, faces]).all()
+    assert (enumeration._keyed_positions(WIDE_TRIPLES) == faces).all()
+    assert len(cells) == 267
+
+
 # ---------------------------------------------------------------------------
 # completely tied profiles
 # ---------------------------------------------------------------------------
