@@ -31,14 +31,14 @@ the witness note or None:
   so it is called once per key and tuple of codes met, on one row of that
   class.  Refinement reads a second rule, and Condorcet a second column:
   the candidates who must win (the Condorcet winner, or the unbeaten
-  candidates).  The registered rules and those candidates are constant on
-  every sign face, so each is evaluated at most once per face in a process
-  and kept as a vector of codes by face (``enumeration``).  Each block of
-  cells, and its image, is mapped to faces once and shared by every
-  column: the check first grows the process's box of face positions to its
-  bound plus the largest shift of an image, so the mapping is one gather
-  (a doubling 2m has m's face), and a column is one more gather of its
-  codes.  Any other margin function is evaluated once per distinct triple.
+  candidates).  Every margin function is read under the face contract of
+  ``enumeration``, as the counting reads it: it compares only the 12 forms
+  that define the sign faces, so its codes on the 267 faces of the
+  catalogue are one vector.  Each block of cells, and its image, is mapped
+  to faces once and shared by every column: the check first grows the
+  process's box of face positions to its bound plus the largest shift of
+  an image, so the mapping is one gather (a doubling 2m has m's face), and
+  a column is one more gather of its codes.
   ``optimist_equivalence`` walks the cells once for all its margin rules.
   When nothing fails, the verdict is
   ``holds-up-to-bound`` and no profile is touched; otherwise the sweep runs
@@ -54,7 +54,8 @@ take more than :data:`TABLE_BUDGET` bytes, or a reinforcement check over
 more than :data:`CELL_PAIR_BUDGET` cell pairs, is refused before anything
 is allocated; a profile sweep of a rule that reads more than the margins
 that would visit more than :data:`SWEEP_BUDGET` instances is refused before
-its first evaluation.
+its first evaluation, and so is a continuity probe over a horizon above
+that budget.
 
 A ``holds-up-to-bound`` verdict certifies nothing beyond the bound; the
 checkers are finite searches, not proofs.
@@ -97,7 +98,7 @@ from .core import (
     top,
     total_voters,
 )
-from .enumeration import _CODE_OF, _ORDERS, _REVERSES, _SURPLUS_TO_MARGINS, profiles_up_to
+from .enumeration import _ORDERS, _REVERSES, _SURPLUS_TO_MARGINS, profiles_up_to
 from .enumeration import _condorcet_winner_set, _face_codes, _face_positions, _grow_box
 from .enumeration import _order_surplus, _surplus_vectors
 
@@ -229,16 +230,18 @@ SWEEP_BUDGET = 200_000
 
 #: per kind of sweep, the instances it visits up to a bound b: the profiles
 #: with 1 <= n <= b; the (profile, order it holds) pairs with 2 <= n <= b, the
-#: participation keys the sweep takes; and the unordered pairs, repeats
-#: allowed, of non-empty profiles with n1 + n2 <= b: half of the
+#: participation keys the sweep takes; the unordered pairs, repeats allowed,
+#: of non-empty profiles with n1 + n2 <= b: half of the
 #: C(b+12, 12) - 2 C(b+6, 6) + 1 ordered pairs and of the C(b//2+6, 6) - 1
-#: profiles paired with themselves
+#: profiles paired with themselves; and the b electorates n P + Q,
+#: 1 <= n <= b, of the continuity probe
 _SWEEP_SIZE = {
     "profiles": lambda b: math.comb(b + 6, 6) - 1,
     "removal instances": lambda b: 6 * (math.comb(b + 5, 6) - 1),
     "profile pairs": lambda b: (
         math.comb(b + 12, 12) - 2 * math.comb(b + 6, 6) + math.comb(b // 2 + 6, 6)
     ) // 2,
+    "electorates": lambda b: b,
 }
 
 
@@ -285,32 +288,6 @@ def _new_classes(classes: np.ndarray, seen: np.ndarray) -> np.ndarray:
     rows = rows[slot[fresh] == rows]
     seen[classes[rows]] = True
     return rows
-
-
-#: the margin functions of the registered rules and of the candidates who must
-#: win under Condorcet: each is constant on every sign face (see ``enumeration``),
-#: so it is read per face; any other margin function is evaluated per triple
-_FACE_RULES = frozenset(
-    [rule.compute for rule in _rules.RULES.values() if rule.reads == _rules.MARGINS]
-    + [_condorcet_winner_set, intermediate_condorcet_winners]
-)
-
-
-class _Outputs:
-    """A margin function's choice sets as output codes.  One of _FACE_RULES is
-    read from its vector of codes by face (``enumeration._face_codes``), so it
-    is evaluated at most once per sign face in a process; any other (only
-    tests make them) once per triple."""
-
-    def __init__(self, f: MarginRule) -> None:
-        self._f = f
-        self._code = None if f in _FACE_RULES else functools.cache(lambda m: _CODE_OF[f(m)])
-
-    def __call__(self, m: np.ndarray, faces: np.ndarray) -> np.ndarray:
-        """The code of each row of margins, whose face positions are ``faces``."""
-        if self._code is not None:
-            return np.array([self._code(tuple(t)) for t in m.tolist()], dtype=np.intp)
-        return _face_codes(self._f)[faces]
 
 
 # ---------------------------------------------------------------------------
@@ -478,19 +455,20 @@ def _cells_fail_each(checks: list[_Check], bound: int) -> list[bool]:
     table = checks[0][0]
     matrix, offset, shifts, scales = _margin_maps(table.keys)
     _grow_box(bound + int(np.abs(offset).max()))
-    outputs = {f: _Outputs(f) for _, functions in checks for f in functions}
     on_image = [table.reads + (False,) * len(t.also) for t, _ in checks]
     seen = [np.zeros(len(table.keys) * 8 ** len(functions), dtype=bool) for _, functions in checks]
     failed = [False] * len(checks)
     for key, m in _realized(bound, table.least, [k.need for k in table.keys]):
-        sides, faces = [m], [_face_positions(m)]
-        if True in table.reads:
-            sides.append((m if shifts else np.einsum("kij,kj->ki", matrix[key], m)) + offset[key])
-            faces.append(faces[0] if scales else _face_positions(sides[1]))
+        faces = [_face_positions(m)]
+        if True in table.reads and scales:  # a positive multiple of m has m's face
+            faces.append(faces[0])
+        elif True in table.reads:
+            image = (m if shifts else np.einsum("kij,kj->ki", matrix[key], m)) + offset[key]
+            faces.append(_face_positions(image))
         for check, (t, functions) in enumerate(checks):
             if failed[check]:
                 continue
-            codes = [outputs[f](sides[i], faces[i]) for f, i in zip(functions, on_image[check])]
+            codes = [_face_codes(f)[faces[i]] for f, i in zip(functions, on_image[check])]
             classes = functools.reduce(lambda acc, c: acc * 8 + c, codes, key)
             rows = _new_classes(classes, seen[check])
             for k, *row in zip(key[rows].tolist(), *(c[rows].tolist() for c in codes)):
@@ -674,12 +652,11 @@ def _reinforcement_cells_fail(f: MarginRule, variant: str, bound: int) -> bool:
     n = _fewest_voters(surplus, size, _NOBODY, 1)
     order = np.argsort(n, kind="stable")
     m, n = m[order], n[order]
-    outputs = _Outputs(f)
-    codes = outputs(m, _face_positions(m))
+    codes = _face_codes(f)
+    outputs = codes[_face_positions(m)]
     seen = np.zeros(8**3, dtype=bool)
     for i, j in _cell_pairs(n, bound):
-        merged = m[i] + m[j]
-        out1, out2, out12 = codes[i], codes[j], outputs(merged, _face_positions(merged))
+        out1, out2, out12 = outputs[i], outputs[j], codes[_face_positions(m[i] + m[j])]
         rows = _new_classes((out1 * 8 + out2) * 8 + out12, seen)
         for a, b, c in zip(out1[rows].tolist(), out2[rows].tolist(), out12[rows].tolist()):
             agreed = _agreed(variant, CHOICE_SETS[a], CHOICE_SETS[b])
@@ -1117,10 +1094,12 @@ def continuity_probe(
     ``n * profile + profile2`` stay within the winners on ``profile`` for
     every ``n`` from ``n'`` through ``horizon``, or None when even the
     horizon itself fails.  This is a probe, not a certificate: nothing is
-    claimed beyond the horizon.
+    claimed beyond the horizon.  A horizon above :data:`SWEEP_BUDGET` is
+    refused before the first evaluation.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
+    _refuse_oversized_sweep(horizon, "electorates")
     largest = horizon * total_voters(profile) + total_voters(profile2)
     _rules.check_voter_cap(*_rules.resolve(rule_id), largest)
     base = _f(rule_id, profile)

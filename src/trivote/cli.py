@@ -193,9 +193,8 @@ def cmd_figure4(args: argparse.Namespace) -> int:
 
 def cmd_satgen(args: argparse.Namespace) -> int:
     try:
-        if args.solve and not args.neutral:
-            # the plain instance's size has a closed form: refuse before building
-            satgen.check_solver_limit(satgen.clause_count(args.bound))
+        if args.solve:
+            satgen.check_solvable(args.bound, args.neutral)
         instance = satgen.build_instance(args.bound, neutrality=args.neutral)
         # solve first, so that an instance too big for the solver writes nothing
         satisfiable = satgen.solve_naive(instance) if args.solve else None

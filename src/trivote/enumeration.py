@@ -9,11 +9,14 @@ decimals only at the output boundary.  Two access paths are provided:
 * :func:`irresoluteness` — exact counting of the profiles with several
   winners, by what the rule reads (``rules.resolve``).  The margin triples
   reachable with n voters are weighted by the closed-form number of profiles
-  sharing them and grouped into sign faces, on which every margin-determined
-  rule is constant; such a rule is decided once per face by its margin
-  function.  Positional rules are counted over the same cells in closed
-  form, and the artificial rule over the profiles of the cells where maximin
-  ties; the bounded search rules (Dodgson, Young) by a cursor sweep.
+  sharing them and grouped into the 267 sign faces of a fixed catalogue.
+  Under the one face contract, a margin function compares only the 12
+  linear forms whose signs define the faces, so it is constant on each face
+  and is read from one evaluation per face; the axiom checkers read margin
+  functions the same way.  Positional rules are counted over the same cells
+  in closed form, and the artificial rule over the profiles of the cells
+  where maximin ties; the bounded search rules (Dodgson, Young) by a cursor
+  sweep.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
-from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -180,19 +183,20 @@ def _margin_cells(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 
 # --- sign faces -------------------------------------------------------------
 #
-# A face is the set of cells on which 12 linear forms have the same signs:
-# the margins, their pairwise sums and differences, and the Borda-score
-# differences.  The design rests on one condition: a margin rule may compare
-# only these forms, so that it chooses the same set on every cell of a face.
-# All the rules in ``rules.RULES`` do, and a new margin rule must pass the
+# A face is the set of margin triples on which 12 linear forms have the same
+# signs: the margins, their pairwise sums and differences, and the
+# Borda-score differences.  The one face contract: a margin function read by
+# faces compares only these forms, so that it chooses the same set on every
+# triple of a face.  Every margin rule in ``rules.RULES``, and the candidates
+# who must win under Condorcet (``axioms._CHAMPIONS``), are held to it by the
 # face tests in ``tests/test_enumeration.py`` (every cell of n = 15, 16 and
-# every same-parity triple in [-24, 24]^3); a rule that compared anything
-# else would be miscounted.  There are 267 faces, all reached by n = 13, so
-# each rule is decided once per face, on one of its cells, and kept as a
-# vector of output codes by face.  The counting below weighs each face's
-# profiles together, and the axiom checkers read a registered margin rule's
-# output on every triple they meet from its face: a column of outputs is one
-# gather of that vector.
+# every same-parity triple in [-24, 24]^3); a function that compared anything
+# else would be misread.  There are 267 faces, numbered once in the catalogue
+# below, so a face has the same position in every process, and each function
+# is evaluated once per face, on its catalogue cell, and kept as a vector of
+# output codes by face.  The counting weighs each face's profiles together,
+# and the axiom checkers read a column of outputs as one gather of that
+# vector.
 #
 # A triple's face is found from its 12 signs, the face key, or from the
 # box: the face positions of every triple with |m_i| <= R, filled through
@@ -202,51 +206,43 @@ def _margin_cells(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 # is empty unless a check grew it) and are keyed.
 
 
-def _face_keys(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per cell, the signs of the 12 forms as a base-3 number in [0, 3**12),
-    split into its upper and its lower six trits."""
+def _face_keys(m: np.ndarray) -> np.ndarray:
+    """Per cell, the signs of the 12 forms as a base-3 number in [0, 3**12)."""
     ab, ac, bc = np.ascontiguousarray(m.T, dtype=np.int32)  # the forms stay within 4n
-    halves = []
-    for forms in (
-        (ab, ac, bc, ab + ac, ab - ac, ab + bc),
-        (ab - bc, ac + bc, ac - bc, 2 * ab + ac - bc, ab + 2 * ac + bc, ac + 2 * bc - ab),
-    ):  # the last three are the Borda differences
-        key = np.zeros(len(m), dtype=np.int32)
-        for form in forms:
-            key = 3 * key + np.sign(form) + 1
-        halves.append(key)
-    return halves[0], halves[1]
+    key = np.zeros(len(m), dtype=np.int32)
+    for form in (
+        ab, ac, bc, ab + ac, ab - ac, ab + bc, ab - bc, ac + bc, ac - bc,
+        2 * ab + ac - bc, ab + 2 * ac + bc, ac + 2 * bc - ab,  # the Borda differences
+    ):
+        key = 3 * key + np.sign(form) + 1
+    return key
 
 
-#: one cell of each face met so far, in the order met; a face's choices are
-#: read off its cell, and a face is named by its position here
-_FACE_CELLS: list[Margins] = []
-#: a face key's upper and lower six trits index a two-level table: per upper
-#: half met, the start of its row of 3**6 in _FACE_TABLE (0, an empty row,
-#: for one not met), and per lower half the face's position in _FACE_CELLS,
-#: or -1.  The 80 rows met take 0.1 MB; one flat table would take 3**12
-#: entries and touch a page of memory per face.
-_FACE_ROWS = np.zeros(3**6, dtype=np.intp)
-_FACE_TABLE = np.full(3**6, -1, dtype=np.int16)
+def _catalogue() -> tuple[tuple[Margins, ...], np.ndarray]:
+    """One same-parity triple of each face, in ascending face key, and those
+    keys.  Every integer triple m shares its face with 2m, so the same-parity
+    triples reach every face; those of [-9, 9]^3 already do."""
+    span = np.arange(-9, 10)
+    m = np.stack(np.meshgrid(span, span, span, indexing="ij"), axis=-1).reshape(-1, 3)
+    m = m[(m[:, 0] % 2 == m[:, 1] % 2) & (m[:, 1] % 2 == m[:, 2] % 2)]
+    keys, first = np.unique(_face_keys(m), return_index=True)
+    assert keys.size == 267, keys.size
+    return tuple(map(tuple, m[first].tolist())), keys
+
+
+#: the face catalogue: one cell of each face, and its key, by ascending key; a
+#: face is named by its position here
+_FACE_CELLS, _FACE_KEYS = _catalogue()
 
 
 def _keyed_positions(m: np.ndarray) -> np.ndarray:
-    """Per cell, the position of its face in _FACE_CELLS, read through its
-    face key; the faces not met before are added in the order of their first
-    cells, one table write per face."""
-    global _FACE_TABLE
-    upper, lower = _face_keys(m)
-    positions = _FACE_TABLE[_FACE_ROWS[upper] + lower]
-    new = np.flatnonzero(positions < 0)
-    if new.size:
-        _, first = np.unique(upper[new] * 3**6 + lower[new], return_index=True)
-        new = new[np.sort(first)]  # the first cell of each new face
-        rows = [u for u in dict.fromkeys(upper[new].tolist()) if not _FACE_ROWS[u]]
-        _FACE_ROWS[rows] = _FACE_TABLE.size + 3**6 * np.arange(len(rows))
-        _FACE_TABLE = np.concatenate((_FACE_TABLE, np.full(3**6 * len(rows), -1, np.int16)))
-        _FACE_TABLE[_FACE_ROWS[upper[new]] + lower[new]] = len(_FACE_CELLS) + np.arange(new.size)
-        _FACE_CELLS.extend(map(tuple, m[new].tolist()))
-        positions = _FACE_TABLE[_FACE_ROWS[upper] + lower]
+    """Per cell, the position of its face in the catalogue, read through its
+    face key; a key outside the catalogue raises LookupError."""
+    keys = _face_keys(m)
+    positions = np.searchsorted(_FACE_KEYS, keys)
+    missing = _FACE_KEYS[np.minimum(positions, _FACE_KEYS.size - 1)] != keys
+    if missing.any():
+        raise LookupError(f"no face in the catalogue has the key {keys[missing][0]}")
     return positions
 
 
@@ -290,8 +286,8 @@ def _grow_box(reach: int) -> None:
 
 def _face_positions(m: np.ndarray) -> np.ndarray:
     """Per row of margins, three integers of one parity, the position of its
-    face in _FACE_CELLS: one gather from the box when every row fits in it,
-    otherwise through the face keys, which add new faces."""
+    face in the catalogue: one gather from the box when every row fits in
+    it, otherwise through the face keys."""
     box = _box
     if m.size and -box.reach <= m.min() and m.max() <= box.reach:
         parity = (m[:, 0] + box.reach) & 1
@@ -303,18 +299,12 @@ def _face_positions(m: np.ndarray) -> np.ndarray:
 def _faces(n: int) -> tuple[np.ndarray, list[np.ndarray]]:
     """The number of ``n``-voter profiles on each face, by position, and the
     face position of each ``n``-voter cell, chunk by chunk."""
-    total, positions = np.zeros(0, dtype=np.int64), []
+    total, positions = np.zeros(len(_FACE_CELLS), dtype=np.int64), []
     for m, weights in _margin_cells(n):
         positions.append(_face_positions(m))
         # float sums of integer weights are exact below 2**53 profiles a chunk
-        counts = np.bincount(positions[-1], weights, minlength=len(_FACE_CELLS))
-        total = counts.astype(np.int64) + np.pad(total, (0, counts.size - total.size))
+        total += np.bincount(positions[-1], weights, minlength=total.size).astype(np.int64)
     return total, positions
-
-
-def _face_value(function: Callable[[Margins], Any], face: int) -> Any:
-    """``function`` of the margins, which is the same on every cell of the face."""
-    return function(_FACE_CELLS[face])
 
 
 #: the output code of each choice set: its mask, its index in CHOICE_SETS
@@ -323,18 +313,14 @@ _CODE_OF = {choice: code for code, choice in enumerate(CHOICE_SETS)}
 _SEVERAL = np.array([len(choice) >= 2 for choice in CHOICE_SETS])
 _MEMBERS = np.array([[x in choice for x in CANDIDATES] for choice in CHOICE_SETS])
 
-#: per margin function read by faces, its output code on each face met so far
-_FACE_CODES: dict[Callable[[Margins], ChoiceSet], np.ndarray] = {}
 
-
+@functools.cache
 def _face_codes(function: Callable[[Margins], ChoiceSet]) -> np.ndarray:
-    """The output code of ``function`` on each face met so far, by position.
-    ``function`` must be constant on every face: it is evaluated once per
-    face in a process, on the face's cell."""
-    codes = _FACE_CODES.get(function, np.zeros(0, dtype=np.intp))
-    if codes.size < len(_FACE_CELLS):
-        new = [_CODE_OF[_face_value(function, f)] for f in range(codes.size, len(_FACE_CELLS))]
-        codes = _FACE_CODES[function] = np.concatenate((codes, np.array(new, dtype=np.intp)))
+    """The output code of ``function`` on each face, by position, read-only.
+    ``function`` must keep the face contract: it is evaluated once per face,
+    on the face's catalogue cell."""
+    codes = np.array([_CODE_OF[function(cell)] for cell in _FACE_CELLS], dtype=np.intp)
+    codes.flags.writeable = False
     return codes
 
 
@@ -347,13 +333,13 @@ def _condorcet_winner_set(m: Margins) -> ChoiceSet:
 def _margin_cell_count(margin_rule: Callable[[Margins], ChoiceSet], n: int) -> int:
     """Profiles with ``n`` voters on which a margin rule is irresolute."""
     total = _faces(n)[0]
-    return int(total[_SEVERAL[_face_codes(margin_rule)[: total.size]]].sum())
+    return int(total[_SEVERAL[_face_codes(margin_rule)]].sum())
 
 
 def condorcet_profile_count(n: int) -> int:
     """Number of ``n``-voter profiles with a Condorcet winner."""
     total = _faces(n)[0]
-    return int(total[_face_codes(_condorcet_winner_set)[: total.size] > 0].sum())
+    return int(total[_face_codes(_condorcet_winner_set) > 0].sum())
 
 
 # ---------------------------------------------------------------------------

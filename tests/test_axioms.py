@@ -1,6 +1,7 @@
 """Axiom checkers: pinned verdicts, witness plumbing, and cross-rule laws."""
 
 import functools
+import itertools
 import random
 
 import numpy as np
@@ -504,14 +505,31 @@ def test_cell_verdicts_match_the_profile_sweep(variant):
     assert verdicts == ({True} if variant in always_holds else {True, False})
 
 
-#: margin rules that break neutrality and homogeneity: a wins alone once
-#: m_ab (or m_ab + m_ac + m_bc) reaches two, or exactly where two abc voters
-#: put the margins (the only merge that fails at two voters), else all three tie
+def _biased(first, second):
+    """a alone where the two forms of the margins are both positive or both
+    not, else all three: constant on every sign face, not neutral, and not
+    reinforcing, since b and c win on both sides of a merge that a wins."""
+    return lambda m: frozenset({0}) if (first(*m) > 0) == (second(*m) > 0) else rules.ALL_CANDIDATES
+
+
+#: margin rules that read the forms of the sign faces but break neutrality and
+#: reinforcement: by the margins, the pairwise sums and the Borda differences
 BIASED_RULES = {
-    "biased_ab": lambda m: frozenset({0}) if m[0] >= 2 else rules.ALL_CANDIDATES,
-    "biased_sum": lambda m: frozenset({0}) if sum(m) >= 2 else rules.ALL_CANDIDATES,
-    "biased_point": lambda m: frozenset({0}) if m == (2, 2, 2) else rules.ALL_CANDIDATES,
+    "biased_margins": _biased(lambda ab, ac, bc: ab, lambda ab, ac, bc: ac),
+    "biased_sums": _biased(lambda ab, ac, bc: ab + ac, lambda ab, ac, bc: ab + bc),
+    "biased_borda": _biased(
+        lambda ab, ac, bc: 2 * ab + ac - bc, lambda ab, ac, bc: ab + 2 * ac + bc
+    ),
 }
+
+
+def test_the_biased_margin_rules_keep_the_face_contract():
+    triples = np.array(list(itertools.product(range(-12, 13), repeat=3)))
+    triples = triples[(triples % 2 == triples[:, :1] % 2).all(axis=1)]
+    faces = enumeration._face_positions(triples)
+    for compute in BIASED_RULES.values():
+        on_face = enumeration._face_codes(compute)[faces].tolist()
+        assert on_face == [enumeration._CODE_OF[compute(tuple(m))] for m in triples.tolist()]
 
 
 @pytest.mark.parametrize(
@@ -525,7 +543,8 @@ def test_cell_verdicts_of_a_biased_margin_rule_match_the_profile_sweep(monkeypat
         for bound in range(2, 8):
             swept_holds = next(iter(sweep(rule_id, bound)), None) is None
             assert checker(rule_id, bound).holds == swept_holds, (rule_id, bound)
-        assert not swept_holds
+        # 2m has m's face, so a face-determined rule is homogeneous
+        assert swept_holds == (variant == "homogeneity"), rule_id
 
 
 def test_each_key_maps_the_margins_as_it_maps_the_profile():
@@ -642,10 +661,9 @@ def test_a_holding_check_evaluates_a_registered_rule_once_per_sign_face(
 
     # a registered rule, counted: constant on faces like the rule it wraps
     monkeypatch.setitem(rules.RULES, rule_id, rule._replace(compute=margin_rule))
-    monkeypatch.setattr(axioms, "_FACE_RULES", axioms._FACE_RULES | {margin_rule})
     assert check().holds
     faces = enumeration._face_positions(np.array(triples)).tolist()
-    assert triples and len(set(faces)) == len(faces) <= 267
+    assert sorted(faces) == list(range(267))
     evaluated = len(triples)
     assert check().holds
     assert len(triples) == evaluated
@@ -788,15 +806,20 @@ def test_a_margin_rule_refined_by_a_profile_rule_is_swept(evaluations):
     assert set(evaluations) >= {"maximin", "artificial"}
 
 
-def test_sweep_sizes_count_the_instances_each_sweep_visits():
+def test_sweep_sizes_count_the_instances_each_sweep_visits(monkeypatch):
     # per kind, a table whose sweep calls its clause once per instance it takes
     tables = {
         "profiles": axioms._condorcet_table("plurality", "standard"),
         "removal instances": axioms._participation_table("plurality", "x", axioms._optimist),
     }
+    electorates = []  # the continuity probe combines n P and Q once per electorate
+    monkeypatch.setattr(axioms, "combine", lambda *pq: electorates.append(pq) or core.combine(*pq))
     for bound in range(2, 8):
         sizes = {instances: size(bound) for instances, size in axioms._SWEEP_SIZE.items()}
         visited = {"profile pairs": sum(1 for _ in axioms._profile_pairs(bound))}
+        electorates.clear()
+        axioms.continuity_probe("plurality", P("2abc"), P("1cba"), bound)
+        visited["electorates"] = len(electorates)
         for instances, table in tables.items():
             assert table.instances == instances
             taken = []

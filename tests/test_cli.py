@@ -293,25 +293,67 @@ def _axiom_id(argv):
     return argv[argv.index("--axiom") + 1]
 
 
-@pytest.mark.parametrize("argv", MARGIN_CHECKS, ids=_axiom_id)
-def test_verify_refuses_oversized_margin_tables_before_allocating(capsys, monkeypatch, argv):
-    def no_table(*args):
-        raise AssertionError("a margin table was allocated")
+def _refused(capsys, monkeypatch, argv, *work):
+    """The stderr line of a command that is refused before any work: with
+    each (module, name) of ``work`` patched to fail when called, it exits 2,
+    prints nothing on stdout and one line on stderr, and allocates under 1 MB."""
 
-    monkeypatch.setattr(axioms, "_surplus_cells", no_table)
-    monkeypatch.setattr(axioms, "_Outputs", no_table)
-    monkeypatch.setattr(axioms, "_grow_box", no_table)
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before the refusal")
+
+    for module, name in work:
+        monkeypatch.setattr(module, name, no_work)
     tracemalloc.start()
     try:
-        code, out, err = run(capsys, "verify", *argv, "--bound", str(10**12))
+        code, out, err = run(capsys, *argv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == 2
-    assert out == ""
+    assert (code, out) == (2, "")
     assert err.count("\n") == 1
-    assert f"over the {axioms.TABLE_BUDGET >> 20} MB budget" in err
     assert peak < 1 << 20
+    return err
+
+
+@pytest.mark.parametrize("argv", MARGIN_CHECKS, ids=_axiom_id)
+def test_verify_refuses_oversized_margin_tables_before_allocating(capsys, monkeypatch, argv):
+    err = _refused(
+        capsys, monkeypatch, ["verify", *argv, "--bound", str(10**12)],
+        (axioms, "_surplus_cells"), (axioms, "_face_codes"), (axioms, "_grow_box"),
+    )
+    assert f"over the {axioms.TABLE_BUDGET >> 20} MB budget" in err
+
+
+CONTINUITY = ["verify", "--rule", "maximin", "--axiom", "continuity",
+              "--profile", "2abc", "--profile2", "1bca", "--bound"]
+
+
+@pytest.mark.parametrize(
+    "argv, work, message",
+    [
+        (CONTINUITY + [str(10**12)], (rules, "_evaluate_cached"),
+         "bound 1000000000000 needs a sweep of 1000000000000 electorates, "
+         "over the budget of 200000\n"),
+        (CONTINUITY + ["200001"], (rules, "_evaluate_cached"),
+         "bound 200001 needs a sweep of 200001 electorates, over the budget of 200000\n"),
+        (["satgen", "--neutral", "--bound", "7", "--solve"], (satgen, "build_instance"),
+         "the neutral instance of bound 7 has over 100000 clauses; "
+         "the built-in solver handles at most 100000\n"),
+        (["satgen", "--bound", "13"], (satgen, "profiles_up_to"),
+         "bound 13: the plain instance has 30976052 clauses, "
+         "over the build budget of 4000000\n"),
+    ],
+    ids=["continuity", "continuity-budget", "satgen-neutral-solve", "satgen-build"],
+)
+def test_an_oversized_probe_or_instance_is_refused_before_any_work(
+    capsys, monkeypatch, argv, work, message
+):
+    assert _refused(capsys, monkeypatch, argv, work) == message
+
+
+def test_verify_continuity_answers_at_the_sweep_budget(capsys):
+    code, out, err = run(capsys, *CONTINUITY, str(axioms.SWEEP_BUDGET))
+    assert (code, out, err) == (0, "maximin continuity: 1 copies of 2abc absorb 1bca\n", "")
 
 
 @pytest.mark.parametrize("argv", MARGIN_CHECKS, ids=_axiom_id)

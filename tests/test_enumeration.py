@@ -117,11 +117,12 @@ def test_cells_arrive_in_bounded_chunks():
 @pytest.mark.parametrize("rule_id", rules.PAIRWISE_RULE_IDS)
 def test_a_margin_rule_is_constant_on_every_sign_face(rule_id):
     margin_rule = rules.RULES[rule_id].compute
+    codes = enumeration._face_codes(margin_rule)
     for n in (15, 16):
         for m, _ in enumeration._margin_cells(n):
             for triple, face in zip(m.tolist(), enumeration._face_positions(m).tolist()):
                 expected = margin_rule(tuple(triple))
-                assert enumeration._face_value(margin_rule, face) == expected, triple
+                assert core.CHOICE_SETS[codes[face]] == expected, triple
 
 
 #: every same-parity integer triple in [-24, 24]^3: the images that the axiom
@@ -135,10 +136,11 @@ WIDE_TRIPLES = np.array([
 @pytest.mark.parametrize("rule_id", rules.PAIRWISE_RULE_IDS)
 def test_a_margin_rule_is_constant_on_every_sign_face_of_a_wide_cube(rule_id):
     margin_rule = rules.RULES[rule_id].compute
+    codes = enumeration._face_codes(margin_rule)
     faces = enumeration._face_positions(WIDE_TRIPLES).tolist()
     assert len(WIDE_TRIPLES) == 29449 and len(set(faces)) == 267
     for triple, face in zip(WIDE_TRIPLES.tolist(), faces):
-        assert margin_rule(tuple(triple)) == enumeration._face_value(margin_rule, face), triple
+        assert margin_rule(tuple(triple)) == core.CHOICE_SETS[codes[face]], triple
 
 
 @pytest.mark.parametrize(
@@ -147,10 +149,11 @@ def test_a_margin_rule_is_constant_on_every_sign_face_of_a_wide_cube(rule_id):
     ids=["condorcet_winner", "unbeaten"],
 )
 def test_the_candidates_who_must_win_are_constant_on_every_sign_face(champions):
-    assert champions in axioms._FACE_RULES
+    assert champions in axioms._CHAMPIONS.values()
+    codes = enumeration._face_codes(champions)
     faces = enumeration._face_positions(WIDE_TRIPLES).tolist()
     for triple, face in zip(WIDE_TRIPLES.tolist(), faces):
-        assert champions(tuple(triple)) == enumeration._face_value(champions, face), triple
+        assert champions(tuple(triple)) == core.CHOICE_SETS[codes[face]], triple
 
 
 def test_each_cell_chunk_is_mapped_to_its_faces_once_per_voter_count(monkeypatch):
@@ -202,22 +205,34 @@ def test_the_box_agrees_with_the_face_keys_as_it_grows(keyed_rows):
     assert keyed_rows == [len(WIDE_TRIPLES)]
 
 
-def test_new_faces_are_registered_once_each_in_the_order_met(monkeypatch):
-    monkeypatch.setattr(enumeration, "_FACE_CELLS", [])
-    monkeypatch.setattr(enumeration, "_FACE_ROWS", np.zeros(3**6, dtype=np.intp))
-    monkeypatch.setattr(enumeration, "_FACE_TABLE", np.full(3**6, -1, dtype=np.int16))
-    monkeypatch.setattr(enumeration, "_FACE_CODES", {})
-    monkeypatch.setattr(enumeration, "_box", enumeration._box._replace(reach=-1))
-    faces = enumeration._keyed_positions(WIDE_TRIPLES)
-    cells = enumeration._FACE_CELLS
-    assert len(cells) == 267
-    _, first = np.unique(faces, return_index=True)
-    assert (faces[np.sort(first)] == np.arange(267)).all()  # numbered in the order met
-    assert cells == [tuple(t) for t in WIDE_TRIPLES[first].tolist()]  # on its first cell
-    keys = np.stack(enumeration._face_keys(WIDE_TRIPLES))
-    assert (keys == np.stack(enumeration._face_keys(np.array(cells)))[:, faces]).all()
-    assert (enumeration._keyed_positions(WIDE_TRIPLES) == faces).all()
-    assert len(cells) == 267
+def test_the_catalogue_holds_one_cell_of_each_of_the_267_faces_in_key_order():
+    cells, keys = enumeration._FACE_CELLS, enumeration._FACE_KEYS
+    assert isinstance(cells, tuple) and len(cells) == keys.size == 267
+    assert (np.diff(keys) > 0).all()
+    assert (enumeration._face_keys(np.array(cells)) == keys).all()
+    assert all(m[0] % 2 == m[1] % 2 == m[2] % 2 for m in cells)
+    assert (enumeration._keyed_positions(np.array(cells)) == np.arange(267)).all()
+
+
+def test_every_triple_maps_to_the_catalogue_entry_with_its_own_key(keyed_rows):
+    enumeration._grow_box(24)  # the positions are read both through the keys and the box
+    cells = [m for n in range(17) for m, _ in enumeration._margin_cells(n)]
+    for triples in (WIDE_TRIPLES, *cells):
+        for faces in (enumeration._keyed_positions(triples), enumeration._face_positions(triples)):
+            assert (enumeration._FACE_KEYS[faces] == enumeration._face_keys(triples)).all()
+
+
+@pytest.mark.parametrize("removed", [0, 133, 266])
+def test_a_key_missing_from_the_catalogue_makes_the_lookup_raise(monkeypatch, removed):
+    keys = enumeration._FACE_KEYS
+    monkeypatch.setattr(enumeration, "_FACE_KEYS", np.delete(keys, removed))
+    lost = np.array([enumeration._FACE_CELLS[removed]])
+    with pytest.raises(LookupError, match=f"the key {keys[removed]}$"):
+        enumeration._keyed_positions(lost)
+    with pytest.raises(LookupError):
+        enumeration._keyed_positions(WIDE_TRIPLES)
+    others = np.array([m for i, m in enumerate(enumeration._FACE_CELLS) if i != removed])
+    assert (enumeration._keyed_positions(others) == np.arange(266)).all()
 
 
 # ---------------------------------------------------------------------------

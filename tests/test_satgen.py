@@ -47,6 +47,18 @@ def test_clause_count_matches_the_built_instance(inst4, inst7):
     assert inst7.num_clauses == 287_999
 
 
+def test_a_build_over_the_clause_budget_is_refused_before_any_profile(monkeypatch):
+    assert satgen.clause_count(10) <= satgen.BUILD_CLAUSE_BUDGET < satgen.clause_count(11)
+
+    def no_work(*args):
+        raise AssertionError("the build began before the clause budget was checked")
+
+    monkeypatch.setattr(satgen, "profiles_up_to", no_work)
+    for neutrality in (False, True):
+        with pytest.raises(ValueError, match="8009346 clauses, over the build budget of 4000000"):
+            satgen.build_instance(11, neutrality)
+
+
 def test_universe_is_all_profiles_up_to_bound(inst4):
     assert len(inst4.universe) == sum(profile_count(n) for n in range(1, 5))
     assert all(1 <= total_voters(p) <= 4 for p in inst4.universe)
@@ -257,6 +269,18 @@ def test_neutral_bound_four_satisfiable():
     inst = satgen.build_instance(4, neutrality=True)
     assert satgen.solve_naive(inst) is True
     assert satgen.check_assignment(inst, "leximin")
+
+
+def test_the_neutral_instance_passes_the_solver_limit_up_to_the_plain_ones_bound():
+    # the neutral instance is never larger and grows with the bound, so these
+    # two sizes make the closed-form check of the plain size exact for it too
+    sizes = [satgen.build_instance(b, neutrality=True).num_clauses for b in (5, 6)]
+    assert sizes == [31_684, 100_157]
+    limit = satgen.SOLVER_CLAUSE_LIMIT
+    assert satgen.clause_count(5) <= limit < min(sizes[1], satgen.clause_count(6))
+    satgen.check_solvable(5, neutrality=True)
+    with pytest.raises(ValueError, match="^the neutral instance of bound 6 has over 100000"):
+        satgen.check_solvable(6, neutrality=True)
 
 
 def test_solver_refuses_oversized_instances():
