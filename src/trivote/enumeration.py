@@ -233,16 +233,20 @@ def _catalogue() -> tuple[tuple[Margins, ...], np.ndarray]:
 #: the face catalogue: one cell of each face, and its key, by ascending key; a
 #: face is named by its position here
 _FACE_CELLS, _FACE_KEYS = _catalogue()
+#: per face key, one more than the position of its face, or 0 for a key of no
+#: face; the zeros are mapped lazily, so only the 61 pages that hold the
+#: catalogue's keys are touched
+_POSITION_OF_KEY = np.zeros(3**12, dtype=np.int16)
+_POSITION_OF_KEY[_FACE_KEYS] = np.arange(1, len(_FACE_CELLS) + 1)
 
 
 def _keyed_positions(m: np.ndarray) -> np.ndarray:
     """Per cell, the position of its face in the catalogue, read through its
     face key; a key outside the catalogue raises LookupError."""
     keys = _face_keys(m)
-    positions = np.searchsorted(_FACE_KEYS, keys)
-    missing = _FACE_KEYS[np.minimum(positions, _FACE_KEYS.size - 1)] != keys
-    if missing.any():
-        raise LookupError(f"no face in the catalogue has the key {keys[missing][0]}")
+    positions = _POSITION_OF_KEY[keys] - 1
+    if (positions < 0).any():
+        raise LookupError(f"no face in the catalogue has the key {keys[positions < 0][0]}")
     return positions
 
 

@@ -224,8 +224,10 @@ def test_every_triple_maps_to_the_catalogue_entry_with_its_own_key(keyed_rows):
 
 @pytest.mark.parametrize("removed", [0, 133, 266])
 def test_a_key_missing_from_the_catalogue_makes_the_lookup_raise(monkeypatch, removed):
-    keys = enumeration._FACE_KEYS
-    monkeypatch.setattr(enumeration, "_FACE_KEYS", np.delete(keys, removed))
+    keys, table = enumeration._FACE_KEYS, enumeration._POSITION_OF_KEY.copy()
+    table[keys[removed]] = 0  # the catalogue without that entry
+    table[keys[removed + 1 :]] -= 1
+    monkeypatch.setattr(enumeration, "_POSITION_OF_KEY", table)
     lost = np.array([enumeration._FACE_CELLS[removed]])
     with pytest.raises(LookupError, match=f"the key {keys[removed]}$"):
         enumeration._keyed_positions(lost)
