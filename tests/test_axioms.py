@@ -509,7 +509,8 @@ def _biased(first, second):
     """a alone where the two forms of the margins are both positive or both
     not, else all three: constant on every sign face, not neutral, and not
     reinforcing, since b and c win on both sides of a merge that a wins."""
-    return lambda m: frozenset({0}) if (first(*m) > 0) == (second(*m) > 0) else rules.ALL_CANDIDATES
+    a_alone = frozenset({0})
+    return lambda m: a_alone if (first(*m) > 0) == (second(*m) > 0) else rules.ALL_CANDIDATES
 
 
 #: margin rules that read the forms of the sign faces but break neutrality and
