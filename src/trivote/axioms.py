@@ -234,7 +234,7 @@ SWEEP_BUDGET = 200_000
 #: of non-empty profiles with n1 + n2 <= b: half of the
 #: C(b+12, 12) - 2 C(b+6, 6) + 1 ordered pairs and of the C(b//2+6, 6) - 1
 #: profiles paired with themselves; and the b electorates n P + Q,
-#: 1 <= n <= b, of the continuity probe
+#: 1 <= n <= b, of the continuity probe, at most (it stops at a failure)
 _SWEEP_SIZE = {
     "profiles": lambda b: math.comb(b + 6, 6) - 1,
     "removal instances": lambda b: 6 * (math.comb(b + 5, 6) - 1),
@@ -1103,15 +1103,9 @@ def continuity_probe(
     largest = horizon * total_voters(profile) + total_voters(profile2)
     _rules.check_voter_cap(*_rules.resolve(rule_id), largest)
     base = _f(rule_id, profile)
-    contained = [
-        _f(rule_id, combine(t_fold(profile, n), profile2)) <= base
-        for n in range(1, horizon + 1)
-    ]
-    if not contained[-1]:
-        return None
-    first = horizon
-    for n in range(horizon - 1, 0, -1):
-        if not contained[n - 1]:
+    first = None
+    for n in range(horizon, 0, -1):  # down from the horizon, to the first n that fails
+        if not _f(rule_id, combine(t_fold(profile, n), profile2)) <= base:
             break
         first = n
     return first

@@ -180,9 +180,8 @@ def cmd_figure4(args: argparse.Namespace) -> int:
         except (rules.UnsupportedRuleError, rules.BoundExceededError) as exc:
             return _fail(str(exc))
     print(enumeration.CSV_HEADER)
-    for n in range(4, args.max_n + 1, 2):
-        for rule_id in rule_ids:
-            print(enumeration.irresoluteness(rule_id, n).csv())
+    for row in enumeration.frequency_rows(rule_ids, range(4, args.max_n + 1, 2)):
+        print(row.csv())
     return 0
 
 

@@ -6,17 +6,19 @@ decimals only at the output boundary.  Two access paths are provided:
 * :class:`ProfileCursor` — a deterministic colexicographic stream of count
   vectors (used by the scalar paths and by any caller that needs the
   canonical profile order).
-* :func:`irresoluteness` — exact counting of the profiles with several
-  winners, by what the rule reads (``rules.resolve``).  The margin triples
-  reachable with n voters are weighted by the closed-form number of profiles
-  sharing them and grouped into the 267 sign faces of a fixed catalogue.
-  Under the one face contract, a margin function compares only the 12
-  linear forms whose signs define the faces, so it is constant on each face
-  and is read from one evaluation per face; the axiom checkers read margin
-  functions the same way.  Positional rules are counted over the same cells
-  in closed form, and the artificial rule over the profiles of the cells
-  where maximin ties; the bounded search rules (Dodgson, Young) by a cursor
-  sweep.
+* :func:`frequency_rows` — exact counting of the profiles with several
+  winners, for many rules and voter counts at once, by what each rule reads
+  (``rules.resolve``); :func:`irresoluteness` is its one-row call.  One pass
+  over the margin cells of the largest voter count of each parity serves
+  every smaller one: it counts the cells of each of the 267 sign faces of a
+  fixed catalogue by their size, and the closed-form number of profiles per
+  cell turns that table into the profiles per face at every n.  Under the
+  one face contract, a margin function compares only the 12 linear forms
+  whose signs define the faces, so it is constant on each face and is read
+  from one evaluation per face; the axiom checkers read margin functions the
+  same way.  Positional rules are counted over the same cells in closed
+  form, and the artificial rule over the profiles of the cells where maximin
+  ties; the bounded search rules (Dodgson, Young) by a cursor sweep.
 """
 
 from __future__ import annotations
@@ -168,19 +170,6 @@ def _order_surplus(d: np.ndarray) -> np.ndarray:
     return surplus
 
 
-def _fibres(n: int, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(J, C(J+2, 2))`` per ``n``-voter cell: its voter pairs and profiles."""
-    j = (n - sum(np.abs(d).T)) // 2  # |d|_1 as column sums: faster than .sum(axis=1)
-    return j, (j + 1) * (j + 2) // 2
-
-
-def _margin_cells(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Chunks (margins, weights) of the ``n``-voter cells: ``weights[i]`` profiles
-    have the margins ``margins[i]``."""
-    for d in _surplus_vectors(n):
-        yield d @ _SURPLUS_TO_MARGINS.T, _fibres(n, d)[1]
-
-
 # --- sign faces -------------------------------------------------------------
 #
 # A face is the set of margin triples on which 12 linear forms have the same
@@ -202,8 +191,8 @@ def _margin_cells(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 # box: the face positions of every triple with |m_i| <= R, filled through
 # the keys and grown when a check needs a larger R.  The axiom checkers grow
 # it to their bound plus the largest shift of an image, so every block of
-# triples they map is one gather; the counting's chunks never fit (the box
-# is empty unless a check grew it) and are keyed.
+# triples they map is one gather.  The counting maps each cell of its pass
+# once, and keys it unless a check grew the box past it.
 
 
 def _face_keys(m: np.ndarray) -> np.ndarray:
@@ -299,18 +288,6 @@ def _face_positions(m: np.ndarray) -> np.ndarray:
     return _keyed_positions(m)
 
 
-@functools.lru_cache(maxsize=1)
-def _faces(n: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The number of ``n``-voter profiles on each face, by position, and the
-    face position of each ``n``-voter cell, chunk by chunk."""
-    total, positions = np.zeros(len(_FACE_CELLS), dtype=np.int64), []
-    for m, weights in _margin_cells(n):
-        positions.append(_face_positions(m))
-        # float sums of integer weights are exact below 2**53 profiles a chunk
-        total += np.bincount(positions[-1], weights, minlength=total.size).astype(np.int64)
-    return total, positions
-
-
 #: the output code of each choice set: its mask, its index in CHOICE_SETS
 _CODE_OF = {choice: code for code, choice in enumerate(CHOICE_SETS)}
 #: per output code, whether it holds several candidates, and which
@@ -334,27 +311,21 @@ def _condorcet_winner_set(m: Margins) -> ChoiceSet:
     return CHOICE_SETS[0 if champion is None else 1 << champion]
 
 
-def _margin_cell_count(margin_rule: Callable[[Margins], ChoiceSet], n: int) -> int:
-    """Profiles with ``n`` voters on which a margin rule is irresolute."""
-    total = _faces(n)[0]
-    return int(total[_SEVERAL[_face_codes(margin_rule)]].sum())
-
-
-def condorcet_profile_count(n: int) -> int:
-    """Number of ``n``-voter profiles with a Condorcet winner."""
-    total = _faces(n)[0]
-    return int(total[_face_codes(_condorcet_winner_set) > 0].sum())
-
-
 # ---------------------------------------------------------------------------
-# Counting over the fibres of margin cells (positional and artificial rules)
+# Counting: one pass over the cells of the largest electorate
 # ---------------------------------------------------------------------------
 #
-# The profiles of the cell with surplus d differ only in t = (t1, t2, t3),
-# t1 + t2 + t3 = J, the order/reverse pairs added to the |d_i| surplus voters.
-# When every order gives each candidate fixed points, x scores
-# K_x + sum_i A_i[x] t_i: K_x from the surplus voters, A_i[x] from one pair of
-# kind i.
+# The cells of n voters hold those of every smaller n of its parity, so one
+# pass over the cells of the largest n of each parity serves every n.  It
+# counts H[face, |d|_1], the cells of each face by size; a cell of size L
+# holds W[L, n] = C((n - L)/2 + 2, 2) profiles of n voters, so H @ W holds
+# the profiles of each face at every n.  Those profiles differ only in
+# t = (t1, t2, t3), t1 + t2 + t3 = J = (n - |d|_1) / 2, the order/reverse
+# pairs added to the |d_i| surplus voters.  When every order gives each
+# candidate fixed points, x scores K_x + sum_i A_i[x] t_i: K_x from the
+# surplus voters, A_i[x] from one pair of kind i.  Positional and artificial
+# rules are counted over these fibres, with each chunk sorted by |d|_1 so
+# that the cells of n are a prefix of it.
 
 
 def _ties_at_max(*scores: np.ndarray) -> np.ndarray:
@@ -372,8 +343,9 @@ def _order_points(by_position: Sequence[Sequence[int]]) -> np.ndarray:
     return np.take_along_axis(rows, np.array(ORDER_RANK_OF), axis=1)
 
 
-def _scoring_count(n: int, vector: tuple) -> int:
-    """Profiles with ``n`` voters on which the scoring rule ties.
+def _scoring_ties(vector: tuple, score: np.ndarray, j: np.ndarray) -> int:
+    """Profiles of the cells with base scores ``score`` (K) and ``j`` voter
+    pairs on which the scoring rule ties.
 
     A pair of kind i gives its middle candidate 2 s2 and the other two
     s1 + s3, so x scores K_x + (s1 + s3) J - gamma u_x with
@@ -384,65 +356,106 @@ def _scoring_count(n: int, vector: tuple) -> int:
     """
     s1, s2, s3 = _rules.integer_scores(vector)
     gamma = s1 - 2 * s2 + s3
-    points = _order_points([(s1, s2, s3)] * 6)
-    count = 0
-    for d in _surplus_vectors(n):
-        j, weights = _fibres(n, d)
-        score = _order_surplus(d) @ points  # K
-        if gamma == 0:  # the scores are the same on the whole cell
-            count += int(weights[_ties_at_max(*score.T)].sum())
-            continue
-        k, whole = [], []
-        for x, y, z in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-            k_xy, rest = np.divmod(score[:, x] - score[:, y], gamma)
-            k.append(k_xy)
-            whole.append(rest == 0)
-            # u_x, u_y = u_x - k and u_z = J + k - 2 u_x are >= 0, and
-            # z is not above: 3 gamma u_x <= gamma (J + k) + K_x - K_z
-            lo, hi = np.maximum(k_xy, 0), (j + k_xy) // 2
-            top = gamma * (j + k_xy) + score[:, x] - score[:, z]
-            if gamma > 0:
-                hi = np.minimum(hi, top // (3 * gamma))
-            else:
-                lo = np.maximum(lo, -(-top // (3 * gamma)))
-            count += int(np.maximum(hi - lo + 1, 0)[whole[-1]].sum())
-        # three-way ties: 3 u_a = J + k_ab + k_ac, with u_a, u_b, u_c >= 0
-        u3 = j + k[0] + k[1]
-        lowest = np.maximum(np.maximum(k[0], k[1]), 0)
-        count -= 2 * int((whole[0] & whole[1] & (u3 % 3 == 0) & (u3 // 3 >= lowest)).sum())
-    return count
+    if gamma == 0:  # the scores are the same on the whole cell
+        return int(((j + 1) * (j + 2) // 2)[_ties_at_max(*score.T)].sum())
+    count, k, whole = 0, [], []
+    for x, y, z in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+        k_xy, rest = np.divmod(score[:, x] - score[:, y], gamma)
+        k.append(k_xy)
+        whole.append(rest == 0)
+        # u_x, u_y = u_x - k and u_z = J + k - 2 u_x are >= 0, and
+        # z is not above: 3 gamma u_x <= gamma (J + k) + K_x - K_z
+        lo, hi = np.maximum(k_xy, 0), (j + k_xy) // 2
+        top = gamma * (j + k_xy) + score[:, x] - score[:, z]
+        if gamma > 0:
+            hi = np.minimum(hi, top // (3 * gamma))
+        else:
+            lo = np.maximum(lo, -(-top // (3 * gamma)))
+        count += int(np.maximum(hi - lo + 1, 0)[whole[-1]].sum())
+    # three-way ties: 3 u_a = J + k_ab + k_ac, with u_a, u_b, u_c >= 0
+    u3 = j + k[0] + k[1]
+    lowest = np.maximum(np.maximum(k[0], k[1]), 0)
+    return count - 2 * int((whole[0] & whole[1] & (u3 % 3 == 0) & (u3 // 3 >= lowest)).sum())
 
 
-def _artificial_count(n: int) -> int:
-    """Profiles with ``n`` voters on which the artificial rule ties.
-
-    Maximin winners are refined by points, so only the cells where maximin
-    ties can tie; their fibres are expanded profile by profile.
-    """
-    table = _rules.artificial_table(n)
-    points = _order_points([(top, mid, 0) for top, mid in table])
+def _artificial_ties(n: int, winners: np.ndarray, surplus: np.ndarray, j: np.ndarray) -> int:
+    """Profiles with ``n`` voters on which the artificial rule ties, in cells
+    where maximin ties with the ``winners``, order ``surplus`` and ``j``
+    voter pairs given.  Maximin winners are refined by points, so only such
+    cells can tie; their fibres are expanded profile by profile."""
+    points = _order_points([(top, mid, 0) for top, mid in _rules.artificial_table(n)])
     pair = points[_ORDERS] + points[_REVERSES]  # A_i[x]
-    _, positions = _faces(n)
-    maximin = _face_codes(_rules.maximin_margins)
+    surplus = surplus @ points  # K
     count = 0
-    for d, face in zip(_surplus_vectors(n), positions):
-        codes = maximin[face]
-        tied = _SEVERAL[codes]
-        winners, d = _MEMBERS[codes[tied]], d[tied]
-        j, weights = _fibres(n, d)
-        surplus = _order_surplus(d) @ points
-        # fibres in pieces of about _CELL_CHUNK profiles, so memory stays bounded
-        ends = np.cumsum(weights)
-        cuts = np.searchsorted(ends, np.arange(_CELL_CHUNK, ends[-1:].sum(), _CELL_CHUNK))
-        for cells in np.split(np.arange(j.size), cuts):
-            cell, t1 = _expand(j[cells] + 1)
-            row, t2 = _expand(j[cells][cell] - t1 + 1)
-            cell, t1 = cells[cell][row], t1[row]
-            t = np.stack((t1, t2, j[cell] - t1 - t2), axis=1)
-            # points are never negative, so -1 keeps a maximin loser out
-            score = np.where(winners[cell], surplus[cell] + t @ pair, -1)
-            count += int(_ties_at_max(*score.T).sum())
+    # fibres in pieces of about _CELL_CHUNK profiles, so memory stays bounded
+    ends = np.cumsum((j + 1) * (j + 2) // 2)
+    cuts = np.searchsorted(ends, np.arange(_CELL_CHUNK, ends[-1:].sum(), _CELL_CHUNK))
+    for cells in np.split(np.arange(j.size), cuts):
+        cell, t1 = _expand(j[cells] + 1)
+        row, t2 = _expand(j[cells][cell] - t1 + 1)
+        cell, t1 = cells[cell][row], t1[row]
+        score = np.stack((t1, t2, j[cell] - t1 - t2), axis=1) @ pair
+        del row, t1, t2
+        score += surplus[cell]
+        score[~winners[cell]] = -1  # points are never negative: a maximin loser is out
+        count += int(_ties_at_max(*score.T).sum())
     return count
+
+
+def _tie_counts(ns: Sequence[int], targets: Sequence) -> dict[int, list[int]]:
+    """Per n in ``ns``, the ``n``-voter profiles each target counts: a face
+    mask those on its faces, a score vector those where it ties and
+    ``rules.artificial_rule`` those where that rule ties; any other target
+    counts none."""
+    counts = {n: [0] * len(targets) for n in ns}
+    masks = [(i, t) for i, t in enumerate(targets) if isinstance(t, np.ndarray)]
+    vectors = [(i, t) for i, t in enumerate(targets) if isinstance(t, tuple)]
+    artificial = [i for i, t in enumerate(targets) if t is _rules.artificial_rule]
+    maximin = _face_codes(_rules.maximin_margins)
+    for top in {max(m for m in ns if m % 2 == n % 2) for n in ns}:
+        own = sorted({n for n in ns if n % 2 == top % 2})
+        histogram = np.zeros((len(_FACE_CELLS), top + 1), dtype=np.int64)  # H
+        for d in _surplus_vectors(top):
+            size = sum(np.abs(d).T)  # |d|_1 as column sums: faster than .sum(axis=1)
+            faces = _face_positions(d @ _SURPLUS_TO_MARGINS.T)
+            histogram.flat += np.bincount(
+                np.ravel_multi_index((faces, size), histogram.shape), minlength=histogram.size
+            )
+            if not (vectors or artificial):
+                continue
+            order = np.argsort(size, kind="stable")
+            size, faces = size[order].astype(np.int32), faces[order]
+            surplus = _order_surplus(d[order].astype(np.int32))
+            del order
+            # the base scores K and the maximin-tied cells (kept only for the
+            # artificial rule) are taken, and then only the tied cells'
+            # surplus is kept; the K are freed once counted (tracemalloc peak)
+            scores = [surplus @ _order_points([_rules.integer_scores(v)] * 6) for _, v in vectors]
+            tied = _SEVERAL[maximin[faces]] & bool(artificial)
+            winners, surplus, tied_size = _MEMBERS[maximin[faces[tied]]], surplus[tied], size[tied]
+            ends = np.searchsorted(size, own, side="right")
+            for (i, vector), score in zip(vectors, scores):
+                for n, end in zip(own, ends):
+                    counts[n][i] += _scoring_ties(vector, score[:end], (n - size[:end]) // 2)
+                del score
+            del scores
+            for n, end in zip(own, np.searchsorted(tied_size, own, side="right")):
+                j = (n - tied_size[:end]) // 2
+                count = _artificial_ties(n, winners[:end], surplus[:end], j) if end else 0
+                for i in artificial:
+                    counts[n][i] += count
+        j = (np.array(own) - np.arange(top + 1)[:, None]) // 2
+        profiles = histogram @ np.where(j >= 0, (j + 1) * (j + 2) // 2, 0)  # H @ W
+        for i, mask in masks:
+            for n, count in zip(own, (mask @ profiles).tolist()):
+                counts[n][i] = count
+    return counts
+
+
+def condorcet_profile_counts(ns: Sequence[int]) -> list[int]:
+    """Per n in ``ns``, the number of ``n``-voter profiles with a Condorcet winner."""
+    counts = _tie_counts(ns, [_face_codes(_condorcet_winner_set) > 0])
+    return [counts[n][0] for n in ns]
 
 
 @dataclass(frozen=True)
@@ -471,41 +484,47 @@ class FrequencyRow:
         return f"{self.n},{rule},{self.irresolute},{self.total},{self.fraction_str()}"
 
 
-def irresoluteness(
-    rule_id: str,
-    n: int,
-    workers: Optional[int] = None,  # ignored; perfbench/worker.py still passes it
-    exclude_all_tied: Optional[bool] = None,
-) -> FrequencyRow:
-    """Exact count of ``n``-voter profiles on which the rule is irresolute.
+def frequency_rows(
+    rule_ids: Sequence[str], ns: Sequence[int], exclude_all_tied: Optional[bool] = None
+) -> list[FrequencyRow]:
+    """Exact counts of the profiles on which each rule is irresolute: one row
+    per n in ``ns`` and rule, n by n, all from one pass over the cells.
 
     ``exclude_all_tied`` controls whether completely tied profiles (all
-    margins zero) are left out of the count; the default is the rule's
+    margins zero) are left out of the count; the default is each rule's
     ``exclude_all_tied`` entry in ``rules.RULES``.
     """
-    if n < 1:
-        raise ValueError(f"voter count must be positive, got {n}")
-    total = profile_count(n)
-    resolved, rule = _rules.resolve(rule_id)
-    if exclude_all_tied is None:
-        exclude_all_tied = rule.exclude_all_tied
-    # Completely tied profiles make every implemented rule irresolute, so
-    # excluding them is a closed-form subtraction rather than a scan filter.
-    tied = all_tied_count(n) if exclude_all_tied else 0
+    if min(ns, default=1) < 1:
+        raise ValueError(f"voter count must be positive, got {min(ns)}")
+    resolved = [_rules.resolve(rule_id) for rule_id in rule_ids]
+    counts = _tie_counts(ns, [
+        _SEVERAL[_face_codes(rule.compute)] if rule.reads == _rules.MARGINS else rule.compute
+        for _, rule in resolved
+    ])
+    rows = []
+    for n in ns:
+        for rule_id, (canonical, rule), count in zip(rule_ids, resolved, counts[n]):
+            if rule.reads == _rules.PROFILE and rule.compute is not _rules.artificial_rule:
+                # the bounded search rules are swept profile by profile; their
+                # voter cap keeps n small
+                count = sum(
+                    len(_rules.evaluate_uncached(canonical, p)) >= 2 for p in ProfileCursor(n)
+                )
+            # Completely tied profiles make every implemented rule irresolute,
+            # so excluding them is a closed-form subtraction.
+            exclude = rule.exclude_all_tied if exclude_all_tied is None else exclude_all_tied
+            tied = all_tied_count(n) if exclude else 0
+            rows.append(FrequencyRow(n, rule_id, count - tied, profile_count(n)))
+    return rows
 
-    if rule.reads == _rules.MARGINS:
-        count = _margin_cell_count(rule.compute, n)
-    elif rule.reads == _rules.SCORES:
-        count = _scoring_count(n, rule.compute)
-    elif resolved == "artificial":
-        count = _artificial_count(n)
-    else:
-        # The bounded search rules are swept profile by profile; their voter
-        # cap keeps n small.
-        count = sum(
-            len(_rules.evaluate_uncached(rule_id, p)) >= 2 for p in ProfileCursor(n)
-        )
-    return FrequencyRow(n, rule_id, count - tied, total)
+
+def irresoluteness(
+    rule_id: str, n: int, workers: Optional[int] = None, exclude_all_tied: Optional[bool] = None
+) -> FrequencyRow:
+    """Exact count of ``n``-voter profiles on which the rule is irresolute:
+    the one row of :func:`frequency_rows`.  ``workers`` is ignored;
+    perfbench/worker.py still passes it."""
+    return frequency_rows([rule_id], [n], exclude_all_tied)[0]
 
 
 # ---------------------------------------------------------------------------

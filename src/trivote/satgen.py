@@ -36,7 +36,7 @@ from .core import (
     total_voters,
 )
 from .axioms import _profile_pairs
-from .enumeration import condorcet_profile_count, profile_count, profiles_up_to
+from .enumeration import condorcet_profile_counts, profile_count, profiles_up_to
 
 Clause = tuple[int, ...]
 
@@ -274,7 +274,7 @@ def clause_count(bound: int) -> int:
     unordered pair, less the three that a pair (P, P) repeats."""
     sizes = [profile_count(n) for n in range(bound + 1)]
     ordered = sum(sizes[a] * sizes[b] for a in range(1, bound) for b in range(1, bound - a + 1))
-    condorcet = sum(condorcet_profile_count(n) for n in range(1, bound + 1))
+    condorcet = sum(condorcet_profile_counts(range(1, bound + 1)))
     return sum(sizes[1:]) + 3 * condorcet + 6 * ordered + 3 * sum(sizes[1 : bound // 2 + 1])
 
 

@@ -407,6 +407,47 @@ def test_probe_with_empty_minority_settles_immediately():
         assert axioms.continuity_probe(rule_id, P("2abc+1cba"), empty, 10) == 1
 
 
+def probe_over_every_n(rule_id, profile, profile2, horizon):
+    """The continuity probe as first defined: the rule is evaluated on every
+    n from 1 to the horizon before any answer is read."""
+    base = rules.evaluate(rule_id, profile)
+    contained = [
+        rules.evaluate(rule_id, core.combine(core.t_fold(profile, n), profile2)) <= base
+        for n in range(1, horizon + 1)
+    ]
+    if not contained[-1]:
+        return None
+    first = horizon
+    for n in range(horizon - 1, 0, -1):
+        if not contained[n - 1]:
+            break
+        first = n
+    return first
+
+
+def test_the_probe_evaluates_down_from_the_horizon_to_the_first_failure(monkeypatch):
+    electorates = []
+    monkeypatch.setattr(axioms, "combine", lambda *pq: electorates.append(pq) or core.combine(*pq))
+    profiles = [p for n in (1, 2, 3) for p in axioms.profiles_up_to(n, min_n=n)]
+    rng = random.Random(20240814)
+    pairs = [(p1, p2) for p1 in profiles for p2 in profiles]
+    answers = set()
+    for rule_id in ("maximin", "leximin", "black", "nanson"):
+        for p1, p2 in rng.sample(pairs, 60):
+            electorates.clear()
+            answer = axioms.continuity_probe(rule_id, p1, p2, 12)
+            assert answer == probe_over_every_n(rule_id, p1, p2, 12), (rule_id, p1, p2)
+            # n = 12 down to the answer hold and the n below it fails, if any
+            evaluated = 1 if answer is None else 12 - answer + 1 + (answer > 1)
+            assert len(electorates) == evaluated, (rule_id, p1, p2)
+            answers.add(min(answer or 0, 2))
+    assert answers == {0, 1, 2}  # a failing horizon, a probe that holds throughout, a threshold
+    electorates.clear()
+    tied = P("1abc+1acb+2bac")
+    assert axioms.continuity_probe("leximin", tied, P("2bac"), axioms.SWEEP_BUDGET) is None
+    assert len(electorates) == 1  # a failing horizon costs one evaluation
+
+
 # ---------------------------------------------------------------------------
 # margin cells against the profile sweep
 # ---------------------------------------------------------------------------

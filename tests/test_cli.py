@@ -488,6 +488,24 @@ def test_swept_verify_output_matches_the_recorded_digests(capsys, axiom):
 # ---------------------------------------------------------------------------
 
 
+#: [exit code, stdout sha256] of figure4 over the benchmark's seven rules to
+#: 30 voters, and over every rule and a scoring vector to 8 voters; recorded
+#: at commit 9511caa, where each row was counted by its own call
+FIGURE4_DIGESTS = {
+    "figure4 --rules maximin,nanson,leximin,black,baldwin,plurality,artificial --max-n 30": (
+        0, "3e9be30bb545569a41a94f2e2c61ba4093ecbc767ee5c44fd0ccdc927a7baa94"
+    ),
+    f"figure4 --rules {','.join(rules.ALL_RULE_IDS)},scoring:3,1,0 --max-n 8": (
+        0, "b4de516b371ce8ce3bdf1257eb6d8db273753bc828b7883725b1299ad6e8eb17"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FIGURE4_DIGESTS))
+def test_figure4_output_matches_the_recorded_digests(capsys, command):
+    assert _exit_and_digest(capsys, command) == FIGURE4_DIGESTS[command]
+
+
 def test_figure4_single_row(capsys):
     code, out, _ = run(capsys, "figure4", "--rules", "maximin", "--max-n", "4")
     assert code == 0

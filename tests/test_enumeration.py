@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from trivote import axioms, core, enumeration, rules
+from trivote import axioms, cli, core, enumeration, rules
 from trivote.core import parse_profile
 from trivote.enumeration import (
     FrequencyRow,
@@ -86,9 +86,17 @@ def test_profiles_up_to_orders_by_voter_count_then_colex():
 # ---------------------------------------------------------------------------
 
 
+def margin_cells(n):
+    """Chunks (margins, weights) of the ``n``-voter cells: ``weights[i]``
+    profiles have the margins ``margins[i]``."""
+    for d in enumeration._surplus_vectors(n):
+        j = (n - np.abs(d).sum(axis=1)) // 2
+        yield d @ enumeration._SURPLUS_TO_MARGINS.T, (j + 1) * (j + 2) // 2
+
+
 def cell_histogram(n):
     histogram = Counter()
-    for m, weights in enumeration._margin_cells(n):
+    for m, weights in margin_cells(n):
         for triple, weight in zip(m.tolist(), weights.tolist()):
             histogram[tuple(triple)] += weight
     return histogram
@@ -96,7 +104,7 @@ def cell_histogram(n):
 
 def test_cell_weights_sum_to_the_profile_count():
     for n in range(13):
-        total = sum(int(w.sum()) for _, w in enumeration._margin_cells(n))
+        total = sum(int(w.sum()) for _, w in margin_cells(n))
         assert total == profile_count(n), n
 
 
@@ -107,7 +115,7 @@ def test_cell_histogram_matches_brute_force_margins(n):
 
 
 def test_cells_arrive_in_bounded_chunks():
-    chunks = list(enumeration._margin_cells(60))
+    chunks = list(margin_cells(60))
     assert len(chunks) > 1
     slab = 61 * 61
     assert all(len(m) < enumeration._CELL_CHUNK + slab for m, _ in chunks)
@@ -119,7 +127,7 @@ def test_a_margin_rule_is_constant_on_every_sign_face(rule_id):
     margin_rule = rules.RULES[rule_id].compute
     codes = enumeration._face_codes(margin_rule)
     for n in (15, 16):
-        for m, _ in enumeration._margin_cells(n):
+        for m, _ in margin_cells(n):
             for triple, face in zip(m.tolist(), enumeration._face_positions(m).tolist()):
                 expected = margin_rule(tuple(triple))
                 assert core.CHOICE_SETS[codes[face]] == expected, triple
@@ -156,22 +164,24 @@ def test_the_candidates_who_must_win_are_constant_on_every_sign_face(champions):
         assert champions(tuple(triple)) == core.CHOICE_SETS[codes[face]], triple
 
 
-def test_each_cell_chunk_is_mapped_to_its_faces_once_per_voter_count(monkeypatch):
-    calls = []
+def test_one_figure4_call_maps_each_cell_of_its_largest_electorate_once(monkeypatch, capsys):
+    mapped = []
     face_positions = enumeration._face_positions
 
-    def counting(m):
-        calls.append(len(m))
+    def recording(m):
+        mapped.append(m.copy())
         return face_positions(m)
 
-    monkeypatch.setattr(enumeration, "_face_positions", counting)
-    enumeration._faces.cache_clear()
-    chunks = []
-    for n in (8, 9, 48):  # 48 voters take two chunks
-        for rule_id in ("maximin", "artificial", "plurality", "black"):
-            irresoluteness(rule_id, n)
-        chunks += [len(m) for m, _ in enumeration._margin_cells(n)]
-    assert calls == chunks and len(chunks) == 4
+    monkeypatch.setattr(enumeration, "_CELL_CHUNK", 64)  # the 12-voter cells take 14 chunks
+    monkeypatch.setattr(enumeration, "_face_positions", recording)
+    argv = ["figure4", "--rules", "maximin,artificial,plurality,black", "--max-n", "12"]
+    assert cli.main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 5 * 4
+    chunks = [m for m, _ in margin_cells(12)]
+    assert len(mapped) == len(chunks) == 14
+    cells = np.concatenate(chunks)
+    assert sum(map(len, mapped)) == len(cells)
+    assert sorted(map(tuple, np.concatenate(mapped).tolist())) == sorted(map(tuple, cells.tolist()))
 
 
 @pytest.fixture
@@ -216,7 +226,7 @@ def test_the_catalogue_holds_one_cell_of_each_of_the_267_faces_in_key_order():
 
 def test_every_triple_maps_to_the_catalogue_entry_with_its_own_key(keyed_rows):
     enumeration._grow_box(24)  # the positions are read both through the keys and the box
-    cells = [m for n in range(17) for m, _ in enumeration._margin_cells(n)]
+    cells = [m for n in range(17) for m, _ in margin_cells(n)]
     for triples in (WIDE_TRIPLES, *cells):
         for faces in (enumeration._keyed_positions(triples), enumeration._face_positions(triples)):
             assert (enumeration._FACE_KEYS[faces] == enumeration._face_keys(triples)).all()
@@ -350,6 +360,26 @@ def test_kernel_count_matches_scalar_sweep(rule_id):
             if len(rules.evaluate_uncached(rule_id, p)) >= 2
         )
         assert row.irresolute == scalar, (rule_id, n)
+
+
+def test_one_pass_over_both_parities_matches_a_profile_sweep(monkeypatch):
+    monkeypatch.setattr(enumeration, "_CELL_CHUNK", 64)  # every electorate spans chunks
+    capped = [r for r in rules.ALL_RULE_IDS if rules.RULES[r].max_voters < 12]
+    uncapped = [r for r in rules.ALL_RULE_IDS if r not in capped] + ["scoring:3,1,0"]
+    assert capped == ["dodgson", "young"]
+    for rule_ids, ns in ((uncapped, range(1, 13)), (capped, range(1, 10))):
+        rows = enumeration.frequency_rows(rule_ids, ns, exclude_all_tied=False)
+        assert [(row.n, row.rule) for row in rows] == [(n, r) for n in ns for r in rule_ids]
+        for row in rows:
+            swept = sum(
+                len(rules.evaluate_uncached(row.rule, p)) >= 2 for p in ProfileCursor(row.n)
+            )
+            assert row.irresolute == swept, (row.rule, row.n)
+    swept = [
+        sum(core.condorcet_winner(core.margins(p)) is not None for p in ProfileCursor(n))
+        for n in range(1, 13)
+    ]
+    assert enumeration.condorcet_profile_counts(range(1, 13)) == swept
 
 
 # irresolute profiles (completely tied ones included) at 59 and 60 voters, as

@@ -5,7 +5,7 @@ import io
 
 import pytest
 
-from trivote import axioms, rules, satgen
+from trivote import axioms, enumeration, rules, satgen
 from trivote.core import (
     combine,
     condorcet_winner,
@@ -45,6 +45,25 @@ def test_clause_count_matches_the_built_instance(inst4, inst7):
     for inst in (satgen.build_instance(2), satgen.build_instance(3), inst4, inst7):
         assert satgen.clause_count(inst.bound) == inst.num_clauses
     assert inst7.num_clauses == 287_999
+
+
+#: clause_count(b) for b = 1..10, recorded at commit 9511caa, where each
+#: voter count built its own face counts
+CLAUSE_COUNTS = [24, 306, 2036, 9119, 33275, 103517, 287999, 730412, 1721820, 3812454]
+
+
+def test_clause_counts_stay_pinned_and_read_one_counting_pass(monkeypatch):
+    assert [satgen.clause_count(b) for b in range(1, 11)] == CLAUSE_COUNTS
+    passes = []
+    tie_counts = enumeration._tie_counts
+
+    def counting(ns, targets):
+        passes.append(list(ns))
+        return tie_counts(ns, targets)
+
+    monkeypatch.setattr(enumeration, "_tie_counts", counting)
+    assert satgen.clause_count(10) == CLAUSE_COUNTS[-1]
+    assert passes == [list(range(1, 11))]
 
 
 def test_a_build_over_the_clause_budget_is_refused_before_any_profile(monkeypatch):
