@@ -17,8 +17,8 @@ decimals only at the output boundary.  Two access paths are provided:
   whose signs define the faces, so it is constant on each face and is read
   from one evaluation per face; the axiom checkers read margin functions the
   same way.  Positional rules are counted over the same cells in closed
-  form, and the artificial rule over the profiles of the cells where maximin
-  ties; the bounded search rules (Dodgson, Young) by a cursor sweep.
+  form, and so is the artificial rule, over the fibres of the cells where
+  maximin ties; the bounded search rules (Dodgson, Young) by a cursor sweep.
 """
 
 from __future__ import annotations
@@ -323,17 +323,10 @@ def _condorcet_winner_set(m: Margins) -> ChoiceSet:
 # t = (t1, t2, t3), t1 + t2 + t3 = J = (n - |d|_1) / 2, the order/reverse
 # pairs added to the |d_i| surplus voters.  When every order gives each
 # candidate fixed points, x scores K_x + sum_i A_i[x] t_i: K_x from the
-# surplus voters, A_i[x] from one pair of kind i.  Positional and artificial
-# rules are counted over these fibres, with each chunk sorted by |d|_1 so
-# that the cells of n are a prefix of it.
-
-
-def _ties_at_max(*scores: np.ndarray) -> np.ndarray:
-    best = scores[0]
-    for s in scores[1:]:
-        best = np.maximum(best, s)
-    count = sum((s == best).astype(np.int8) for s in scores)
-    return count >= 2
+# surplus voters, A_i[x] from one pair of kind i.  So a tie of x and y is a
+# line in t, and its points in the fibre are one interval of integers: the
+# positional and artificial rules are counted in closed form, cell by cell,
+# with each chunk sorted by |d|_1 so that the cells of n are a prefix of it.
 
 
 def _order_points(by_position: Sequence[Sequence[int]]) -> np.ndarray:
@@ -356,8 +349,9 @@ def _scoring_ties(vector: tuple, score: np.ndarray, j: np.ndarray) -> int:
     """
     s1, s2, s3 = _rules.integer_scores(vector)
     gamma = s1 - 2 * s2 + s3
-    if gamma == 0:  # the scores are the same on the whole cell
-        return int(((j + 1) * (j + 2) // 2)[_ties_at_max(*score.T)].sum())
+    if gamma == 0:  # the scores are the same on the whole cell: are the top two equal?
+        ranked = np.sort(score, axis=1)
+        return int(((j + 1) * (j + 2) // 2)[ranked[:, 1] == ranked[:, 2]].sum())
     count, k, whole = 0, [], []
     for x, y, z in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
         k_xy, rest = np.divmod(score[:, x] - score[:, y], gamma)
@@ -378,28 +372,61 @@ def _scoring_ties(vector: tuple, score: np.ndarray, j: np.ndarray) -> int:
     return count - 2 * int((whole[0] & whole[1] & (u3 % 3 == 0) & (u3 // 3 >= lowest)).sum())
 
 
-def _artificial_ties(n: int, winners: np.ndarray, surplus: np.ndarray, j: np.ndarray) -> int:
-    """Profiles with ``n`` voters on which the artificial rule ties, in cells
-    where maximin ties with the ``winners``, order ``surplus`` and ``j``
-    voter pairs given.  Maximin winners are refined by points, so only such
-    cells can tie; their fibres are expanded profile by profile."""
-    points = _order_points([(top, mid, 0) for top, mid in _rules.artificial_table(n)])
-    pair = points[_ORDERS] + points[_REVERSES]  # A_i[x]
-    surplus = surplus @ points  # K
-    count = 0
-    # fibres in pieces of about _CELL_CHUNK profiles, so memory stays bounded
-    ends = np.cumsum((j + 1) * (j + 2) // 2)
-    cuts = np.searchsorted(ends, np.arange(_CELL_CHUNK, ends[-1:].sum(), _CELL_CHUNK))
-    for cells in np.split(np.arange(j.size), cuts):
-        cell, t1 = _expand(j[cells] + 1)
-        row, t2 = _expand(j[cells][cell] - t1 + 1)
-        cell, t1 = cells[cell][row], t1[row]
-        score = np.stack((t1, t2, j[cell] - t1 - t2), axis=1) @ pair
-        del row, t1, t2
-        score += surplus[cell]
-        score[~winners[cell]] = -1  # points are never negative: a maximin loser is out
-        count += int(_ties_at_max(*score.T).sum())
-    return count
+def _span(*bounds: tuple[np.ndarray, int]) -> np.ndarray:
+    """Per row, the integers k with alpha + beta k >= 0 for every (alpha,
+    beta) of ``bounds``, alpha an array and beta an int; some beta must be
+    positive and some negative."""
+    lo = functools.reduce(np.maximum, [-(alpha // beta) for alpha, beta in bounds if beta > 0])
+    hi = functools.reduce(np.minimum, [alpha // -beta for alpha, beta in bounds if beta < 0])
+    held = np.all([alpha >= 0 for alpha, beta in bounds if beta == 0], axis=0)
+    return np.where(held, np.maximum(hi - lo + 1, 0), 0)
+
+
+def _line_points(a: int, b: int, c: np.ndarray, j: np.ndarray, *cuts) -> np.ndarray:
+    """Per row, the points t1, t2 >= 0 with t1 + t2 <= ``j`` on the line
+    a t1 + b t2 + ``c`` = 0 at which every cut (a', b', c'),
+    a' t1 + b' t2 + c' >= 0, holds.  With g = gcd(a, b) > 0 they are
+    t0 + k (b, -a) / g, t0 by Bezout's identity: one interval of k.  With
+    a = b = 0 the line is the whole triangle where c = 0: one interval of t2
+    per t1."""
+    if a == b == 0:
+        row, t1 = _expand(np.where(c == 0, j + 1, 0))
+        counts = np.zeros(len(j), dtype=np.int64)
+        np.add.at(counts, row, _span(
+            (0 * t1, 1), (j[row] - t1, -1), *((c_[row] + a_ * t1, b_) for a_, b_, c_ in cuts)
+        ))
+        return counts
+    g = math.gcd(a, b)
+    u = pow(a // g, -1, abs(b // g)) if b else g // a  # a u = g (mod b)
+    q, rest = np.divmod(-c, g)
+    t1, t2, step1, step2 = q * u, q * ((g - a * u) // b if b else 0), b // g, -a // g
+    return np.where(rest == 0, _span(
+        (t1, step1), (t2, step2), (j - t1 - t2, -step1 - step2),
+        *((c_ + a_ * t1 + b_ * t2, a_ * step1 + b_ * step2) for a_, b_, c_ in cuts),
+    ), 0)
+
+
+def _fibre_ties(
+    pair: np.ndarray, score: np.ndarray, j: np.ndarray, winners: np.ndarray
+) -> np.ndarray:
+    """Per cell, the points t of its fibre at which several ``winners`` share
+    the top score K_x + sum_i ``pair``[i, x] t_i, K = ``score``.  With
+    t3 = ``j`` - t1 - t2, x ties y on a line of (t1, t2), cut where a third
+    winner is above; a three-way tie is in all three pairwise counts, so it
+    is taken off twice."""
+    def lead(x: int, y: int, rows: np.ndarray) -> tuple[int, int, np.ndarray]:
+        a, b, e = (pair[:, x] - pair[:, y]).tolist()  # x's lead is a t1 + b t2 + c
+        return a - e, b - e, score[rows, x] - score[rows, y] + e * j[rows]
+
+    counts = np.zeros(len(j), dtype=np.int64)
+    three = winners.all(axis=1)
+    for x, y, z in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+        two = winners[:, x] & winners[:, y] & ~three
+        counts[two] = _line_points(*lead(x, y, two), j[two])
+        counts[three] += _line_points(*lead(x, y, three), j[three], lead(x, z, three))
+    tie3 = _line_points(*lead(0, 1, three), j[three], lead(0, 2, three), lead(2, 0, three))
+    counts[three] -= 2 * tie3
+    return counts
 
 
 def _tie_counts(ns: Sequence[int], targets: Sequence) -> dict[int, list[int]]:
@@ -439,11 +466,22 @@ def _tie_counts(ns: Sequence[int], targets: Sequence) -> dict[int, list[int]]:
                     counts[n][i] += _scoring_ties(vector, score[:end], (n - size[:end]) // 2)
                 del score
             del scores
-            for n, end in zip(own, np.searchsorted(tied_size, own, side="right")):
-                j = (n - tied_size[:end]) // 2
-                count = _artificial_ties(n, winners[:end], surplus[:end], j) if end else 0
-                for i in artificial:
-                    counts[n][i] += count
+            # the artificial rule: one closed-form count per score table over the
+            # rows (n, tied cell of n) of all its n; a chunk's tied cells thin out
+            # as 1/n while the n grow as n, so the rows stay below _CELL_CHUNK
+            # (at most 36,533 up to n = 240)
+            for table in dict.fromkeys(map(_rules.artificial_table, own)) if artificial else ():
+                points = _order_points([(top, mid, 0) for top, mid in table])
+                group = np.array([n for n in own if _rules.artificial_table(n) == table])
+                owner, cell = _expand(np.searchsorted(tied_size, group, side="right"))
+                ties = np.zeros(len(group), dtype=np.int64)
+                np.add.at(ties, owner, _fibre_ties(
+                    points[_ORDERS] + points[_REVERSES], (surplus @ points)[cell],
+                    (group[owner] - tied_size[cell]) // 2, winners[cell],
+                ))
+                for n, count in zip(group.tolist(), ties.tolist()):
+                    for i in artificial:
+                        counts[n][i] += count
         j = (np.array(own) - np.arange(top + 1)[:, None]) // 2
         profiles = histogram @ np.where(j >= 0, (j + 1) * (j + 2) // 2, 0)  # H @ W
         for i, mask in masks:
@@ -497,6 +535,13 @@ def frequency_rows(
     if min(ns, default=1) < 1:
         raise ValueError(f"voter count must be positive, got {min(ns)}")
     resolved = [_rules.resolve(rule_id) for rule_id in rule_ids]
+    for canonical, rule in resolved:  # (6 n + 12) max |s_i| bounds _scoring_ties's intermediates
+        if rule.reads == _rules.SCORES and (6 * max(ns, default=0) + 12) * max(
+            map(abs, _rules.integer_scores(rule.compute))
+        ) > np.iinfo(np.int64).max:
+            raise _rules.BoundExceededError(
+                f"{canonical} has points too large to count {max(ns)} voters in 64-bit integers"
+            )
     counts = _tie_counts(ns, [
         _SEVERAL[_face_codes(rule.compute)] if rule.reads == _rules.MARGINS else rule.compute
         for _, rule in resolved

@@ -576,6 +576,76 @@ def test_figure4_refuses_a_bad_rule_id_before_any_output(capsys, rules_arg, max_
     assert err.count("\n") == 1
 
 
+#: the largest points of a score vector that figure4 counts at 8 voters:
+#: the counting's intermediates stay within (6 n + 12) of them
+POINTS_AT_8 = (2**63 - 1) // (6 * 8 + 12)
+
+
+@pytest.mark.parametrize(
+    "vector, message",
+    [
+        ("1152921504606846977,1,0", "scoring:1152921504606846977,1,0 has points too large "
+         "to count 8 voters in 64-bit integers\n"),
+        ("1e308,0,0", "scoring:1e308,0,0 has points too large to count 8 voters "
+         "in 64-bit integers\n"),
+        (f"{POINTS_AT_8 + 1},1,0", f"scoring:{POINTS_AT_8 + 1},1,0 has points too large "
+         "to count 8 voters in 64-bit integers\n"),
+    ],
+    ids=["2**60+1", "1e308", "just-outside"],
+)
+def test_figure4_refuses_points_that_could_overflow_before_any_work(
+    capsys, monkeypatch, vector, message
+):
+    argv = ["figure4", "--rules", f"scoring:{vector}", "--max-n", "8"]
+    assert _refused(capsys, monkeypatch, argv, (enumeration, "_surplus_vectors")) == message
+
+
+@pytest.mark.parametrize(
+    "vector", [f"{POINTS_AT_8},1,0", f"{POINTS_AT_8},-{POINTS_AT_8},{POINTS_AT_8}"]
+)
+def test_figure4_counts_points_just_inside_the_bound_exactly(capsys, vector):
+    code, out, err = run(capsys, "figure4", "--rules", f"scoring:{vector}", "--max-n", "8")
+    assert (code, err) == (0, "")
+    for line in out.splitlines()[1:]:
+        n, irresolute = int(line.split(",")[0]), int(line.split(",")[-3])
+        swept = sum(
+            len(rules.evaluate_uncached(f"scoring:{vector}", p)) >= 2
+            for p in enumeration.ProfileCursor(n)
+        )
+        assert irresolute == swept, (vector, n)
+
+
+def test_figure4_refuses_a_count_over_the_cell_budget_before_any_work(capsys, monkeypatch):
+    argv = ["figure4", "--rules", "maximin", "--max-n", "100000"]
+    err = _refused(capsys, monkeypatch, argv, (enumeration, "_surplus_vectors"))
+    assert err == (
+        f"figure4 --max-n 100000 would visit over {cli.FIGURE4_BUDGET} margin cells, "
+        "the budget of one count\n"
+    )
+
+
+class _Started(Exception):
+    pass
+
+
+@pytest.mark.parametrize("max_n, accepted", [(200, True), (202, False)])
+def test_the_cell_budget_admits_the_seven_figure4_rules_up_to_200_voters(
+    capsys, monkeypatch, max_n, accepted
+):
+    def started(*args):
+        raise _Started
+
+    assert cli._margin_cells(12) == sum(map(len, enumeration._surplus_vectors(12)))
+    monkeypatch.setattr(enumeration, "_tie_counts", started)
+    argv = ["figure4", "--rules", "maximin,nanson,leximin,black,baldwin,plurality,artificial",
+            "--max-n", str(max_n)]
+    if accepted:
+        with pytest.raises(_Started):
+            cli.main(argv)
+    else:
+        assert "budget of one count" in _refused(capsys, monkeypatch, argv)
+
+
 # ---------------------------------------------------------------------------
 # satgen / replay
 # ---------------------------------------------------------------------------

@@ -415,6 +415,21 @@ def test_margin_cell_counts_match_the_frozen_block_scan(rule_id):
         assert irresoluteness(rule_id, n, exclude_all_tied=False).irresolute == expected
 
 
+# irresolute profiles (completely tied ones included) at 99 and 100 voters,
+# recorded at commit 4c2d04f, where the artificial rule's fibres were
+# expanded profile by profile
+LARGE_N_COUNTS = {
+    "artificial": {99: 1127, 100: 6653},
+    "plurality": {99: 1357144, 100: 1413363},
+}
+
+
+def test_large_electorate_counts_stay_pinned():
+    for rule_id, expected in LARGE_N_COUNTS.items():
+        rows = enumeration.frequency_rows([rule_id], [99, 100], exclude_all_tied=False)
+        assert {row.n: row.irresolute for row in rows} == expected, rule_id
+
+
 def test_search_tree_rules_count_by_scalar_sweep():
     for rule_id in ("dodgson", "young"):
         row = irresoluteness(rule_id, 4, exclude_all_tied=False)
@@ -447,6 +462,58 @@ def test_fibre_counts_match_a_brute_force_count(rule_id):
         )
         row = irresoluteness(rule_id, n, exclude_all_tied=False)
         assert row.irresolute == brute[True], (rule_id, n)
+
+
+def fibre_ties_by_enumeration(pair, score, j, winners):
+    """Per cell, the points t of the simplex t1 + t2 + t3 = j at which several
+    winners share the top score, found point by point."""
+    ties = []
+    for k, size, competing in zip(score.tolist(), j.tolist(), winners.tolist()):
+        count = 0
+        for t1 in range(size + 1):
+            for t2 in range(size - t1 + 1):
+                totals = [k[x] + t1 * pair[0][x] + t2 * pair[1][x] + (size - t1 - t2) * pair[2][x]
+                          for x in range(3) if competing[x]]
+                count += totals.count(max(totals)) >= 2
+        ties.append(count)
+    return ties
+
+
+def test_the_closed_form_fibre_count_matches_an_enumeration_of_the_simplex():
+    rng = np.random.default_rng(19)
+    masks = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1], [1, 1, 1]], dtype=bool)
+    degenerate = three_way = 0
+    for trial in range(300):
+        pair = rng.integers(-6, 7, size=(3, 3))
+        if trial % 3 == 0:  # a pair whose difference is constant on every fibre: a = b = 0
+            x, y = rng.choice(3, size=2, replace=False)
+            pair[:, y] = pair[:, x] + rng.integers(-3, 4)
+        score = rng.integers(-12, 13, size=(40, 3))
+        j = rng.integers(0, 9, size=40)
+        winners = masks[rng.integers(0, 4, size=40)]
+        expected = fibre_ties_by_enumeration(pair.tolist(), score, j, winners)
+        assert enumeration._fibre_ties(pair, score, j, winners).tolist() == expected, pair
+        differences = [pair[:, x] - pair[:, y] for x, y in ((0, 1), (0, 2), (1, 2))]
+        degenerate += any(len(set(d.tolist())) == 1 for d in differences)
+        corner = score + pair[2] * j[:, None]  # the scores at t = (0, 0, j)
+        three_way += int((winners.all(axis=1) & (corner.min(axis=1) == corner.max(axis=1))).sum())
+    assert degenerate >= 100 and three_way > 0
+
+
+def test_figure4_counts_the_artificial_rule_once_per_score_table(monkeypatch, capsys):
+    tables = []
+    fibre_ties = enumeration._fibre_ties
+
+    def recording(pair, score, j, winners):
+        tables.append(pair.tolist())
+        return fibre_ties(pair, score, j, winners)
+
+    monkeypatch.setattr(enumeration, "_fibre_ties", recording)
+    argv = ["figure4", "--rules", "maximin,nanson,leximin,black,baldwin,plurality,artificial"]
+    assert cli.main(argv + ["--max-n", "30"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 7 * 14
+    # n = 4 and 6 share a table, n = 8 has its own, and n >= 10 the default one
+    assert len(tables) == len({str(t) for t in tables}) == 3
 
 
 def test_parallel_and_serial_counts_agree():
