@@ -38,15 +38,15 @@ the witness note or None:
   to faces once and shared by every column: the check first grows the
   process's box of face positions to its bound plus the largest shift of
   an image, so the mapping is one gather (a doubling 2m has m's face), and
-  a column is one more gather of its codes.
-  ``optimist_equivalence`` walks the cells once for all its margin rules.
-  When nothing fails, the verdict is
-  ``holds-up-to-bound`` and no profile is touched; otherwise the sweep runs
-  as for any other rule, to list the witnesses in its order.
+  a column is one more gather of its codes.  When nothing fails, the
+  verdict is ``holds-up-to-bound`` and no profile is touched; otherwise the
+  sweep runs as for any other rule, to list the witnesses in its order.
 
 Reinforcement, over pairs of profiles, has a driver of each kind of its
 own: its sweep walks the profile pairs, and its cells pair two cells into
-m1 + m2.
+m1 + m2.  ``optimist_equivalence`` needs neither: its clauses see only the
+joining voter's order and two non-empty winner sets, so it is decided on
+those 294 inputs once, for every rule and bound.
 
 Every checker resolves its rules and refuses an electorate above a rule's
 voter cap before its first evaluation.  A margin check whose cells would
@@ -245,10 +245,10 @@ _SWEEP_SIZE = {
 }
 
 
-def _refuse_oversized_sweep(bound: int, instances: str, sweeps: int = 1) -> None:
-    """Refuse ``sweeps`` profile sweeps over ``instances`` up to ``bound``
-    that would visit more than SWEEP_BUDGET instances in all."""
-    size = sweeps * _SWEEP_SIZE[instances](bound)
+def _refuse_oversized_sweep(bound: int, instances: str) -> None:
+    """Refuse a profile sweep over ``instances`` up to ``bound`` that would
+    visit more than SWEEP_BUDGET of them."""
+    size = _SWEEP_SIZE[instances](bound)
     if size > SWEEP_BUDGET:
         raise _rules.BoundExceededError(
             f"bound {bound} needs a sweep of {size} {instances}, "
@@ -435,29 +435,21 @@ def _margin_maps(keys: tuple[_Key, ...]) -> tuple[np.ndarray, np.ndarray, bool, 
     return matrix, offset, bool((matrix == np.identity(3, dtype=int)).all()), bool(scales)
 
 
-#: a key table and the margin function of each output that its clause reads
-_Check = tuple[_Table, tuple[MarginRule, ...]]
-
-
-def _cells_fail_each(checks: list[_Check], bound: int) -> list[bool]:
-    """Per check (table, functions), whether the clause of ``table`` fails on
-    the margins m of some cell and a key that a profile with ``least <= n <=
-    bound`` realizes, where ``functions`` gives the margin function of each
-    output; the outputs that ``reads`` puts on the second profile read its
-    margins A m + b.  The tables share their keys, reads and least
-    electorate, so one walk of the cells serves every check: each block of
-    margins, and its image, is mapped to sign faces once, from the box of
-    ``enumeration``, and each output column is a gather of codes by face.
-    The clause sees only the key and the outputs, so it is called once per
-    key and tuple of output codes met, on one row of them; a check stops at
-    its first failure, the walk when every check has failed."""
+def _cells_fail(table: _Table, functions: tuple[MarginRule, ...], bound: int) -> bool:
+    """Whether the clause of ``table`` fails on the margins m of some cell
+    and a key that a profile with ``least <= n <= bound`` realizes, where
+    ``functions`` gives the margin function of each output; the outputs that
+    ``reads`` puts on the second profile read its margins A m + b.  Each
+    block of margins, and its image, is mapped to sign faces once, from the
+    box of ``enumeration``, and each output column is a gather of codes by
+    face.  The clause sees only the key and the outputs, so it is called
+    once per key and tuple of output codes met, on one row of them; the walk
+    stops at the first failure."""
     _refuse_oversized(bound)
-    table = checks[0][0]
     matrix, offset, shifts, scales = _margin_maps(table.keys)
     _grow_box(bound + int(np.abs(offset).max()))
-    on_image = [table.reads + (False,) * len(t.also) for t, _ in checks]
-    seen = [np.zeros(len(table.keys) * 8 ** len(functions), dtype=bool) for _, functions in checks]
-    failed = [False] * len(checks)
+    on_image = table.reads + (False,) * len(table.also)
+    seen = np.zeros(len(table.keys) * 8 ** len(functions), dtype=bool)
     for key, m in _realized(bound, table.least, [k.need for k in table.keys]):
         faces = [_face_positions(m)]
         if True in table.reads and scales:  # a positive multiple of m has m's face
@@ -465,25 +457,13 @@ def _cells_fail_each(checks: list[_Check], bound: int) -> list[bool]:
         elif True in table.reads:
             image = (m if shifts else np.einsum("kij,kj->ki", matrix[key], m)) + offset[key]
             faces.append(_face_positions(image))
-        for check, (t, functions) in enumerate(checks):
-            if failed[check]:
-                continue
-            codes = [_face_codes(f)[faces[i]] for f, i in zip(functions, on_image[check])]
-            classes = functools.reduce(lambda acc, c: acc * 8 + c, codes, key)
-            rows = _new_classes(classes, seen[check])
-            for k, *row in zip(key[rows].tolist(), *(c[rows].tolist() for c in codes)):
-                if t.clause(t.keys[k].key, *(CHOICE_SETS[c] for c in row)) is not None:
-                    failed[check] = True
-                    break
-        if all(failed):
-            break
-    return failed
-
-
-def _cells_fail(table: _Table, functions: tuple[MarginRule, ...], bound: int) -> bool:
-    """Whether the clause of ``table`` fails on some cell: _cells_fail_each
-    of the one check."""
-    return _cells_fail_each([(table, functions)], bound)[0]
+        codes = [_face_codes(f)[faces[i]] for f, i in zip(functions, on_image)]
+        classes = functools.reduce(lambda acc, c: acc * 8 + c, codes, key)
+        rows = _new_classes(classes, seen)
+        for k, *row in zip(key[rows].tolist(), *(c[rows].tolist() for c in codes)):
+            if table.clause(table.keys[k].key, *(CHOICE_SETS[c] for c in row)) is not None:
+                return True
+    return False
 
 
 def _margin_functions(
@@ -767,9 +747,7 @@ def _resolute(
     return None
 
 
-def _equivalence(
-    rule_id: str, order: int, before: ChoiceSet, after: ChoiceSet
-) -> Optional[str]:
+def _equivalence(order: int, before: ChoiceSet, after: ChoiceSet) -> Optional[str]:
     """The optimist clause must pass exactly when both involvement clauses do."""
     optimist_ok = _optimist(order, before, after) is None
     involvement_ok = (
@@ -778,7 +756,7 @@ def _equivalence(
     )
     if optimist_ok != involvement_ok:
         return (
-            f"rule {rule_id}, voter {ORDER_NAMES[order]}: optimist "
+            f"voter {ORDER_NAMES[order]}: optimist "
             f"{'passes' if optimist_ok else 'fails'} but involvement "
             f"checks {'pass' if involvement_ok else 'fail'}"
         )
@@ -1126,34 +1104,27 @@ def verify_optimist_equivalence(
     For every rule and every single-voter removal instance up to ``bound``,
     the optimist comparison passes if and only if both the positive
     involvement and the singleton negative involvement checks pass on that
-    same instance.  The returned report uses rule id ``"all"``; witnesses
-    carry the offending rule in their note.  Each rule is the participation
-    check of its own; a margin rule whose cells all pass is left out of the
-    sweep: it has no witness to list.
+    same instance.  The three clauses see only the joining voter's order and
+    the winners before and after, and every rule elects someone, so the
+    equivalence is decided once on the 6 x 7 x 7 (order, non-empty winners,
+    non-empty winners) inputs, for every rule and bound at once: the rules
+    are resolved and refused above their voter cap, but none is evaluated.
+    The returned report uses rule id ``"all"``.  An input that fails is a
+    broken clause, not a fact about a rule, and raises RuntimeError.
     """
     _validate_bound(bound, 2)
     if rule_ids is None:
         rule_ids = [r for r, rule in _rules.RULES.items() if bound <= rule.max_voters]
-    rule_ids = list(rule_ids)
-    axiom = "optimist_equivalence"
-    functions = _margin_functions(max_witnesses, bound, *rule_ids)
-    if any(f is not None for f in functions):
-        # the cells of every margin rule, checked before the first sweep
-        _refuse_oversized(bound)
-    _refuse_oversized_sweep(bound, "removal instances", functions.count(None))
-    tables = [
-        _participation_table(r, axiom, functools.partial(_equivalence, r)) for r in rule_ids
-    ]
-    # one walk of the cells for every margin rule
-    checks = [(table, (f, f)) for table, f in zip(tables, functions) if f is not None]
-    failing = iter(_cells_fail_each(checks, bound) if checks else ())
-    cells_fail = [f is not None and next(failing) for f in functions]
-    swept = [t for t, f, fails in zip(tables, functions, cells_fail) if f is None or fails]
-    violations = (w for table in swept for w in _sweep(table, bound))
-    report = _finish("all", axiom, bound, violations, max_witnesses)
-    if any(cells_fail) and report.holds:
-        raise RuntimeError(f"{axiom}: a margin cell fails but no profile up to {bound} does")
-    return report
+    _margin_functions(max_witnesses, bound, *rule_ids)
+    elected = CHOICE_SETS[1:]
+    for order, before, after in itertools.product(range(6), elected, elected):
+        note = _equivalence(order, before, after)
+        if note is not None:
+            raise RuntimeError(
+                f"optimist_equivalence fails on winners {choice_set_to_str(before)} "
+                f"before and {choice_set_to_str(after)} after: {note}"
+            )
+    return AxiomReport("all", "optimist_equivalence", bound, HOLDS, ())
 
 
 #: every axiom name of a check that takes (rule_id, bound, max_witnesses) ->

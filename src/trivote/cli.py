@@ -161,18 +161,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 #: one id of a comma-separated rule list; a ``scoring:s1,s2,s3`` id keeps its commas
 _RULE_ID = re.compile(r"\s*scoring:[^,]*,[^,]*,[^,]*|[^,]+")
 
-#: the margin cells one figure4 count may visit: the cells of its largest n,
-#: and those of every n once per positional or artificial rule; the seven
-#: benchmark rules up to n = 200 take about 10 s on a 2-vCPU host
-FIGURE4_BUDGET = 285_000_000
-
-
-def _margin_cells(n: int) -> int:
-    """The margin cells of ``n`` voters in ``enumeration``: the sum over d1
-    of (n + 1 - |d1|)^2."""
-    return (n + 1) * (n + 2) * (2 * n + 3) // 3 - (n + 1) ** 2
-
-
 def cmd_figure4(args: argparse.Namespace) -> int:
     if args.max_n < 4 or args.max_n % 2:
         return _fail(f"--max-n must be an even number >= 4, got {args.max_n}")
@@ -184,24 +172,12 @@ def cmd_figure4(args: argparse.Namespace) -> int:
     workers = os.environ.get("TRIVOTE_WORKERS")
     if workers is not None and not (workers.strip().isdecimal() and int(workers) > 0):
         return _fail(f"TRIVOTE_WORKERS must be a positive integer, got {workers!r}")
-    # every id, voter cap and the cell budget are checked before any work
-    per_n = 0
-    for rule_id in rule_ids:
-        try:
-            canonical, rule = rules.resolve(rule_id)
-            rules.check_voter_cap(canonical, rule, args.max_n)
-        except (rules.UnsupportedRuleError, rules.BoundExceededError) as exc:
-            return _fail(str(exc))
-        per_n += rule.reads == rules.SCORES or rule.compute is rules.artificial_rule
-    visits = _margin_cells(args.max_n)
-    if visits <= FIGURE4_BUDGET:  # so the sum over every n is short
-        visits += per_n * sum(map(_margin_cells, range(4, args.max_n + 1, 2)))
-    if visits > FIGURE4_BUDGET:
-        return _fail(f"figure4 --max-n {args.max_n} would visit over {FIGURE4_BUDGET} "
-                     "margin cells, the budget of one count")
+    # every id and voter cap is checked before the count, which checks its budget
     try:
+        for rule_id in rule_ids:
+            rules.check_voter_cap(*rules.resolve(rule_id), args.max_n)
         rows = enumeration.frequency_rows(rule_ids, range(4, args.max_n + 1, 2))
-    except rules.BoundExceededError as exc:
+    except (rules.UnsupportedRuleError, rules.BoundExceededError) as exc:
         return _fail(str(exc))
     print(enumeration.CSV_HEADER)
     for row in rows:

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -432,8 +432,7 @@ def _fibre_ties(
 def _tie_counts(ns: Sequence[int], targets: Sequence) -> dict[int, list[int]]:
     """Per n in ``ns``, the ``n``-voter profiles each target counts: a face
     mask those on its faces, a score vector those where it ties and
-    ``rules.artificial_rule`` those where that rule ties; any other target
-    counts none."""
+    ``rules.artificial_rule`` those where that rule ties."""
     counts = {n: [0] * len(targets) for n in ns}
     masks = [(i, t) for i, t in enumerate(targets) if isinstance(t, np.ndarray)]
     vectors = [(i, t) for i, t in enumerate(targets) if isinstance(t, tuple)]
@@ -522,6 +521,42 @@ class FrequencyRow:
         return f"{self.n},{rule},{self.irresolute},{self.total},{self.fraction_str()}"
 
 
+#: the most work one count may take, in ns of a 2-vCPU host where a cell of
+#: the margin pass took about 100, a cell of one n 75 per positional rule and
+#: a row (n, cell of n where maximin ties) 525 for the artificial rule: the
+#: seven figure4 rules pass to n = 200 (10.4 s there) and are refused at 202
+COUNT_BUDGET = 11_750_000_000
+
+
+def _cells_of(n: int) -> int:
+    """The margin cells of ``n`` voters: the sum over d1 of (n + 1 - |d1|)^2."""
+    return (n + 1) * (n + 2) * (2 * n + 3) // 3 - (n + 1) ** 2
+
+
+def _tied_rows_at_most(n: int) -> int:
+    """At most 4 L + 1 cells of each size L of n's parity, where maximin ties."""
+    return (n // 2 + 1) * (2 * (n + n % 2) + 1)
+
+
+def _refuse_over_budget(ns: Iterable[int], scored: int, artificial: bool) -> None:
+    """Refuse a count estimated at over COUNT_BUDGET: the margin pass over the
+    cells of the largest n of each parity, the cells of every n per one of
+    ``scored`` positional rules, and the artificial rule's rows.  The
+    estimate grows as ``ns`` is read, so a long ``ns`` is refused early."""
+    tops: dict[int, int] = {}
+    work = 0
+    for n in ns:
+        if n < 1:
+            raise ValueError(f"voter count must be positive, got {n}")
+        tops[n % 2] = max(n, tops.get(n % 2, 0))
+        work += 75 * scored * _cells_of(n) + 525 * artificial * _tied_rows_at_most(n)
+        if work + 100 * sum(map(_cells_of, tops.values())) > COUNT_BUDGET:
+            raise _rules.BoundExceededError(
+                f"a count that reaches {n} voters is estimated at over "
+                f"{COUNT_BUDGET / 1e9:g} s, the budget of one count"
+            )
+
+
 def frequency_rows(
     rule_ids: Sequence[str], ns: Sequence[int], exclude_all_tied: Optional[bool] = None
 ) -> list[FrequencyRow]:
@@ -530,11 +565,17 @@ def frequency_rows(
 
     ``exclude_all_tied`` controls whether completely tied profiles (all
     margins zero) are left out of the count; the default is each rule's
-    ``exclude_all_tied`` entry in ``rules.RULES``.
+    ``exclude_all_tied`` entry in ``rules.RULES``.  A count over its budget,
+    or one whose points could leave int64, is refused before any work.
     """
-    if min(ns, default=1) < 1:
-        raise ValueError(f"voter count must be positive, got {min(ns)}")
     resolved = [_rules.resolve(rule_id) for rule_id in rule_ids]
+    # the pass counts every rule but the bounded search rules, which are
+    # swept profile by profile; their voter cap keeps n small
+    searched = [r.reads == _rules.PROFILE and r.compute is not _rules.artificial_rule
+                for _, r in resolved]
+    counted = [rule for (_, rule), search in zip(resolved, searched) if not search]
+    reads = [rule.reads for rule in counted]
+    _refuse_over_budget(ns, reads.count(_rules.SCORES), _rules.PROFILE in reads)
     for canonical, rule in resolved:  # (6 n + 12) max |s_i| bounds _scoring_ties's intermediates
         if rule.reads == _rules.SCORES and (6 * max(ns, default=0) + 12) * max(
             map(abs, _rules.integer_scores(rule.compute))
@@ -544,17 +585,15 @@ def frequency_rows(
             )
     counts = _tie_counts(ns, [
         _SEVERAL[_face_codes(rule.compute)] if rule.reads == _rules.MARGINS else rule.compute
-        for _, rule in resolved
+        for rule in counted
     ])
     rows = []
     for n in ns:
-        for rule_id, (canonical, rule), count in zip(rule_ids, resolved, counts[n]):
-            if rule.reads == _rules.PROFILE and rule.compute is not _rules.artificial_rule:
-                # the bounded search rules are swept profile by profile; their
-                # voter cap keeps n small
-                count = sum(
-                    len(_rules.evaluate_uncached(canonical, p)) >= 2 for p in ProfileCursor(n)
-                )
+        passed = iter(counts[n])
+        for rule_id, (canonical, rule), search in zip(rule_ids, resolved, searched):
+            count = sum(
+                len(_rules.evaluate_uncached(canonical, p)) >= 2 for p in ProfileCursor(n)
+            ) if search else next(passed)
             # Completely tied profiles make every implemented rule irresolute,
             # so excluding them is a closed-form subtraction.
             exclude = rule.exclude_all_tied if exclude_all_tied is None else exclude_all_tied

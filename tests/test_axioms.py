@@ -501,9 +501,7 @@ CELL_VARIANTS = {
     **{f"resolute-{core.ORDER_NAMES[t]}": _resolute(t) for t in range(6)},
     "optimist_equivalence": _swept(
         lambda r, b: axioms.verify_optimist_equivalence(b, [r], max_witnesses=1),
-        lambda r: axioms._participation_table(
-            r, "equivalence", functools.partial(axioms._equivalence, r)
-        ),
+        lambda r: axioms._participation_table(r, "equivalence", axioms._equivalence),
     ),
     **{
         f"responsiveness-{v}-{s}": _responsiveness(v, s)
@@ -787,26 +785,53 @@ def test_new_classes_agrees_with_a_sorting_reference():
             assert (seen == expected_seen).all()
 
 
-def test_optimist_equivalence_walks_the_cells_once_for_every_margin_rule(monkeypatch):
-    walks = []
-    surplus_cells = axioms._surplus_cells
+@pytest.mark.parametrize(
+    "rule_ids", [None, ["plurality"], ["artificial"], ["maximin"]],
+    ids=["all", "plurality", "artificial", "maximin"],
+)
+def test_optimist_equivalence_evaluates_no_rule_and_builds_no_cell(monkeypatch, rule_ids):
+    def no_work(*args):
+        raise AssertionError("optimist_equivalence evaluated a rule or built a cell")
 
-    def counting(bound):
-        walks.append(bound)
-        return surplus_cells(bound)
+    for module, name in ((rules, "_evaluate_cached"), (axioms, "_surplus_cells"), (axioms, "_sweep")):
+        monkeypatch.setattr(module, name, no_work)
+    for bound in (2, 12, 13, 10**12):
+        report = axioms.verify_optimist_equivalence(bound, rule_ids)
+        assert (report.rule, report.bound, report.verdict) == ("all", bound, axioms.HOLDS)
 
-    monkeypatch.setattr(axioms, "_surplus_cells", counting)
-    assert axioms.verify_optimist_equivalence(8).holds
-    assert walks == [8]
+
+def _never_fails(order, before, after):
+    return None
+
+
+def _always_fails(order, before, after):
+    return "broken"
+
+
+@pytest.mark.parametrize("broken", [_never_fails, _always_fails])
+def test_a_broken_clause_never_lets_optimist_equivalence_hold(monkeypatch, broken):
+    monkeypatch.setattr(axioms, "_positive_involvement", broken)
+    for bound, rule_ids in ((2, None), (6, ["maximin"]), (10**12, ["plurality"])):
+        with pytest.raises(RuntimeError, match="optimist_equivalence fails on winners"):
+            axioms.verify_optimist_equivalence(bound, rule_ids)
+
+
+def test_every_rule_elects_someone():
+    """The precondition of deciding optimist_equivalence on non-empty winner
+    sets: no registered rule returns the empty set."""
+    for rule_id, rule in rules.RULES.items():
+        if rule.reads == rules.MARGINS:
+            assert 0 not in enumeration._face_codes(rule.compute), rule_id
+    for rule_id in ("plurality", "scoring:2,1,0", "artificial", "dodgson", "young"):
+        bound = min(12, rules.resolve(rule_id)[1].max_voters)
+        for profile in enumeration.profiles_up_to(bound):
+            assert rules.evaluate_uncached(rule_id, profile), (rule_id, profile)
 
 
 def test_a_failing_cell_without_a_failing_profile_is_an_error(monkeypatch):
     monkeypatch.setattr(axioms, "_sweep", lambda table, bound: iter(()))
     with pytest.raises(RuntimeError, match="a margin cell fails but no profile up to 10 does"):
         axioms.check_responsiveness("baldwin", "monotonicity", 10)
-    monkeypatch.setattr(axioms, "_cells_fail_each", lambda checks, bound: [True] * len(checks))
-    with pytest.raises(RuntimeError, match="a margin cell fails but no profile up to 4 does"):
-        axioms.verify_optimist_equivalence(4, ["maximin"])
 
 
 @pytest.fixture
@@ -889,7 +914,6 @@ def test_an_oversized_sweep_is_refused_before_any_profile(monkeypatch, evaluatio
         lambda: axioms.check_neutrality(rule_id, bound),
         # with a margin rule, at a bound whose margin tables fit the budget
         lambda: axioms.check_refinement("maximin", rule_id, 20),
-        lambda: axioms.verify_optimist_equivalence(20, ["maximin", rule_id]),
     ]
     for check in checks:
         with pytest.raises(rules.BoundExceededError, match="over the budget of 200000"):
@@ -902,7 +926,3 @@ def test_the_sweep_budget_passes_the_largest_bounds_it_names():
         axioms._refuse_oversized_sweep(largest, instances)
         with pytest.raises(rules.BoundExceededError):
             axioms._refuse_oversized_sweep(largest + 1, instances)
-    # the default rule set of optimist_equivalence sweeps plurality and artificial
-    axioms._refuse_oversized_sweep(12, "removal instances", 2)
-    with pytest.raises(rules.BoundExceededError):
-        axioms._refuse_oversized_sweep(13, "removal instances", 2)

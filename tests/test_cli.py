@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -199,6 +200,31 @@ def test_verify_optimist_equivalence_names_the_rules_left_out(capsys):
     assert err == ""
 
 
+@pytest.mark.parametrize(
+    "rule",
+    [[], ["--rule", "plurality"], ["--rule", "artificial"], ["--rule", "maximin"]],
+    ids=["all", "plurality", "artificial", "maximin"],
+)
+def test_verify_optimist_equivalence_answers_any_bound_without_any_work(
+    capsys, monkeypatch, rule
+):
+    def no_work(*args):
+        raise AssertionError("a rule was evaluated or a margin cell built")
+
+    for module, name in ((rules, "_evaluate_cached"), (axioms, "_surplus_cells"),
+                         (axioms, "_sweep"), (axioms, "_face_codes"), (axioms, "_grow_box")):
+        monkeypatch.setattr(module, name, no_work)
+    started = time.perf_counter()
+    code, out, _ = run(
+        capsys, "verify", "--axiom", "optimist_equivalence", "--bound", str(10**12), *rule
+    )
+    elapsed = time.perf_counter() - started
+    assert (code, out) == (
+        0, "all axiom=optimist_equivalence bound=1000000000000 verdict=holds-up-to-bound\n"
+    )
+    assert elapsed < 0.05
+
+
 def test_verify_continuity_threshold_found(capsys):
     code, out, _ = run(
         capsys, "verify", "--rule", "maximin", "--axiom", "continuity",
@@ -285,7 +311,6 @@ MARGIN_CHECKS = [
     ["--rule", "black", "--axiom", "condorcet"],
     ["--rule", "nanson", "--axiom", "strong_condorcet"],
     ["--rule", "leximin", "--axiom", "refinement", "--upper", "nanson"],
-    ["--axiom", "optimist_equivalence"],
 ]
 
 
@@ -384,9 +409,8 @@ def test_a_margin_check_runs_up_to_the_cell_budget(capsys):
         ["--rule", "scoring:2,1,0", "--axiom", "reinforcement", "--bound", "10"],
         ["--rule", "artificial", "--axiom", "optimist_participation", "--bound", "15"],
         ["--rule", "maximin", "--axiom", "refinement", "--upper", "artificial", "--bound", "20"],
-        ["--axiom", "optimist_equivalence", "--bound", "13"],
     ],
-    ids=["neutrality", "reinforcement", "participation", "refinement", "optimist_equivalence"],
+    ids=["neutrality", "reinforcement", "participation", "refinement"],
 )
 def test_verify_refuses_an_oversized_sweep_before_any_work(capsys, monkeypatch, argv):
     def no_work(*args):
@@ -616,12 +640,14 @@ def test_figure4_counts_points_just_inside_the_bound_exactly(capsys, vector):
 
 
 def test_figure4_refuses_a_count_over_the_cell_budget_before_any_work(capsys, monkeypatch):
-    argv = ["figure4", "--rules", "maximin", "--max-n", "100000"]
-    err = _refused(capsys, monkeypatch, argv, (enumeration, "_surplus_vectors"))
-    assert err == (
-        f"figure4 --max-n 100000 would visit over {cli.FIGURE4_BUDGET} margin cells, "
-        "the budget of one count\n"
-    )
+    for rule_ids, max_n, reached in (("maximin", 100000, 560), ("maximin", 752, 560),
+                                     ("plurality", 236, 204), ("artificial", 10**12, 424)):
+        argv = ["figure4", "--rules", rule_ids, "--max-n", str(max_n)]
+        err = _refused(capsys, monkeypatch, argv, (enumeration, "_surplus_vectors"))
+        assert err == (
+            f"a count that reaches {reached} voters is estimated at over "
+            f"{enumeration.COUNT_BUDGET / 1e9:g} s, the budget of one count\n"
+        )
 
 
 class _Started(Exception):
@@ -635,7 +661,6 @@ def test_the_cell_budget_admits_the_seven_figure4_rules_up_to_200_voters(
     def started(*args):
         raise _Started
 
-    assert cli._margin_cells(12) == sum(map(len, enumeration._surplus_vectors(12)))
     monkeypatch.setattr(enumeration, "_tie_counts", started)
     argv = ["figure4", "--rules", "maximin,nanson,leximin,black,baldwin,plurality,artificial",
             "--max-n", str(max_n)]

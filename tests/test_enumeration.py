@@ -184,6 +184,16 @@ def test_one_figure4_call_maps_each_cell_of_its_largest_electorate_once(monkeypa
     assert sorted(map(tuple, np.concatenate(mapped).tolist())) == sorted(map(tuple, cells.tolist()))
 
 
+def test_the_count_budget_weighs_the_cells_and_a_bound_on_the_tied_rows():
+    maximin = enumeration._face_codes(rules.maximin_margins)
+    for n in range(41):
+        cells = np.concatenate([m for m, _ in margin_cells(n)])
+        assert enumeration._cells_of(n) == len(cells)
+        tied = int(enumeration._SEVERAL[maximin[enumeration._face_positions(cells)]].sum())
+        bound = enumeration._tied_rows_at_most(n)
+        assert tied <= bound and (n % 2 or bound - tied <= n), n  # tight for even n
+
+
 @pytest.fixture
 def keyed_rows(monkeypatch):
     """An empty box for the test; the keyed rows are counted."""
