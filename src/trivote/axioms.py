@@ -100,7 +100,7 @@ from .core import (
 )
 from .enumeration import _ORDERS, _REVERSES, _SURPLUS_TO_MARGINS, profiles_up_to
 from .enumeration import _condorcet_winner_set, _face_codes, _face_positions, _grow_box
-from .enumeration import _order_surplus, _surplus_vectors
+from .enumeration import _order_surplus, _sum_reader, _surplus_vectors
 
 HOLDS = "holds-up-to-bound"
 VIOLATED = "violated"
@@ -591,12 +591,15 @@ def _cell_pairs(n: np.ndarray, bound: int) -> Iterator[tuple[np.ndarray, np.ndar
     """Blocks (i, j) of the index pairs i <= j with n[i] + n[j] <= bound,
     ``n`` ascending, at most _BLOCK_ROWS pairs a block."""
     counts = np.maximum(np.searchsorted(n, bound - n, side="right") - np.arange(n.size), 0)
-    starts = np.cumsum(counts) - counts
+    ends = np.cumsum(counts)
+    starts = ends - counts
     total = int(counts.sum())
     for lo in range(0, total, _BLOCK_ROWS):
-        pair = np.arange(lo, min(total, lo + _BLOCK_ROWS))
-        i = np.searchsorted(starts, pair, side="right") - 1
-        yield i, i + pair - starts[i]
+        hi = min(total, lo + _BLOCK_ROWS)
+        # the rows i whose pairs the block meets, each repeated once per pair
+        rows = np.arange(np.searchsorted(ends, lo, side="right"), np.searchsorted(starts, hi))
+        i = np.repeat(rows, np.minimum(ends[rows], hi) - np.maximum(starts[rows], lo))
+        yield i, i + np.arange(lo, hi) - starts[i]
 
 
 #: the most cell pairs a reinforcement check over margin cells may walk; a
@@ -634,9 +637,10 @@ def _reinforcement_cells_fail(f: MarginRule, variant: str, bound: int) -> bool:
     m, n = m[order], n[order]
     codes = _face_codes(f)
     outputs = codes[_face_positions(m)]
+    keys, read = _sum_reader(m, codes)  # the box holds every pair sum: n1 + n2 <= bound
     seen = np.zeros(8**3, dtype=bool)
     for i, j in _cell_pairs(n, bound):
-        out1, out2, out12 = outputs[i], outputs[j], codes[_face_positions(m[i] + m[j])]
+        out1, out2, out12 = outputs[i], outputs[j], read(keys[i] + keys[j])
         rows = _new_classes((out1 * 8 + out2) * 8 + out12, seen)
         for a, b, c in zip(out1[rows].tolist(), out2[rows].tolist(), out12[rows].tolist()):
             agreed = _agreed(variant, CHOICE_SETS[a], CHOICE_SETS[b])

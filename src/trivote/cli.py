@@ -82,13 +82,12 @@ def cmd_table(args: argparse.Namespace) -> int:
         if args.rule
         else [rid for rid in rules.TABLE_RULE_IDS if rid not in rules.RULE_ALIASES]
     )
+    try:  # every id is resolved before the header is printed
+        rows = [rule_id + "," + ",".join(rules.table_cells(rule_id)) for rule_id in rule_ids]
+    except rules.UnsupportedRuleError as exc:
+        return _fail(str(exc))
     print("rule," + ",".join(CLASS_LETTERS))
-    for rule_id in rule_ids:
-        try:
-            cells = rules.table_cells(rule_id)
-        except rules.UnsupportedRuleError as exc:
-            return _fail(str(exc))
-        print(rule_id + "," + ",".join(cells))
+    print("\n".join(rows))
     return 0
 
 

@@ -16,9 +16,10 @@ decimals only at the output boundary.  Two access paths are provided:
   one face contract, a margin function compares only the 12 linear forms
   whose signs define the faces, so it is constant on each face and is read
   from one evaluation per face; the axiom checkers read margin functions the
-  same way.  Positional rules are counted over the same cells in closed
-  form, and so is the artificial rule, over the fibres of the cells where
-  maximin ties; the bounded search rules (Dodgson, Young) by a cursor sweep.
+  same way.  Positional rules are counted in closed form once per score
+  class of the same cells (its size and base score differences), and the
+  artificial rule over the fibres of the cells where maximin ties; the
+  bounded search rules (Dodgson, Young) by a cursor sweep.
 """
 
 from __future__ import annotations
@@ -288,6 +289,22 @@ def _face_positions(m: np.ndarray) -> np.ndarray:
     return _keyed_positions(m)
 
 
+def _sum_reader(m: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, Callable]:
+    """For rows of margins whose sums of two the box holds: per row a key,
+    4 (m . strides) + (m_ab mod 2), and a function from a sum of two keys to
+    the output code, by ``codes``, of the face of the summed margins.  The
+    sum of the keys holds the sum's m . strides (keys >> 2) and the parity
+    of its m_ab; so a pair of rows is read with one add and one gather."""
+    box = _box
+    by_slot = codes[box.positions]
+
+    def read(keys: np.ndarray) -> np.ndarray:
+        parity = (keys + box.reach) & 1
+        return by_slot[((keys >> 2) + box.base - (box.strides[1] + 1) * parity) >> 1]
+
+    return 4 * (m @ box.strides) + (m[:, 0] & 1), read
+
+
 #: the output code of each choice set: its mask, its index in CHOICE_SETS
 _CODE_OF = {choice: code for code, choice in enumerate(CHOICE_SETS)}
 #: per output code, whether it holds several candidates, and which
@@ -325,8 +342,14 @@ def _condorcet_winner_set(m: Margins) -> ChoiceSet:
 # candidate fixed points, x scores K_x + sum_i A_i[x] t_i: K_x from the
 # surplus voters, A_i[x] from one pair of kind i.  So a tie of x and y is a
 # line in t, and its points in the fibre are one interval of integers: the
-# positional and artificial rules are counted in closed form, cell by cell,
-# with each chunk sorted by |d|_1 so that the cells of n are a prefix of it.
+# positional and artificial rules are counted in closed form.  A positional
+# rule's count on a cell depends only on |d|_1 and the base score differences
+# K_b - K_a and K_c - K_a, so each chunk's cells are tallied by these score
+# classes, as H tallies them by face, and the interval formula is evaluated
+# once per row (class, n), weighted by the class's cells.  The artificial
+# rule's score table changes with n, so it is counted on the rows (n, cell
+# of n where maximin ties) instead.  Classes and cells are sorted by |d|_1,
+# so that those of n are a prefix.
 
 
 def _order_points(by_position: Sequence[Sequence[int]]) -> np.ndarray:
@@ -336,40 +359,91 @@ def _order_points(by_position: Sequence[Sequence[int]]) -> np.ndarray:
     return np.take_along_axis(rows, np.array(ORDER_RANK_OF), axis=1)
 
 
-def _scoring_ties(vector: tuple, score: np.ndarray, j: np.ndarray) -> int:
-    """Profiles of the cells with base scores ``score`` (K) and ``j`` voter
-    pairs on which the scoring rule ties.
+def _score_classes(size: np.ndarray, diff: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The score classes of cells of sizes ``size`` (|d|_1) and base score
+    differences ``diff`` (K_b - K_a, K_c - K_a): per class, ascending by
+    size, its size, its differences and its number of cells.  The class key
+    packs the three into one int64 when (N + 1) (2 R + 1)^2 fits, N the
+    largest size and R the largest |difference|; otherwise each difference
+    is replaced by its rank first, so that the key is exact for any points."""
+    reach = int(np.abs(diff).max(initial=0))
+    if (int(size.max()) + 1) * (2 * reach + 1) ** 2 <= np.iinfo(np.int64).max:
+        values, codes, sides = None, (diff + reach).T, (2 * reach + 1,) * 2
+    else:
+        values, codes = zip(*(np.unique(column, return_inverse=True) for column in diff.T))
+        sides = tuple(map(len, values))
+    key, weight = np.unique((size * sides[0] + codes[0]) * sides[1] + codes[1], return_counts=True)
+    del codes
+    rest, code_c = np.divmod(key, sides[1])
+    size, code_b = np.divmod(rest, sides[0])
+    if values is None:
+        return size, np.stack((code_b, code_c), axis=1) - reach, weight
+    return size, np.stack((values[0][code_b], values[1][code_c]), axis=1), weight
+
+
+#: each pair (x, y) of candidates and the third candidate z
+_PAIRS = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
+
+
+def _scoring_parts(
+    gamma: int, size: np.ndarray, diff: np.ndarray, weight: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The score classes of sizes ``size``, differences ``diff`` and cells
+    ``weight`` on which the scoring rule of ``gamma`` can tie, and per class
+    the parts of :func:`_scoring_ties` that do not depend on n.
 
     A pair of kind i gives its middle candidate 2 s2 and the other two
     s1 + s3, so x scores K_x + (s1 + s3) J - gamma u_x with
     gamma = s1 - 2 s2 + s3, where u = (t3, t1, t2) counts the pairs that rank
-    a, b, c in the middle.  A tie of x and y fixes u_x - u_y = k and leaves
-    an interval of u_x, cut by "z is not above"; the three pairwise counts
-    count a three-way tie three times, so it is taken off twice.
-    """
-    s1, s2, s3 = _rules.integer_scores(vector)
-    gamma = s1 - 2 * s2 + s3
-    if gamma == 0:  # the scores are the same on the whole cell: are the top two equal?
-        ranked = np.sort(score, axis=1)
-        return int(((j + 1) * (j + 2) // 2)[ranked[:, 1] == ranked[:, 2]].sum())
-    count, k, whole = 0, [], []
-    for x, y, z in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-        k_xy, rest = np.divmod(score[:, x] - score[:, y], gamma)
+    a, b, c in the middle, and J = n // 2 - L // 2 on a class of size L.
+    With gamma = 0 the scores are the same on the whole cell: the classes
+    where the top two are equal are kept, and their parts are L // 2 and the
+    weight.  Otherwise the parts are L // 2 and then, per pair (x, y) with z
+    the third candidate: the weight where gamma divides K_x - K_y, since a
+    tie fixes u_x - u_y = k_xy; k_xy; max(k_xy, 0) - 1; and
+    gamma k_xy + K_x - K_z.  The three pairwise counts hold a three-way tie
+    three times, so it is taken off twice: its parts are the weight where
+    gamma divides both K_a - K_b and K_a - K_c, k_ab + k_ac,
+    3 max(k_ab, k_ac, 0) and (L + k_ab + k_ac) mod 3.  Every part and every
+    intermediate of the count stays within (6 n + 12) max |s_i|."""
+    score = (0, diff[:, 0], diff[:, 1])  # K - K_a
+    if gamma == 0:
+        ranked = np.sort(np.column_stack((np.zeros_like(size), diff)), axis=1)
+        tied = ranked[:, 1] == ranked[:, 2]
+        return size[tied], [size[tied] >> 1, weight[tied]]
+    parts, k, whole = [size >> 1], [], []
+    for x, y, z in _PAIRS:
+        k_xy = (score[x] - score[y]) // gamma
         k.append(k_xy)
-        whole.append(rest == 0)
-        # u_x, u_y = u_x - k and u_z = J + k - 2 u_x are >= 0, and
-        # z is not above: 3 gamma u_x <= gamma (J + k) + K_x - K_z
-        lo, hi = np.maximum(k_xy, 0), (j + k_xy) // 2
-        top = gamma * (j + k_xy) + score[:, x] - score[:, z]
-        if gamma > 0:
-            hi = np.minimum(hi, top // (3 * gamma))
-        else:
-            lo = np.maximum(lo, -(-top // (3 * gamma)))
-        count += int(np.maximum(hi - lo + 1, 0)[whole[-1]].sum())
-    # three-way ties: 3 u_a = J + k_ab + k_ac, with u_a, u_b, u_c >= 0
-    u3 = j + k[0] + k[1]
-    lowest = np.maximum(np.maximum(k[0], k[1]), 0)
-    return count - 2 * int((whole[0] & whole[1] & (u3 % 3 == 0) & (u3 // 3 >= lowest)).sum())
+        whole.append(gamma * k_xy == score[x] - score[y])
+        parts += [weight * whole[-1], k_xy, np.maximum(k_xy, 0) - 1,
+                  gamma * k_xy + score[x] - score[z]]
+    k_3 = k[0] + k[1]
+    return size, parts + [weight * (whole[0] & whole[1]), k_3,
+                          3 * np.maximum(np.maximum(k[0], k[1]), 0), (size + k_3) % 3]
+
+
+def _scoring_ties(gamma: int, parts: list[np.ndarray], n: int) -> int:
+    """Profiles of ``n`` voters in the score classes with the n-free
+    ``parts`` (as :func:`_scoring_parts` gives them) on which the scoring
+    rule of ``gamma`` ties."""
+    j = (n >> 1) - parts[0]  # the voter pairs J, as n and L share their parity
+    if gamma == 0:  # C(J + 2, 2) profiles
+        return int(parts[1] @ ((j + 1) * (j + 2) >> 1))
+    count, gamma_j = 0, gamma * j
+    for first in (1, 5, 9):
+        weight, k_xy, below, c_xy = parts[first : first + 4]
+        # u_x, u_y = u_x - k_xy and u_z = J + k_xy - 2 u_x are >= 0, and z
+        # is not above: 3 gamma u_x <= gamma J + c_xy; so u_x runs from
+        # max(k_xy, 0) to the lower of both bounds (gamma > 0), or to the
+        # first bound and from the second one up (gamma < 0)
+        hi, cut = (j + k_xy) >> 1, (gamma_j + c_xy) // (3 * abs(gamma))
+        points = np.minimum(hi, cut) - below if gamma > 0 else np.minimum(hi - below, hi + cut + 1)
+        count += int(weight @ np.maximum(points, 0))
+    # three-way: 3 u_a = J + k_ab + k_ac >= 3 max(k_ab, k_ac, 0); as 2 J = n - L,
+    # 3 divides J + k_ab + k_ac when n = L + k_ab + k_ac (mod 3)
+    weight, k_3, lowest, residue = parts[13:]
+    return count - 2 * int(weight @ ((residue == n % 3) & (j + k_3 >= lowest)))
 
 
 def _span(*bounds: tuple[np.ndarray, int]) -> np.ndarray:
@@ -447,29 +521,30 @@ def _tie_counts(ns: Sequence[int], targets: Sequence) -> dict[int, list[int]]:
             histogram.flat += np.bincount(
                 np.ravel_multi_index((faces, size), histogram.shape), minlength=histogram.size
             )
-            if not (vectors or artificial):
+            # a positional rule: one closed-form count per row (n, score class
+            # of a cell of n); the chunk's classes are freed once counted
+            for i, vector in vectors:
+                s1, s2, s3 = _rules.integer_scores(vector)
+                points = _order_points([(s1, s2, s3)] * 6)
+                gamma = s1 - 2 * s2 + s3
+                class_size, parts = _scoring_parts(gamma, *_score_classes(
+                    size, _order_surplus(d) @ (points[:, 1:] - points[:, :1])
+                ))
+                for n, end in zip(own, np.searchsorted(class_size, own, side="right")):
+                    counts[n][i] += _scoring_ties(gamma, [part[:end] for part in parts], n)
+                del class_size, parts
+            if not artificial:
                 continue
-            order = np.argsort(size, kind="stable")
-            size, faces = size[order].astype(np.int32), faces[order]
-            surplus = _order_surplus(d[order].astype(np.int32))
-            del order
-            # the base scores K and the maximin-tied cells (kept only for the
-            # artificial rule) are taken, and then only the tied cells'
-            # surplus is kept; the K are freed once counted (tracemalloc peak)
-            scores = [surplus @ _order_points([_rules.integer_scores(v)] * 6) for _, v in vectors]
-            tied = _SEVERAL[maximin[faces]] & bool(artificial)
-            winners, surplus, tied_size = _MEMBERS[maximin[faces[tied]]], surplus[tied], size[tied]
-            ends = np.searchsorted(size, own, side="right")
-            for (i, vector), score in zip(vectors, scores):
-                for n, end in zip(own, ends):
-                    counts[n][i] += _scoring_ties(vector, score[:end], (n - size[:end]) // 2)
-                del score
-            del scores
+            # the cells where maximin ties, by size, and their winners and surplus
+            tied = np.flatnonzero(_SEVERAL[maximin[faces]])
+            tied = tied[np.argsort(size[tied], kind="stable")]
+            winners, tied_size = _MEMBERS[maximin[faces[tied]]], size[tied]
+            surplus = _order_surplus(d[tied])
             # the artificial rule: one closed-form count per score table over the
             # rows (n, tied cell of n) of all its n; a chunk's tied cells thin out
             # as 1/n while the n grow as n, so the rows stay below _CELL_CHUNK
             # (at most 36,533 up to n = 240)
-            for table in dict.fromkeys(map(_rules.artificial_table, own)) if artificial else ():
+            for table in dict.fromkeys(map(_rules.artificial_table, own)):
                 points = _order_points([(top, mid, 0) for top, mid in table])
                 group = np.array([n for n in own if _rules.artificial_table(n) == table])
                 owner, cell = _expand(np.searchsorted(tied_size, group, side="right"))
@@ -523,8 +598,11 @@ class FrequencyRow:
 
 #: the most work one count may take, in ns of a 2-vCPU host where a cell of
 #: the margin pass took about 100, a cell of one n 75 per positional rule and
-#: a row (n, cell of n where maximin ties) 525 for the artificial rule: the
-#: seven figure4 rules pass to n = 200 (10.4 s there) and are refused at 202
+#: a row (n, cell of n where maximin ties) 525 for the artificial rule, when
+#: positional rules were counted cell by cell.  Counted per score class, a
+#: cell of one n takes 12-16 there, the margin pass 70-85 and an artificial
+#: row 200-390, so the estimate is an upper bound: the seven figure4 rules
+#: pass to n = 200 (2.7-3.3 s there) and are refused at 202
 COUNT_BUDGET = 11_750_000_000
 
 

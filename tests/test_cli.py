@@ -127,8 +127,10 @@ def test_table_representatives(capsys):
 
 
 def test_table_unknown_rule(capsys):
-    code, _, _ = run(capsys, "table", "--rule", "maximax")
+    code, out, err = run(capsys, "table", "--rule", "maximax")
     assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -225,6 +225,16 @@ def test_the_box_agrees_with_the_face_keys_as_it_grows(keyed_rows):
     assert keyed_rows == [len(WIDE_TRIPLES)]
 
 
+def test_a_pair_of_rows_is_read_through_the_sum_of_their_keys(keyed_rows):
+    rng = np.random.default_rng(7)
+    for reach in (10, 11):  # the slot's parity term depends on the reach's parity
+        enumeration._grow_box(reach)
+        rows = WIDE_TRIPLES[np.abs(WIDE_TRIPLES).max(axis=1) <= reach // 2]
+        keys, read = enumeration._sum_reader(rows, np.arange(267))  # codes: the positions
+        i, j = rng.integers(0, len(rows), size=(2, 4000))
+        assert (read(keys[i] + keys[j]) == enumeration._keyed_positions(rows[i] + rows[j])).all()
+
+
 def test_the_catalogue_holds_one_cell_of_each_of_the_267_faces_in_key_order():
     cells, keys = enumeration._FACE_CELLS, enumeration._FACE_KEYS
     assert isinstance(cells, tuple) and len(cells) == keys.size == 267
@@ -508,6 +518,95 @@ def test_the_closed_form_fibre_count_matches_an_enumeration_of_the_simplex():
         corner = score + pair[2] * j[:, None]  # the scores at t = (0, 0, j)
         three_way += int((winners.all(axis=1) & (corner.min(axis=1) == corner.max(axis=1))).sum())
     assert degenerate >= 100 and three_way > 0
+
+
+def scoring_ties_cell_by_cell(vector, score, j):
+    """Profiles of the cells with base scores ``score`` and ``j`` voter pairs
+    on which the scoring rule ties, evaluated cell by cell: per pair (x, y),
+    the interval of u_x on the line u_x - u_y = k_xy, cut by "z is not
+    above"; a three-way tie is in all three pairwise counts."""
+    s1, s2, s3 = rules.integer_scores(vector)
+    gamma = s1 - 2 * s2 + s3
+    if gamma == 0:
+        ranked = np.sort(score, axis=1)
+        return int(((j + 1) * (j + 2) // 2)[ranked[:, 1] == ranked[:, 2]].sum())
+    count, k, whole = 0, [], []
+    for x, y, z in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+        k_xy, rest = np.divmod(score[:, x] - score[:, y], gamma)
+        k.append(k_xy)
+        whole.append(rest == 0)
+        lo, hi = np.maximum(k_xy, 0), (j + k_xy) // 2
+        top = gamma * (j + k_xy) + score[:, x] - score[:, z]
+        if gamma > 0:
+            hi = np.minimum(hi, top // (3 * gamma))
+        else:
+            lo = np.maximum(lo, -(-top // (3 * gamma)))
+        count += int(np.maximum(hi - lo + 1, 0)[whole[-1]].sum())
+    u3 = j + k[0] + k[1]
+    lowest = np.maximum(np.maximum(k[0], k[1]), 0)
+    return count - 2 * int((whole[0] & whole[1] & (u3 % 3 == 0) & (u3 // 3 >= lowest)).sum())
+
+
+def scoring_counts_cell_by_cell(vector, ns):
+    points = enumeration._order_points([rules.integer_scores(vector)] * 6)
+    counts = {}
+    for n in ns:
+        d = np.concatenate(list(enumeration._surplus_vectors(n)))
+        score = enumeration._order_surplus(d) @ points
+        counts[n] = scoring_ties_cell_by_cell(vector, score, (n - np.abs(d).sum(axis=1)) // 2)
+    return counts
+
+
+#: the largest points of a score vector that the count takes at 8 voters:
+#: its intermediates stay within (6 n + 12) of them
+POINTS_AT_8 = (2**63 - 1) // (6 * 8 + 12)
+
+
+def random_score_vectors(count, seed):
+    """Score vectors of small fractions of either sign, every third with
+    gamma = s1 - 2 s2 + s3 = 0."""
+    rng = np.random.default_rng(seed)
+
+    def entry():
+        return Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 4)))
+
+    vectors = []
+    for trial in range(count):
+        s1, s3 = entry(), entry()
+        vectors.append((s1, (s1 + s3) / 2 if trial % 3 == 0 else entry(), s3))
+    return vectors
+
+
+def test_the_score_class_count_matches_the_count_cell_by_cell(monkeypatch):
+    monkeypatch.setattr(enumeration, "_CELL_CHUNK", 64)  # classes recur across chunks
+    points = POINTS_AT_8 - 1  # odd: the last vector has gamma = -1
+    at_the_bound = [(POINTS_AT_8, 1, 0), (POINTS_AT_8, -POINTS_AT_8, POINTS_AT_8),
+                    (points, (points + 1) // 2, 0)]
+    vectors = random_score_vectors(40, 21) + [(2, 1, 0), (1, 1, 1), (0, 0, 0)]
+    gammas = Counter()
+    cases = [(v, range(1, 31)) for v in vectors] + [(v, range(1, 9)) for v in at_the_bound]
+    for vector, ns in cases:
+        s1, s2, s3 = rules.integer_scores(vector)
+        gammas[np.sign(s1 - 2 * s2 + s3)] += 1
+        counts = {n: c[0] for n, c in enumeration._tie_counts(ns, [vector]).items()}
+        assert counts == scoring_counts_cell_by_cell(vector, ns), vector
+    assert min(gammas[-1], gammas[0], gammas[1]) >= 8, gammas
+
+
+def test_figure4_counts_plurality_on_score_classes_not_cells(monkeypatch, capsys):
+    rows = []
+    scoring_ties = enumeration._scoring_ties
+
+    def recording(gamma, parts, n):
+        rows.append(len(parts[0]))
+        return scoring_ties(gamma, parts, n)
+
+    monkeypatch.setattr(enumeration, "_scoring_ties", recording)
+    assert cli.main(["figure4", "--rules", "plurality", "--max-n", "30"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 14
+    # 2,856 classes of the 19,871 cells of 30 voters: 13,048 rows (class, n),
+    # where the cells of n = 4, 6, ..., 30 would be 87,276
+    assert len(rows) == 14 and sum(rows) <= 13_048
 
 
 def test_figure4_counts_the_artificial_rule_once_per_score_table(monkeypatch, capsys):
