@@ -8,10 +8,11 @@ Everything downstream works over two tiny value types:
 * a margin graph is a tuple ``(m_ab, m_ac, m_bc)`` of signed integers, the
   remaining margins being determined by antisymmetry.
 
-This module also canonicalizes margin graphs without a Condorcet winner into
-the 12 shape classes A..L (plus the relabeling permutation that maps the
-input onto the canonical shape), and synthesizes a profile realizing any
-same-parity margin graph.
+This module also classifies margin graphs without a Condorcet winner into the
+12 shape classes A..L, each with the relabeling permutation that maps the
+input onto its canonical shape.  A class and its relabeling are one sign
+pattern of the margins and their pairwise sums and differences, read with one
+lookup.  It also synthesizes a profile realizing any same-parity margin graph.
 """
 
 from __future__ import annotations
@@ -252,72 +253,50 @@ class OrdinalClass:
     winner: Optional[int] = None
 
 
-# canonical shape predicates, by class letter, on (m_ab, m_ac, m_bc).
-# m_ca = -m_ac and m_cb = -m_bc below.
-def _shape_checks():
-    def a(m_ab, m_ac, m_bc):  # m_ab = m_bc = m_ca > 0
-        return m_ab == m_bc == -m_ac > 0
-
-    def b(m_ab, m_ac, m_bc):  # all margins zero
-        return m_ab == m_ac == m_bc == 0
-
-    def c(m_ab, m_ac, m_bc):  # m_ab > m_bc = m_ca > 0
-        return m_ab > m_bc == -m_ac > 0
-
-    def d(m_ab, m_ac, m_bc):  # m_ab > m_bc = m_ca = 0
-        return m_ab > 0 and m_bc == m_ac == 0
-
-    def e(m_ab, m_ac, m_bc):  # m_ab = m_cb > m_ca = 0
-        return m_ab == -m_bc > 0 and m_ac == 0
-
-    def f(m_ab, m_ac, m_bc):  # m_ab > m_cb > m_ca = 0
-        return m_ab > -m_bc > 0 and m_ac == 0
-
-    def g(m_ab, m_ac, m_bc):  # m_ab > m_bc > m_ca > 0
-        return m_ab > m_bc > -m_ac > 0
-
-    def h(m_ab, m_ac, m_bc):  # m_ab > m_bc > m_ca = 0
-        return m_ab > m_bc > 0 and m_ac == 0
-
-    def i(m_ab, m_ac, m_bc):  # m_ab = m_bc > m_ca > 0
-        return m_ab == m_bc > -m_ac > 0
-
-    def j(m_ab, m_ac, m_bc):  # m_ab = m_bc > m_ca = 0
-        return m_ab == m_bc > 0 and m_ac == 0
-
-    def k(m_ab, m_ac, m_bc):  # m_bc > m_ab > m_ca > 0
-        return m_bc > m_ab > -m_ac > 0
-
-    def l(m_ab, m_ac, m_bc):  # m_bc > m_ab > m_ca = 0
-        return m_bc > m_ab > 0 and m_ac == 0
-
-    return {
-        "A": a, "B": b, "C": c, "D": d, "E": e, "F": f,
-        "G": g, "H": h, "I": i, "J": j, "K": k, "L": l,
-    }
-
-
-_SHAPES = _shape_checks()
+#: per class letter, a canonical triple and its shape, with m_ca = -m_ac and m_cb = -m_bc
+_SHAPES = {
+    "A": (1, -1, 1),  # m_ab = m_bc = m_ca > 0
+    "B": (0, 0, 0),   # all margins zero
+    "C": (2, -1, 1),  # m_ab > m_bc = m_ca > 0
+    "D": (1, 0, 0),   # m_ab > m_bc = m_ca = 0
+    "E": (1, 0, -1),  # m_ab = m_cb > m_ca = 0
+    "F": (2, 0, -1),  # m_ab > m_cb > m_ca = 0
+    "G": (3, -1, 2),  # m_ab > m_bc > m_ca > 0
+    "H": (2, 0, 1),   # m_ab > m_bc > m_ca = 0
+    "I": (2, -1, 2),  # m_ab = m_bc > m_ca > 0
+    "J": (1, 0, 1),   # m_ab = m_bc > m_ca = 0
+    "K": (2, -1, 3),  # m_bc > m_ab > m_ca > 0
+    "L": (1, 0, 2),   # m_bc > m_ab > m_ca = 0
+}
 CLASS_LETTERS = tuple(sorted(_SHAPES))
 
 
+def _signs(m: Margins) -> tuple[int, ...]:
+    """The signs of m_ab, m_ac, m_bc, m_ab +- m_ac, m_ab +- m_bc and m_ac +- m_bc."""
+    ab, ac, bc = m
+    forms = (ab, ac, bc, ab + ac, ab - ac, ab + bc, ab - bc, ac + bc, ac - bc)
+    return tuple([(x > 0) - (x < 0) for x in forms])
+
+
+# A shape compares only the forms of _signs, so in canonical orientation a
+# class is one sign pattern.  sigma permutes the forms up to sign: it maps m
+# onto a shape when m has the signs of the shape relabeled by sigma's inverse.
+# Filled from the largest sigma down, a pattern keeps the smallest sigma.
+_CLASS_OF_SIGNS = {
+    _signs(permute_margins(shape, tuple(map(sigma.index, CANDIDATES)))): OrdinalClass(letter, sigma)
+    for sigma in reversed(PERMUTATIONS)
+    for letter, shape in _SHAPES.items()
+}
+_CONDORCET_CLASSES = tuple(OrdinalClass("condorcet_winner", IDENTITY, w) for w in CANDIDATES)
+
+
 def classify(m: Margins) -> OrdinalClass:
-    """Classify a margin graph into Condorcet-winner case or classes A..L."""
+    """Classify a margin graph into Condorcet-winner case or classes A..L:
+    a class and its relabeling are read from the signs of m with one lookup."""
     w = condorcet_winner(m)
     if w is not None:
-        return OrdinalClass(kind="condorcet_winner", relabel=IDENTITY, winner=w)
-    # The classes partition the Condorcet-winner-free graphs, so at most one
-    # letter can ever match; scanning sigma in lexicographic order therefore
-    # records the lexicographically smallest relabeling for that letter.
-    # Every canonical shape has m_ab >= 0.
-    for sigma, row in _MARGIN_PERM.items():
-        mm = [sign * m[src] for src, sign in row]
-        if mm[0] < 0:
-            continue
-        for letter in CLASS_LETTERS:
-            if _SHAPES[letter](*mm):
-                return OrdinalClass(kind=letter, relabel=sigma)
-    raise AssertionError(f"unclassifiable margin graph {m}")  # pragma: no cover
+        return _CONDORCET_CLASSES[w]
+    return _CLASS_OF_SIGNS[_signs(m)]
 
 
 # two-voter gadgets adding +2 to exactly one margin coordinate:
@@ -367,7 +346,7 @@ def parse_choice_set(text: str) -> ChoiceSet:
     members = [p for p in inner.replace(" ", "").split(",") if p]
     out = set()
     for name in members:
-        if name not in CANDIDATE_NAMES:
+        if len(name) != 1 or name not in CANDIDATE_NAMES:
             raise ValueError(f"unknown candidate {name!r}")
         out.add(CANDIDATE_NAMES.index(name))
     return frozenset(out)

@@ -181,12 +181,17 @@ def _order_surplus(d: np.ndarray) -> np.ndarray:
 # who must win under Condorcet (``axioms._CHAMPIONS``), are held to it by the
 # face tests in ``tests/test_enumeration.py`` (every cell of n = 15, 16 and
 # every same-parity triple in [-24, 24]^3); a function that compared anything
-# else would be misread.  There are 267 faces, numbered once in the catalogue
-# below, so a face has the same position in every process, and each function
-# is evaluated once per face, on its catalogue cell, and kept as a vector of
-# output codes by face.  The counting weighs each face's profiles together,
-# and the axiom checkers read a column of outputs as one gather of that
-# vector.
+# else would be misread.  ``core.classify`` keeps it by construction: its
+# Condorcet test and its one lookup read the signs of the first nine forms,
+# which are the top nine digits of the face key, and the lookup answers every
+# pattern without a Condorcet winner (``tests/test_enumeration.py`` checks
+# both).  So classify, and each rule read from the 12-class table, is
+# constant on every face, not only on the cells the face tests sample.
+# There are 267 faces, numbered once in the catalogue below, so a face has
+# the same position in every process, and each function is evaluated once
+# per face, on its catalogue cell, and kept as a vector of output codes by
+# face.  The counting weighs each face's profiles together, and the axiom
+# checkers read a column of outputs as one gather of that vector.
 #
 # A triple's face is found from its 12 signs, the face key, or from the
 # box: the face positions of every triple with |m_i| <= R, filled through
@@ -644,7 +649,8 @@ def frequency_rows(
     ``exclude_all_tied`` controls whether completely tied profiles (all
     margins zero) are left out of the count; the default is each rule's
     ``exclude_all_tied`` entry in ``rules.RULES``.  A count over its budget,
-    or one whose points could leave int64, is refused before any work.
+    one whose points could leave int64, or one that sweeps a rule above its
+    voter cap is refused before any work.
     """
     resolved = [_rules.resolve(rule_id) for rule_id in rule_ids]
     # the pass counts every rule but the bounded search rules, which are
@@ -654,12 +660,16 @@ def frequency_rows(
     counted = [rule for (_, rule), search in zip(resolved, searched) if not search]
     reads = [rule.reads for rule in counted]
     _refuse_over_budget(ns, reads.count(_rules.SCORES), _rules.PROFILE in reads)
-    for canonical, rule in resolved:  # (6 n + 12) max |s_i| bounds _scoring_ties's intermediates
-        if rule.reads == _rules.SCORES and (6 * max(ns, default=0) + 12) * max(
+    top = max(ns, default=0)  # read after the budget, which stops early on a long range
+    for (canonical, rule), search in zip(resolved, searched):
+        if search:
+            _rules.check_voter_cap(canonical, rule, top)
+        # (6 n + 12) max |s_i| bounds _scoring_ties's intermediates
+        if rule.reads == _rules.SCORES and (6 * top + 12) * max(
             map(abs, _rules.integer_scores(rule.compute))
         ) > np.iinfo(np.int64).max:
             raise _rules.BoundExceededError(
-                f"{canonical} has points too large to count {max(ns)} voters in 64-bit integers"
+                f"{canonical} has points too large to count {top} voters in 64-bit integers"
             )
     counts = _tie_counts(ns, [
         _SEVERAL[_face_codes(rule.compute)] if rule.reads == _rules.MARGINS else rule.compute

@@ -95,6 +95,12 @@ def test_parse_accumulates_counts():
     assert parse_profile(" 2 a c b + c a b ") == (0, 2, 0, 0, 1, 0)
 
 
+@pytest.mark.parametrize("bad", ["{ab}", "{bc}", "{abc}", "{a,d}", "{a,bc}"])
+def test_parse_choice_set_accepts_only_single_candidate_names(bad):
+    with pytest.raises(ValueError, match="unknown candidate"):
+        core.parse_choice_set(bad)
+
+
 @pytest.mark.parametrize(
     "bad,fragment",
     [
@@ -214,20 +220,74 @@ def test_classify_examples():
     assert cw.kind == "condorcet_winner" and cw.winner == A
 
 
+# canonical shape predicates, by class letter, on (m_ab, m_ac, m_bc): the
+# specification that core.classify reads as one sign pattern per class.
+# m_ca = -m_ac and m_cb = -m_bc below.
+def _shape_checks():
+    def a(m_ab, m_ac, m_bc):  # m_ab = m_bc = m_ca > 0
+        return m_ab == m_bc == -m_ac > 0
+
+    def b(m_ab, m_ac, m_bc):  # all margins zero
+        return m_ab == m_ac == m_bc == 0
+
+    def c(m_ab, m_ac, m_bc):  # m_ab > m_bc = m_ca > 0
+        return m_ab > m_bc == -m_ac > 0
+
+    def d(m_ab, m_ac, m_bc):  # m_ab > m_bc = m_ca = 0
+        return m_ab > 0 and m_bc == m_ac == 0
+
+    def e(m_ab, m_ac, m_bc):  # m_ab = m_cb > m_ca = 0
+        return m_ab == -m_bc > 0 and m_ac == 0
+
+    def f(m_ab, m_ac, m_bc):  # m_ab > m_cb > m_ca = 0
+        return m_ab > -m_bc > 0 and m_ac == 0
+
+    def g(m_ab, m_ac, m_bc):  # m_ab > m_bc > m_ca > 0
+        return m_ab > m_bc > -m_ac > 0
+
+    def h(m_ab, m_ac, m_bc):  # m_ab > m_bc > m_ca = 0
+        return m_ab > m_bc > 0 and m_ac == 0
+
+    def i(m_ab, m_ac, m_bc):  # m_ab = m_bc > m_ca > 0
+        return m_ab == m_bc > -m_ac > 0
+
+    def j(m_ab, m_ac, m_bc):  # m_ab = m_bc > m_ca = 0
+        return m_ab == m_bc > 0 and m_ac == 0
+
+    def k(m_ab, m_ac, m_bc):  # m_bc > m_ab > m_ca > 0
+        return m_bc > m_ab > -m_ac > 0
+
+    def l(m_ab, m_ac, m_bc):  # m_bc > m_ab > m_ca = 0
+        return m_bc > m_ab > 0 and m_ac == 0
+
+    return {
+        "A": a, "B": b, "C": c, "D": d, "E": e, "F": f,
+        "G": g, "H": h, "I": i, "J": j, "K": k, "L": l,
+    }
+
+
+SHAPES = _shape_checks()
+
+
 def test_classify_total_neutral_and_matches_structural_oracle():
-    for m in same_parity_margin_triples(9):
+    span = range(-12, 13)  # every triple: classify reads signs, whatever the parity
+    for m in itertools.product(span, span, span):
         cls = classify(m)
         assert cls.kind == structural_class(m)
-        if cls.kind != "condorcet_winner":
-            # recorded relabeling maps the graph onto its canonical shape
-            assert core._SHAPES[cls.kind](*permute_margins(m, cls.relabel))
-            # lexicographically smallest working permutation is recorded
-            earlier = [
-                s
+        if cls.kind == "condorcet_winner":
+            assert cls.relabel == core.IDENTITY and cls.winner == condorcet_winner(m)
+        else:
+            # the recorded relabeling maps the graph onto its canonical shape,
+            # and it is the first that maps it onto any shape: the predicate
+            # search over relabelings in lexicographic order finds the same
+            found = [
+                (s, letter)
                 for s in core.PERMUTATIONS
-                if s < cls.relabel and core._SHAPES[cls.kind](*permute_margins(m, s))
+                if s <= cls.relabel
+                for letter, shape in SHAPES.items()
+                if shape(*permute_margins(m, s))
             ]
-            assert not earlier
+            assert found == [(cls.relabel, cls.kind)]
         for sigma in core.PERMUTATIONS:
             assert classify(permute_margins(m, sigma)).kind == cls.kind
 

@@ -244,6 +244,16 @@ def test_the_catalogue_holds_one_cell_of_each_of_the_267_faces_in_key_order():
     assert (enumeration._keyed_positions(np.array(cells)) == np.arange(267)).all()
 
 
+def test_the_faces_refine_the_classes_and_the_class_lookup_is_total():
+    # a face key's top nine base-3 digits are the signs that core.classify reads
+    for cell, key in zip(enumeration._FACE_CELLS, enumeration._FACE_KEYS.tolist()):
+        digits = [key // 3**power % 3 for power in range(11, 2, -1)]
+        assert digits == [sign + 1 for sign in core._signs(cell)], cell
+    # and every sign pattern without a Condorcet winner has a class
+    free = {core._signs(m) for m in enumeration._FACE_CELLS if core.condorcet_winner(m) is None}
+    assert set(core._CLASS_OF_SIGNS) == free and len(free) == 60
+
+
 def test_every_triple_maps_to_the_catalogue_entry_with_its_own_key(keyed_rows):
     enumeration._grow_box(24)  # the positions are read both through the keys and the box
     cells = [m for n in range(17) for m, _ in margin_cells(n)]
@@ -457,6 +467,18 @@ def test_search_tree_rules_count_by_scalar_sweep():
             1 for p in enumerate_profiles(4) if len(rules.evaluate(rule_id, p)) >= 2
         )
         assert row.irresolute == scalar
+
+
+@pytest.mark.parametrize("rule_ids", [["dodgson"], ["maximin", "young"]])
+def test_a_swept_rule_above_its_voter_cap_is_refused_before_any_work(monkeypatch, rule_ids):
+    def no_work(*args):
+        raise AssertionError(f"work on {args} before the voter cap was checked")
+
+    monkeypatch.setattr(rules, "evaluate_uncached", no_work)
+    monkeypatch.setattr(enumeration, "_tie_counts", no_work)
+    refusal = f"{rule_ids[-1]} supports at most 9 voters, got 30"
+    with pytest.raises(rules.BoundExceededError, match=refusal):
+        enumeration.frequency_rows(rule_ids, [4, 6, 8, 30])
 
 
 # gamma = s1 - 2 s2 + s3 > 0, < 0 and = 0, a fractional, two reversed and a
