@@ -19,34 +19,34 @@ the witness note or None:
   order, takes each key whose need P holds, and lists the witnesses;
 * for a rule that reads only the margins (``rules.MARGINS``) the verdict is
   first decided over the margin cells of ``enumeration``: the surplus
-  vectors d with |d|_1 <= bound, as arrays of margin triples m, per-order
-  surplus and |d|_1.  A key counts on a cell only if some profile within
-  the bound realizes it: the fewest voters of cell d holding at least k_o
-  voters of each order o the key needs is
-  |d|_1 + 2 sum_i max_{o in pair i} (k_o - surplus_o(d))^+, raised in steps
-  of two to the checker's least electorate, one array expression per block
-  of cells.  Each output column is a margin function on m or on its image,
-  kept as a 3-bit code, block by block with the smallest cells first, so a
-  violated check stops early.  A clause sees only the key and the outputs,
-  so it is called once per key and tuple of codes met, on one row of that
-  class.  Refinement reads a second rule, and Condorcet a second column:
-  the candidates who must win (the Condorcet winner, or the unbeaten
+  vectors d with |d|_1 <= bound, a prefix of the process's cell table of
+  margin triples m, |d|_1, faces and the pair surpluses clipped to [-2, 2].
+  A key counts on a cell only if some profile within the bound realizes
+  it: the fewest voters of cell d holding at least k_o voters of each order
+  o the key needs is |d|_1 + 2 sum_i max_{o in pair i} (k_o - surplus_o(d))^+,
+  a per-key lookup by the clipped surpluses (no key needs more than two
+  voters of an order), raised in steps of two to the checker's least
+  electorate.  Each output column is a margin function on m or on its
+  image, kept as a 3-bit code, block by block with the smallest cells
+  first, so a violated check stops early.  A clause sees only the key and
+  the outputs, so it is called once per key and tuple of codes met.
+  Refinement reads a second rule, and Condorcet a second column: the
+  candidates who must win (the Condorcet winner, or the unbeaten
   candidates).  Every margin function is read under the face contract of
   ``enumeration``, as the counting reads it: it compares only the 12 forms
   that define the sign faces, so its codes on the 267 faces of the
-  catalogue are one vector.  Each block of cells, and its image, is mapped
-  to faces once and shared by every column: the check first grows the
-  process's box of face positions to its bound plus the largest shift of
-  an image, so the mapping is one gather (a doubling 2m has m's face), and
-  a column is one more gather of its codes.  When nothing fails, the
-  verdict is ``holds-up-to-bound`` and no profile is touched; otherwise the
-  sweep runs as for any other rule, to list the witnesses in its order.
+  catalogue are one vector and a column is one gather of them.  A
+  relabelling or a doubling maps faces to faces, one lookup per key; a
+  shifted image's face is read from the process's box of face positions.
+  When nothing fails, the verdict is ``holds-up-to-bound`` and no profile
+  is touched; otherwise the sweep lists the witnesses in its order, up to
+  :data:`SWEEP_BUDGET` profiles or profile pairs once it holds one.
 
 Reinforcement, over pairs of profiles, has a driver of each kind of its
-own: its sweep walks the profile pairs, and its cells pair two cells into
-m1 + m2.  ``optimist_equivalence`` needs neither: its clauses see only the
-joining voter's order and two non-empty winner sets, so it is decided on
-those 294 inputs once, for every rule and bound.
+own: its sweep walks the profile pairs, and its cells pair two cells of
+the same table into m1 + m2.  ``optimist_equivalence`` needs neither: its
+clauses see only the joining voter's order and two non-empty winner sets,
+so it is decided on those 294 inputs once, for every rule and bound.
 
 Every checker resolves its rules and refuses an electorate above a rule's
 voter cap before its first evaluation.  A margin check whose cells would
@@ -67,7 +67,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
@@ -98,9 +98,9 @@ from .core import (
     top,
     total_voters,
 )
-from .enumeration import _ORDERS, _REVERSES, _SURPLUS_TO_MARGINS, profiles_up_to
-from .enumeration import _condorcet_winner_set, _face_codes, _face_positions, _grow_box
-from .enumeration import _order_surplus, _sum_reader, _surplus_vectors
+from .enumeration import _FACE_CELLS, _ORDERS, _REVERSES, _cell_count, _condorcet_winner_set
+from .enumeration import _face_codes, _grow_box, _grow_cells, _keyed_positions, _order_surplus
+from .enumeration import _sum_reader, profiles_up_to
 
 HOLDS = "holds-up-to-bound"
 VIOLATED = "violated"
@@ -138,6 +138,8 @@ class AxiomReport:
     bound: int
     verdict: str
     witnesses: tuple[Witness, ...]
+    #: why the witness list stops short of the bound, or empty
+    stopped: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
         if self.verdict not in (HOLDS, VIOLATED):
@@ -172,16 +174,22 @@ def _finish(
     rule: str,
     axiom: str,
     bound: int,
-    violations: Iterator[Witness],
+    violations: Iterator[Union[Witness, str]],
     max_witnesses: Optional[int],
 ) -> AxiomReport:
+    """The first ``max_witnesses`` witnesses; a str from ``violations`` names
+    the instances after which the sweep budget ended the list."""
     collected: list[Witness] = []
+    stopped = ""
     for witness in violations:
+        if isinstance(witness, str):
+            stopped = f"witness listing stopped after {SWEEP_BUDGET} {witness}, the sweep budget"
+            break
         collected.append(witness)
         if max_witnesses is not None and len(collected) >= max_witnesses:
             break
     verdict = VIOLATED if collected else HOLDS
-    return AxiomReport(rule, axiom, bound, verdict, tuple(collected))
+    return AxiomReport(rule, axiom, bound, verdict, tuple(collected), stopped)
 
 
 def _candidate(c: int) -> str:
@@ -199,12 +207,14 @@ _NOBODY = (0,) * 6
 #: failure among small profiles is met after few evaluations and that the
 #: temporaries stay small, large enough for few numpy calls
 _BLOCK_ROWS = 1 << 11
+#: the most (key, cell) pairs of a block, which double from _BLOCK_ROWS
+_BLOCK_CAP = 1 << 17
 
 #: the most bytes that the margin cells of one check may take; a larger
 #: check is refused before anything is allocated
 TABLE_BUDGET = 64 << 20
-#: bytes per margin cell at the peak of building its arrays: margins,
-#: surplus and size as int64, with their temporaries (144 measured)
+#: bytes charged per margin cell: the peak of the int64 cell arrays built per
+#: check before the cell table (144 measured), so refused bounds stay put
 _CELL_BYTES = 160
 
 
@@ -212,8 +222,7 @@ def _refuse_oversized(bound: int) -> None:
     """Refuse a check whose margin cells up to ``bound`` would take more than
     TABLE_BUDGET bytes; every axiom and margin function is refused at the
     same bounds."""
-    cells = (2 * bound + 1) * (2 * bound * bound + 2 * bound + 3) // 3  # |d|_1 <= bound
-    size = cells * _CELL_BYTES
+    size = _cell_count(bound) * _CELL_BYTES
     if size > TABLE_BUDGET:
         raise _rules.BoundExceededError(
             f"bound {bound} needs {size >> 20} MB of margin cells, "
@@ -256,25 +265,9 @@ def _refuse_oversized_sweep(bound: int, instances: str) -> None:
         )
 
 
-def _surplus_cells(bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Arrays (margins, surplus, size) over every surplus vector d with
-    |d|_1 <= bound, the cells of ``bound`` and of ``bound - 1`` voters: row i
-    holds the margin triple of d, the voters each order holds beyond its
-    reverse and |d|_1."""
-    d = np.concatenate([*_surplus_vectors(bound), *_surplus_vectors(bound - 1)])
-    return d @ _SURPLUS_TO_MARGINS.T, _order_surplus(d), sum(np.abs(d).T)
-
-
-def _fewest_voters(
-    surplus: np.ndarray, size: np.ndarray, needs: np.typing.ArrayLike, least: int
-) -> np.ndarray:
-    """The fewest voters, at least ``least``, of a profile in each cell that
-    holds ``need[o]`` voters of each order o: |d|_1 plus two per voter pair
-    the surplus lacks, raised in steps of two to ``least``.  One row per
-    need when ``needs`` stacks several."""
-    lack = np.maximum(np.asarray(needs)[..., None, :] - surplus, 0)
-    n = size + 2 * np.maximum(lack[..., _ORDERS], lack[..., _REVERSES]).sum(axis=-1)
-    return n + np.maximum(least - n + 1, 0) // 2 * 2
+def _raised(n: np.ndarray, least: int) -> np.ndarray:
+    """Voter counts ``n`` raised in steps of two to at least ``least``."""
+    return np.maximum(n, least + ((n - least) & 1))
 
 
 def _new_classes(classes: np.ndarray, seen: np.ndarray) -> np.ndarray:
@@ -350,7 +343,8 @@ class _Table(NamedTuple):
     profiles and outputs that ``reads`` names.  The sweep evaluates the rule
     on a second profile only for keys that ``guard(key, output on P)``
     admits; it starts at ``least`` voters, and its budget counts
-    ``instances``.
+    ``instances``; one that only lists witnesses stops at ``budget``
+    profiles once it holds one.
     """
 
     axiom: str
@@ -362,6 +356,7 @@ class _Table(NamedTuple):
     guard: Optional[Callable[[Hashable, ChoiceSet], bool]] = None
     least: int = 1
     instances: str = "profiles"
+    budget: float = math.inf
 
 
 def _stepper(table: _Table) -> Callable[[Profile], list[Witness]]:
@@ -396,73 +391,87 @@ def _stepper(table: _Table) -> Callable[[Profile], list[Witness]]:
     return paired if True in table.reads else alone
 
 
-def _sweep(table: _Table, bound: int) -> Iterator[Witness]:
+def _sweep(table: _Table, bound: int) -> Iterator[Union[Witness, str]]:
     """The witnesses of ``table`` on every profile with ``least <= n <=
-    bound``, in (n, colex) order."""
-    step = _stepper(table)
-    for profile in profiles_up_to(bound, table.least):
-        yield from step(profile)
-
-
-def _realized(
-    bound: int, least: int, needs: list[tuple[int, ...]]
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Blocks (key, margins) of the pairs of a key's index and a cell's
-    margins that a profile with ``least <= n <= bound`` realizes; ``needs``
-    gives the voters of each order each key's instance takes from the
-    profile.  Cells come in order of |d|_1, so small profiles first."""
-    margins_d, surplus, size = _surplus_cells(bound)
-    order = np.argsort(size, kind="stable")
-    step = max(1, _BLOCK_ROWS // len(needs))
-    for lo in range(0, len(order), step):
-        rows = order[lo : lo + step]
-        n = _fewest_voters(surplus[rows], size[rows], needs, least)
-        key, row = np.nonzero(n <= bound)
-        yield key, margins_d[rows][row]
+    bound``, in (n, colex) order, until the table's ``budget`` of profiles
+    is visited with a witness among them: then "profiles" ends them."""
+    step, found = _stepper(table), False
+    for visited, profile in enumerate(profiles_up_to(bound, table.least)):
+        if found and visited >= table.budget:
+            yield "profiles"
+            return
+        witnesses = step(profile)
+        found = found or bool(witnesses)
+        yield from witnesses
 
 
 @functools.cache
-def _margin_maps(keys: tuple[_Key, ...]) -> tuple[np.ndarray, np.ndarray, bool, bool]:
+def _margin_maps(keys: tuple[_Key, ...]) -> tuple[Optional[np.ndarray], ...]:
     """Arrays A and b, index for index with ``keys``, such that the second
-    profile of a key has the margins A m + b when P has the margins m, built
-    once per key table; whether every A is the identity: keys that only
-    move voters shift the margins, which is cheaper to apply; and whether
-    every A m + b is a positive multiple of m, which has m's sign face."""
+    profile of a key has the margins A m + b when P has the margins m, and
+    two lookups, built once per key table: ``extra[k, code]``, the voters
+    key k adds at fewest to |d|_1 on a cell of that clipped surplus code (no
+    key takes more than two voters of an order, so the clip loses no lack);
+    ``faces[k, F]``, the face of A m for m on face F when no key shifts the
+    margins (a relabelling or a doubling permutes the 12 forms up to sign
+    and scale), otherwise None: a shift is read from the box."""
     matrix, offset = np.array([k.matrix for k in keys]), np.array([k.offset for k in keys])
-    factor = matrix[:, :1, :1]
-    scales = (matrix == factor * np.identity(3, dtype=int)).all() and (factor > 0).all()
-    scales = scales and not offset.any()
-    return matrix, offset, bool((matrix == np.identity(3, dtype=int)).all()), bool(scales)
+    need = np.array([k.need for k in keys])
+    assert need.max() <= 2, "a key takes more voters of an order than a surplus code keeps"
+    clipped = np.stack(np.meshgrid(*[np.arange(-2, 3)] * 3, indexing="ij"), axis=-1)
+    lack = np.maximum(need[:, None, :] - _order_surplus(clipped.reshape(-1, 3)), 0)
+    extra = 2 * np.maximum(lack[..., _ORDERS], lack[..., _REVERSES]).sum(axis=-1)
+    faces = None
+    if not offset.any():
+        images = (np.array(_FACE_CELLS) @ matrix.transpose(0, 2, 1)).reshape(-1, 3)
+        faces = _keyed_positions(images).reshape(len(keys), -1)
+    return matrix, offset, extra.astype(np.int16), faces
 
 
 def _cells_fail(table: _Table, functions: tuple[MarginRule, ...], bound: int) -> bool:
-    """Whether the clause of ``table`` fails on the margins m of some cell
-    and a key that a profile with ``least <= n <= bound`` realizes, where
-    ``functions`` gives the margin function of each output; the outputs that
-    ``reads`` puts on the second profile read its margins A m + b.  Each
-    block of margins, and its image, is mapped to sign faces once, from the
-    box of ``enumeration``, and each output column is a gather of codes by
-    face.  The clause sees only the key and the outputs, so it is called
-    once per key and tuple of output codes met, on one row of them; the walk
-    stops at the first failure."""
+    """Whether the clause of ``table`` fails on some cell and key that a
+    profile with ``least <= n <= bound`` realizes, where ``functions`` gives
+    the margin function of each output; the outputs that ``reads`` puts on
+    the second profile read the face of A m + b.  Per block of cells of the
+    table, smallest first: the fewest voters per key, the image faces (by
+    the face lookup, or a box gather at the cell's index plus a per-key
+    jump) and each output column as a gather of codes.  The clause sees only
+    the key and the outputs, so it is called once per class of them met,
+    found by a bincount against ``seen``; the walk stops at a failure."""
     _refuse_oversized(bound)
-    matrix, offset, shifts, scales = _margin_maps(table.keys)
-    _grow_box(bound + int(np.abs(offset).max()))
+    _, offset, extra, image_faces = _margin_maps(table.keys)
+    shifted = True in table.reads and image_faces is None
+    if shifted:  # m + b sits at (raw + jump[k, parity]) >> 1, raw the index of m doubled
+        box = _grow_box(bound + int(np.abs(offset).max()))
+        side = 1 + int(box.strides[1])
+        jump = (offset @ box.strides)[:, None] + side * (offset[:, :1] & 1) * np.array([-1, 1])
     on_image = table.reads + (False,) * len(table.also)
-    seen = np.zeros(len(table.keys) * 8 ** len(functions), dtype=bool)
-    for key, m in _realized(bound, table.least, [k.need for k in table.keys]):
-        faces = [_face_positions(m)]
-        if True in table.reads and scales:  # a positive multiple of m has m's face
-            faces.append(faces[0])
+    codes, width, count = [_face_codes(f) for f in functions], len(functions), len(table.keys)
+    keys, seen = np.arange(count)[:, None], np.zeros(count << 3 * width, dtype=bool)
+    lo, end, step, cells = 0, _cell_count(bound), max(1, _BLOCK_ROWS // count), _grow_cells(0)
+    while lo < end:
+        hi = min(end, lo + step)
+        if hi > cells.size.size:  # at least double the reach; 4 s^3 / 3 < _cell_count(s)
+            cells = _grow_cells(min(bound, max(2 * cells.reach, int((0.75 * hi) ** (1 / 3)) + 1)))
+        n = _raised(cells.size[lo:hi] + extra[:, cells.code[lo:hi]], table.least)
+        face = image = cells.face[lo:hi]
+        if shifted:
+            m = cells.margins[lo:hi]
+            parity = (m[:, 0] + box.reach) & 1
+            raw = m @ box.strides + box.base - side * parity
+            image = box.positions[(raw + jump[:, parity]) >> 1]
         elif True in table.reads:
-            image = (m if shifts else np.einsum("kij,kj->ki", matrix[key], m)) + offset[key]
-            faces.append(_face_positions(image))
-        codes = [_face_codes(f)[faces[i]] for f, i in zip(functions, on_image)]
-        classes = functools.reduce(lambda acc, c: acc * 8 + c, codes, key)
-        rows = _new_classes(classes, seen)
-        for k, *row in zip(key[rows].tolist(), *(c[rows].tolist() for c in codes)):
-            if table.clause(table.keys[k].key, *(CHOICE_SETS[c] for c in row)) is not None:
+            image = image_faces[:, face]
+        columns = [c[image if i else face] for c, i in zip(codes, on_image)]
+        classes = functools.reduce(lambda acc, c: acc * 8 + c, columns, keys)
+        met = np.bincount(np.where(n <= bound, classes, seen.size).ravel(), minlength=seen.size + 1)
+        fresh = np.flatnonzero((met[:-1] > 0) > seen)
+        seen[fresh] = True
+        for c in fresh.tolist():
+            outputs = (CHOICE_SETS[c >> 3 * i & 7] for i in reversed(range(width)))
+            if table.clause(table.keys[c >> 3 * width].key, *outputs) is not None:
                 return True
+        lo, step = hi, min(2 * step, _BLOCK_CAP // count)
     return False
 
 
@@ -490,7 +499,7 @@ def _decide(
     rule_id: str,
     axiom: str,
     bound: int,
-    violations: Callable[[], Iterator[Witness]],
+    violations: Callable[[], Iterator[Union[Witness, str]]],
     fails: Optional[Callable[[], bool]],
     max_witnesses: Optional[int],
     instances: str = "profiles",
@@ -519,7 +528,8 @@ def _check(table: _Table, bound: int, max_witnesses: Optional[int]) -> AxiomRepo
     f, *also = _margin_functions(max_witnesses, largest, table.rule, *table.also)
     functions = (f,) * len(table.reads) + tuple(also)
     fails = None if None in functions else functools.partial(_cells_fail, table, functions, bound)
-    violations = functools.partial(_sweep, table, bound)
+    listing = table if fails is None else table._replace(budget=SWEEP_BUDGET)
+    violations = functools.partial(_sweep, listing, bound)
     axiom, instances = table.axiom, table.instances
     return _decide(table.rule, axiom, bound, violations, fails, max_witnesses, instances)
 
@@ -572,9 +582,16 @@ def _reinforcement(variant: str, agreed: ChoiceSet, merged: ChoiceSet) -> Option
     )
 
 
-def _reinforcement_sweep(rule_id: str, variant: str, bound: int) -> Iterator[Witness]:
-    axiom = _REINFORCEMENT_AXIOMS[variant]
-    for first, second in _profile_pairs(bound):
+def _reinforcement_sweep(
+    rule_id: str, variant: str, bound: int, budget: float = math.inf
+) -> Iterator[Union[Witness, str]]:
+    """The witnesses on the pairs of ``_profile_pairs``, until ``budget``
+    pairs are visited with a witness among them: then "profile pairs"."""
+    axiom, found = _REINFORCEMENT_AXIOMS[variant], False
+    for visited, (first, second) in enumerate(_profile_pairs(bound)):
+        if found and visited >= budget:
+            yield "profile pairs"
+            return
         out1 = _f(rule_id, first)
         out2 = _f(rule_id, second)
         agreed = _agreed(variant, out1, out2)
@@ -584,6 +601,7 @@ def _reinforcement_sweep(rule_id: str, variant: str, bound: int) -> Iterator[Wit
         out12 = _f(rule_id, merged)
         note = _reinforcement(variant, agreed, out12)
         if note is not None:
+            found = True
             yield Witness(axiom, (first, second, merged), (out1, out2, out12), note)
 
 
@@ -631,12 +649,12 @@ def _reinforcement_cells_fail(f: MarginRule, variant: str, bound: int) -> bool:
     triple of output codes met."""
     _refuse_oversized_pairs(bound)
     _grow_box(bound)
-    m, surplus, size = _surplus_cells(bound - 1)
-    n = _fewest_voters(surplus, size, _NOBODY, 1)
+    cells = _grow_cells(bound - 1)
+    n = _raised(cells.size[: _cell_count(bound - 1)], 1)
     order = np.argsort(n, kind="stable")
-    m, n = m[order], n[order]
+    m, n = cells.margins[order], n[order]
     codes = _face_codes(f)
-    outputs = codes[_face_positions(m)]
+    outputs = codes[cells.face[order]]
     keys, read = _sum_reader(m, codes)  # the box holds every pair sum: n1 + n2 <= bound
     seen = np.zeros(8**3, dtype=bool)
     for i, j in _cell_pairs(n, bound):
@@ -668,7 +686,8 @@ def check_reinforcement(
     _validate_bound(bound, 2)
     (f,) = _margin_functions(max_witnesses, bound, rule_id)
     fails = None if f is None else functools.partial(_reinforcement_cells_fail, f, variant, bound)
-    violations = functools.partial(_reinforcement_sweep, rule_id, variant, bound)
+    budget = math.inf if f is None else SWEEP_BUDGET
+    violations = functools.partial(_reinforcement_sweep, rule_id, variant, bound, budget)
     return _decide(rule_id, axiom, bound, violations, fails, max_witnesses, "profile pairs")
 
 

@@ -113,11 +113,23 @@ def _note_rules_left_out(bound: int) -> None:
         print(f"left out {left_out}: bound {bound} is above their voter cap", file=sys.stderr)
 
 
+#: each option of ``verify`` that one axiom alone reads -> that axiom
+_AXIOM_OPTIONS = {
+    "tiebreak": "resolute_participation",
+    "upper": "refinement",
+    "profile": "continuity",
+    "profile2": "continuity",
+}
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     axiom, bound, cap = args.axiom, args.bound, args.max_witnesses
+    for option, reader in _AXIOM_OPTIONS.items():
+        if getattr(args, option) is not None and axiom != reader:
+            return _fail(f"--{option} is read only by --axiom {reader}, not by --axiom {axiom}")
     try:
         if axiom == "resolute_participation":
-            tiebreak = ORDER_NAMES.index(args.tiebreak)
+            tiebreak = ORDER_NAMES.index(args.tiebreak or "abc")
             report = axioms.check_resolute_participation(args.rule, tiebreak, bound, cap)
         elif axiom == "refinement":
             if not args.upper:
@@ -149,6 +161,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except (rules.UnsupportedRuleError, rules.BoundExceededError, ValueError) as exc:
         return _fail(str(exc))
     print(report.render())
+    if report.stopped:
+        print(report.stopped, file=sys.stderr)
     return 0 if report.holds else 1
 
 
@@ -332,8 +346,8 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--axiom", required=True, choices=AXIOM_IDS, metavar="AXIOM")
     verify.add_argument("--bound", type=int, required=True, help="max total voters (or horizon)")
     verify.add_argument("--max-witnesses", type=int, default=5)
-    verify.add_argument("--tiebreak", choices=ORDER_NAMES, default="abc",
-                        help="tie-breaking order for resolute_participation")
+    verify.add_argument("--tiebreak", choices=ORDER_NAMES,
+                        help="tie-breaking order for resolute_participation (default abc)")
     verify.add_argument("--upper", help="coarser rule for refinement")
     verify.add_argument("--profile", type=_profile_argument, help="majority profile for continuity")
     verify.add_argument("--profile2", type=_profile_argument, help="fixed minority for continuity")

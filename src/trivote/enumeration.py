@@ -195,10 +195,13 @@ def _order_surplus(d: np.ndarray) -> np.ndarray:
 #
 # A triple's face is found from its 12 signs, the face key, or from the
 # box: the face positions of every triple with |m_i| <= R, filled through
-# the keys and grown when a check needs a larger R.  The axiom checkers grow
-# it to their bound plus the largest shift of an image, so every block of
-# triples they map is one gather.  The counting maps each cell of its pass
-# once, and keys it unless a check grew the box past it.
+# the keys and grown when a check needs a larger R.  The axiom checkers
+# that read shifted images, or sums of two cells, grow it to their bound
+# plus the largest shift, so an image's face is one gather.  The counting
+# maps each cell of its pass once, and keys it unless a check grew the box
+# past it.  The checkers read P's faces from the cell table below instead:
+# every d with |d|_1 <= R, ordered by |d|_1 and keyed once per process as it
+# grows, so a check at any bound reads a prefix and keys no cell twice.
 
 
 def _face_keys(m: np.ndarray) -> np.ndarray:
@@ -263,12 +266,12 @@ class _Box(NamedTuple):
 _box = _Box(-1, np.zeros(3, dtype=np.int64), 0, np.zeros(0, dtype=np.int16))
 
 
-def _grow_box(reach: int) -> None:
-    """Make the box hold every triple with |m_i| <= ``reach``; a larger box
-    is filled afresh through the face keys, slab by slab of m_ab."""
+def _grow_box(reach: int) -> _Box:
+    """The box, made to hold every triple with |m_i| <= ``reach``; a larger
+    box is filled afresh through the face keys, slab by slab of m_ab."""
     global _box
     if reach <= _box.reach:
-        return
+        return _box
     side = reach + 1
     halves = 2 * np.stack(np.divmod(np.arange(side * side), side), axis=1) - reach
     positions = np.empty((2 * reach + 1) * side * side, dtype=np.int16)
@@ -281,6 +284,7 @@ def _grow_box(reach: int) -> None:
         positions[lo * side * side : (lo + first.size) * side * side] = _keyed_positions(m)
     strides = np.array([2 * side * side, side, 1])
     _box = _Box(reach, strides, int(strides.sum()) * reach, positions)
+    return _box
 
 
 def _face_positions(m: np.ndarray) -> np.ndarray:
@@ -308,6 +312,68 @@ def _sum_reader(m: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, Callable]
         return by_slot[((keys >> 2) + box.base - (box.strides[1] + 1) * parity) >> 1]
 
     return 4 * (m @ box.strides) + (m[:, 0] & 1), read
+
+
+class _Cells(NamedTuple):
+    """The cell table: every surplus vector d with |d|_1 <= ``reach``,
+    ordered by |d|_1, so that the cells of a bound are a prefix.  Per cell:
+    its margin triple, |d|_1, the code sum_i (c_i + 2) 5^(2 - i) of its pair
+    surpluses c, d clipped to [-2, 2], and the position of its face."""
+
+    reach: int
+    margins: np.ndarray
+    size: np.ndarray
+    code: np.ndarray
+    face: np.ndarray
+
+
+#: the cell table of this process, empty until a check grows it
+_cells = _Cells(
+    -1, np.zeros((0, 3), np.int16), *map(np.zeros, (0,) * 3, (np.int16, np.uint8, np.int16))
+)
+
+
+def _cell_count(bound: int) -> int:
+    """The cells d with |d|_1 <= ``bound``, a prefix of the table."""
+    return (2 * bound + 1) * (2 * bound * bound + 2 * bound + 3) // 3
+
+
+def _shells(sizes: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Columns d1, d2, d3 and |d|_1 of the surplus vectors d with |d|_1 in
+    ``sizes``, size by size: per d1, the 4r points with |d2| + |d3| = r =
+    |d|_1 - |d1| > 0, one side of their square at a time (each turns the
+    first a quarter), or the origin."""
+    owner, k = _expand(2 * sizes + 1)
+    size = sizes[owner]
+    d1 = k - size
+    r = size - np.abs(d1)
+    owner, k = _expand(np.maximum(4 * r, 1))
+    r = r[owner]
+    side, j = np.divmod(k, np.maximum(r, 1))
+    cos, sin = np.array([1, 0, -1, 0])[side], np.array([0, 1, 0, -1])[side]
+    return d1[owner], cos * (r - j) - sin * j, sin * (r - j) + cos * j, size[owner]
+
+
+def _grow_cells(reach: int) -> _Cells:
+    """The cell table, grown to hold every d with |d|_1 <= ``reach``: the new
+    sizes are appended, built in chunks of whole sizes of about a quarter of
+    _CELL_CHUNK cells, each new cell keyed to its face once."""
+    global _cells
+    if reach <= _cells.reach:
+        return _cells
+    sizes = np.arange(_cells.reach + 1, reach + 1)
+    columns = [_cells[1:]]
+    cuts = np.flatnonzero(np.diff(np.cumsum(4 * sizes * sizes + 2) // (_CELL_CHUNK >> 2))) + 1
+    for group in np.split(sizes, cuts):
+        d1, d2, d3, size = _shells(group)
+        m = np.stack((d1 + d2 + d3, d1 + d2 - d3, d1 - d2 - d3), axis=1)
+        code = np.clip(d1, -2, 2) * 25 + np.clip(d2, -2, 2) * 5 + np.clip(d3, -2, 2) + 62
+        columns.append((m, size, code, _keyed_positions(m)))
+    _cells = _Cells(reach, *(
+        np.concatenate(c, dtype=old.dtype, casting="unsafe")
+        for c, old in zip(zip(*columns), _cells[1:])
+    ))
+    return _cells
 
 
 #: the output code of each choice set: its mask, its index in CHOICE_SETS

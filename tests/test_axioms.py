@@ -604,13 +604,186 @@ def test_each_key_maps_the_margins_as_it_maps_the_profile():
                 assert core.margins(second) == tuple(matrix @ m + offset)
 
 
+# ---------------------------------------------------------------------------
+# the pair walk the cell table replaced, kept as the oracle of its verdicts
+# ---------------------------------------------------------------------------
+
+
+def oracle_surplus_cells(bound):
+    """Arrays (margins, surplus, size) over every surplus vector d with
+    |d|_1 <= bound, the cells of ``bound`` and of ``bound - 1`` voters."""
+    d = np.concatenate(
+        [*enumeration._surplus_vectors(bound), *enumeration._surplus_vectors(bound - 1)]
+    )
+    return d @ enumeration._SURPLUS_TO_MARGINS.T, enumeration._order_surplus(d), np.abs(d).sum(1)
+
+
+def oracle_fewest_voters(surplus, size, needs, least):
+    """The fewest voters, at least ``least``, of a profile in each cell that
+    holds ``need[o]`` voters of each order o: |d|_1 plus two per voter pair
+    the surplus lacks, raised in steps of two to ``least``; one row per need."""
+    lack = np.maximum(np.asarray(needs)[..., None, :] - surplus, 0)
+    orders, reverses = enumeration._ORDERS, enumeration._REVERSES
+    n = size + 2 * np.maximum(lack[..., orders], lack[..., reverses]).sum(axis=-1)
+    return n + np.maximum(least - n + 1, 0) // 2 * 2
+
+
+def oracle_realized(bound, least, needs):
+    """Blocks (key, margins) of the (key, cell) pairs that a profile with
+    ``least <= n <= bound`` realizes, cells in order of |d|_1."""
+    margins, surplus, size = oracle_surplus_cells(bound)
+    order = np.argsort(size, kind="stable")
+    step = max(1, axioms._BLOCK_ROWS // len(needs))
+    for lo in range(0, len(order), step):
+        rows = order[lo : lo + step]
+        n = oracle_fewest_voters(surplus[rows], size[rows], needs, least)
+        key, row = np.nonzero(n <= bound)
+        yield key, margins[rows][row]
+
+
+@functools.cache
+def oracle_classes(keys, least, bound):
+    """The classes (key, face of m, face of A m + b) that the pair walk
+    realizes: each realized pair's margins and image keyed to their faces."""
+    matrix = np.array([k.matrix for k in keys])
+    offset = np.array([k.offset for k in keys])
+    found = []
+    for key, m in oracle_realized(bound, least, [k.need for k in keys]):
+        image = np.einsum("kij,kj->ki", matrix[key], m) + offset[key]
+        face, image = map(enumeration._keyed_positions, (m, image))
+        found.append(np.unique((key * 267 + face) * 267 + image))
+    classes = np.unique(np.concatenate(found))
+    return np.stack((classes // 267**2, classes // 267 % 267, classes % 267))
+
+
+def oracle_cells_fail(table, functions, bound):
+    """``axioms._cells_fail`` read from the classes of the pair walk: the
+    clause on each (key, output codes) they give."""
+    key, face, image = oracle_classes(table.keys, table.least, bound)
+    on_image = table.reads + (False,) * len(table.also)
+    codes = [enumeration._face_codes(f)[image if i else face] for f, i in zip(functions, on_image)]
+    for k, *row in sorted(set(zip(key.tolist(), *(c.tolist() for c in codes)))):
+        if table.clause(table.keys[k].key, *(core.CHOICE_SETS[c] for c in row)) is not None:
+            return True
+    return False
+
+
+def oracle_reinforcement_cells_fail(f, variant, bound):
+    """``axioms._reinforcement_cells_fail`` by cells of int64 arrays, each
+    cell pair's sum mapped to its face."""
+    m, surplus, size = oracle_surplus_cells(bound - 1)
+    n = oracle_fewest_voters(surplus, size, axioms._NOBODY, 1)
+    order = np.argsort(n, kind="stable")
+    m, n = m[order], n[order]
+    codes = enumeration._face_codes(f)
+    outputs = codes[enumeration._face_positions(m)]
+    for i, j in axioms._cell_pairs(n, bound):
+        out12 = codes[enumeration._face_positions(m[i] + m[j])]
+        for a, b, c in set(zip(outputs[i].tolist(), outputs[j].tolist(), out12.tolist())):
+            agreed = axioms._agreed(variant, core.CHOICE_SETS[a], core.CHOICE_SETS[b])
+            if agreed is not None and axioms._reinforcement(
+                variant, agreed, core.CHOICE_SETS[c]
+            ) is not None:
+                return True
+    return False
+
+
+def key_tables(rule_id):
+    """Every key table of ``rule_id``, by name."""
+    tables = {
+        variant: axioms._participation_table(rule_id, *entry)
+        for variant, entry in axioms._PARTICIPATION.items()
+    }
+    for tiebreak in (0, 5):
+        clause = functools.partial(axioms._resolute, tiebreak)
+        tables[f"resolute{tiebreak}"] = axioms._participation_table(rule_id, "r", clause)
+    for variant, swaps in itertools.product(axioms._RESPONSIVENESS_AXIOMS, (1, 2)):
+        tables[f"{variant}{swaps}"] = axioms._responsiveness_table(rule_id, variant, swaps)
+    tables["homogeneity"] = axioms._homogeneity_table(rule_id)
+    tables["neutrality"] = axioms._neutrality_table(rule_id)
+    for variant in axioms._CONDORCET_AXIOMS:
+        tables[variant] = axioms._condorcet_table(rule_id, variant)
+    for upper in ("maximin", "nanson"):
+        tables[f"refinement({upper})"] = axioms._refinement_table(rule_id, upper)
+    return tables
+
+
+def margin_functions(table):
+    """The margin function of each output of ``table``."""
+    compute = rules.RULES[table.rule].compute
+    also = tuple(rules.RULES[g].compute if isinstance(g, str) else g for g in table.also)
+    return (compute,) * len(table.reads) + also
+
+
+MARGIN_RULES = [r for r, rule in rules.RULES.items() if rule.reads == rules.MARGINS]
+ORACLE_BOUNDS = (9, 13, 16, 20)
+
+
+@functools.cache
+def oracle_verdicts():
+    """Per (rule, table, bound), whether the pair walk finds a failing cell."""
+    return {
+        (rule_id, name, bound): oracle_cells_fail(table, margin_functions(table), bound)
+        for rule_id in MARGIN_RULES
+        for name, table in key_tables(rule_id).items()
+        for bound in ORACLE_BOUNDS
+    }
+
+
+def empty_table(monkeypatch):
+    """Empty the process's cell table while the test runs."""
+    empty = enumeration._Cells(-1, *(column[:0] for column in enumeration._cells[1:]))
+    monkeypatch.setattr(enumeration, "_cells", empty)
+
+
+@pytest.mark.parametrize("reach", [None, 5, 30], ids=["fresh", "below", "past"])
+def test_the_cell_table_gives_the_verdicts_of_the_pair_walk(monkeypatch, reach):
+    """Every margin rule on every key table, with the process table empty,
+    grown short of every bound, or past them: no stale prefix hides."""
+    expected = oracle_verdicts()
+    empty_table(monkeypatch)
+    if reach is not None:
+        enumeration._grow_cells(reach)
+    found = {
+        (rule_id, name, bound): axioms._cells_fail(table, margin_functions(table), bound)
+        for rule_id in MARGIN_RULES
+        for name, table in key_tables(rule_id).items()
+        for bound in ORACLE_BOUNDS
+    }
+    assert found == expected
+    assert enumeration._cells.reach == max(reach or 0, *ORACLE_BOUNDS)
+    assert 0 < sum(found.values()) < len(found)
+
+
+def test_reinforcement_over_the_cell_table_gives_the_verdicts_of_the_pair_walk(monkeypatch):
+    empty_table(monkeypatch)
+    enumeration._grow_cells(5)
+    grid = itertools.product(MARGIN_RULES, axioms._REINFORCEMENT_AXIOMS, (4, 6, 9))
+    for rule_id, variant, bound in grid:
+        f = rules.RULES[rule_id].compute
+        expected = oracle_reinforcement_cells_fail(f, variant, bound)
+        assert axioms._reinforcement_cells_fail(f, variant, bound) == expected, (rule_id, variant)
+
+
+def test_the_cell_table_holds_each_cell_once_by_size():
+    cells = enumeration._grow_cells(12)
+    end = enumeration._cell_count(12)
+    margins, surplus, size = oracle_surplus_cells(12)
+    table = sorted(zip(cells.size[:end].tolist(), map(tuple, cells.margins[:end].tolist())))
+    assert table == sorted(zip(size.tolist(), map(tuple, margins.tolist())))
+    assert (np.diff(cells.size) >= 0).all()
+    assert (cells.face[:end] == enumeration._keyed_positions(cells.margins[:end])).all()
+
+
 def test_fewest_voters_is_the_smallest_realizing_profile():
     bound = 6
     keys = axioms._PROMOTIONS[2] + axioms._JOINING_VOTER + axioms._EVERY_PROFILE
     needs = sorted({key.need for key in keys})
-    margins, surplus, size = axioms._surplus_cells(bound)
-    cells = [tuple(m) for m in margins.tolist()]
-    assert len(set(cells)) == len(cells)
+    cells = enumeration._grow_cells(bound)
+    end = enumeration._cell_count(bound)
+    margins = [tuple(m) for m in cells.margins[:end].tolist()]
+    assert len(set(margins)) == len(margins)
+    extra = axioms._margin_maps(tuple(axioms._Key(None, need=need) for need in needs))[2]
     for least in (1, 2):
         smallest = {}
         for profile in enumeration.profiles_up_to(bound, min_n=least):
@@ -618,26 +791,26 @@ def test_fewest_voters_is_the_smallest_realizing_profile():
                 if all(count >= k for count, k in zip(profile, need)):
                     key = (core.margins(profile), need)
                     smallest[key] = min(smallest.get(key, bound), sum(profile))
-        voters = axioms._fewest_voters(surplus, size, needs, least).tolist()
+        voters = axioms._raised(cells.size[:end] + extra[:, cells.code[:end]], least).tolist()
         fewest = {
             (m, need): n
             for need, row in zip(needs, voters)
-            for m, n in zip(cells, row)
+            for m, n in zip(margins, row)
             if n <= bound
         }
         assert fewest == smallest
-        realized = [
-            (tuple(m), keys[k].need)
-            for key, block in axioms._realized(bound, least, [key.need for key in keys])
-            for k, m in zip(key.tolist(), block.tolist())
-        ]
-        assert set(realized) == set(smallest)
+
+
+def reinforcement_voters(bound):
+    """The fewest voters of each cell of ``bound - 1``, ascending, as
+    reinforcement pairs them."""
+    cells = enumeration._grow_cells(bound - 1)
+    return np.sort(axioms._raised(cells.size[: enumeration._cell_count(bound - 1)], 1))
 
 
 def test_cell_pairs_arrive_in_bounded_blocks():
     bound = 10
-    margins, surplus, size = axioms._surplus_cells(bound - 1)
-    n = np.sort(axioms._fewest_voters(surplus, size, axioms._NOBODY, 1))
+    n = reinforcement_voters(bound)
     blocks = list(axioms._cell_pairs(n, bound))
     assert len(blocks) > 1
     assert all(len(i) == len(j) <= axioms._BLOCK_ROWS for i, j in blocks)
@@ -648,8 +821,7 @@ def test_cell_pairs_arrive_in_bounded_blocks():
 
 def test_the_cell_pair_budget_counts_the_pairs_reinforcement_walks(monkeypatch):
     for bound in range(2, 13):
-        margins, surplus, size = axioms._surplus_cells(bound - 1)
-        n = np.sort(axioms._fewest_voters(surplus, size, axioms._NOBODY, 1))
+        n = reinforcement_voters(bound)
         pairs = sum(len(i) for i, _ in axioms._cell_pairs(n, bound))
         monkeypatch.setattr(axioms, "CELL_PAIR_BUDGET", pairs)
         axioms._refuse_oversized_pairs(bound)
@@ -737,18 +909,21 @@ def test_a_per_profile_clause_is_called_once_per_output_class(monkeypatch, check
 
 
 @pytest.mark.parametrize(
-    "check, reach",
+    "check, cells, reach",
     [
-        (lambda: axioms.check_participation("maximin", "optimist", 15), 16),
-        (lambda: axioms.check_responsiveness("copeland", "monotonicity", 13, 2), 17),
-        (lambda: axioms.check_neutrality("stable_voting", 12), 12),
-        (lambda: axioms.check_condorcet("black", "standard", 16), 16),
-        (lambda: axioms.check_reinforcement("borda", "full", 10), 10),
-        (lambda: axioms.check_homogeneity("maximin", 12), 12),  # 2m has m's face
+        (lambda: axioms.check_participation("maximin", "optimist", 15), 15, 16),
+        (lambda: axioms.check_responsiveness("copeland", "monotonicity", 13, 2), 13, 17),
+        (lambda: axioms.check_neutrality("stable_voting", 12), 12, -1),  # faces to faces
+        (lambda: axioms.check_condorcet("black", "standard", 16), 16, -1),
+        (lambda: axioms.check_reinforcement("borda", "full", 10), 9, 10),
+        (lambda: axioms.check_homogeneity("maximin", 12), 12, -1),  # 2m has m's face
     ],
     ids=["participation", "two_swaps", "neutrality", "condorcet", "reinforcement", "homogeneity"],
 )
-def test_a_holding_check_keys_no_row_outside_the_box_fill(monkeypatch, check, reach):
+def test_a_holding_check_keys_no_row_outside_the_box_fill(monkeypatch, check, cells, reach):
+    """A check in a fresh process keys each cell of its bound to its face
+    once, as it grows the cell table, and fills the box once only when it
+    reads shifted images (or pair sums) through it."""
     keyed = []
     face_keys = enumeration._face_keys
 
@@ -756,11 +931,14 @@ def test_a_holding_check_keys_no_row_outside_the_box_fill(monkeypatch, check, re
         keyed.append(len(m))
         return face_keys(m)
 
+    assert check().holds  # the per-table lookups and the codes are cached
+    empty_table(monkeypatch)
     monkeypatch.setattr(enumeration, "_box", enumeration._box._replace(reach=-1))
     monkeypatch.setattr(enumeration, "_face_keys", counting)
     assert check().holds
-    assert enumeration._box.reach == reach
-    assert sum(keyed) == (2 * reach + 1) * (reach + 1) ** 2  # the box, once
+    assert (enumeration._cells.reach, enumeration._box.reach) == (cells, reach)
+    box = (2 * reach + 1) * (reach + 1) ** 2 if reach >= 0 else 0
+    assert sum(keyed) == enumeration._cell_count(cells) + box
 
 
 def unique_new_classes(classes, seen):
@@ -793,7 +971,7 @@ def test_optimist_equivalence_evaluates_no_rule_and_builds_no_cell(monkeypatch, 
     def no_work(*args):
         raise AssertionError("optimist_equivalence evaluated a rule or built a cell")
 
-    for module, name in ((rules, "_evaluate_cached"), (axioms, "_surplus_cells"), (axioms, "_sweep")):
+    for module, name in ((rules, "_evaluate_cached"), (axioms, "_grow_cells"), (axioms, "_sweep")):
         monkeypatch.setattr(module, name, no_work)
     for bound in (2, 12, 13, 10**12):
         report = axioms.verify_optimist_equivalence(bound, rule_ids)
@@ -901,7 +1079,7 @@ def test_an_oversized_sweep_is_refused_before_any_profile(monkeypatch, evaluatio
     def no_work(*args, **kwargs):
         raise AssertionError("work began before the sweep budget was checked")
 
-    for name in ("profiles_up_to", "_stepper", "_surplus_cells"):
+    for name in ("profiles_up_to", "_stepper", "_grow_cells"):
         monkeypatch.setattr(axioms, name, no_work)
     bound = 10**5
     checks = [

@@ -186,6 +186,63 @@ def test_verify_resolute_participation(capsys):
     assert "resolute_participation(bca)" in out
 
 
+def test_verify_resolute_participation_reads_abc_by_default(capsys):
+    argv = ["verify", "--rule", "copeland", "--axiom", "resolute_participation", "--bound", "7"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out.splitlines()[0], err) == (
+        1, "copeland axiom=resolute_participation(abc) bound=7 verdict=violated", ""
+    )
+    assert run(capsys, *argv, "--tiebreak", "abc") == (code, out, err)
+    assert run(capsys, *argv, "--tiebreak", "cba")[1] != out
+
+
+@pytest.mark.parametrize(
+    "argv, option, reader",
+    [
+        (["--rule", "maximin", "--axiom", "monotonicity", "--upper", "nanson"],
+         "upper", "refinement"),
+        (["--axiom", "optimist_equivalence", "--upper", "maximin"], "upper", "refinement"),
+        (["--rule", "maximin", "--axiom", "optimist_participation", "--tiebreak", "abc"],
+         "tiebreak", "resolute_participation"),
+        (["--rule", "leximin", "--axiom", "refinement", "--upper", "nanson", "--tiebreak", "bca"],
+         "tiebreak", "resolute_participation"),
+        (["--rule", "maximin", "--axiom", "homogeneity", "--profile", "2abc"],
+         "profile", "continuity"),
+        (["--rule", "maximin", "--axiom", "resolute_participation", "--profile2", "1cba"],
+         "profile2", "continuity"),
+    ],
+    ids=["upper", "upper-equivalence", "tiebreak-abc", "tiebreak", "profile", "profile2"],
+)
+def test_verify_refuses_an_option_its_axiom_does_not_read(capsys, argv, option, reader):
+    code, out, err = run(capsys, "verify", *argv, "--bound", "5")
+    axiom = argv[argv.index("--axiom") + 1]
+    assert (code, out) == (2, "")
+    assert err == f"--{option} is read only by --axiom {reader}, not by --axiom {axiom}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, unit",
+    [
+        (["--rule", "baldwin", "--axiom", "monotonicity", "--bound", "10"], "profiles"),
+        (["--rule", "copeland", "--axiom", "optimist_participation", "--bound", "9"], "profiles"),
+        (["--rule", "nanson", "--axiom", "reinforcement", "--bound", "8"], "profile pairs"),
+    ],
+    ids=["monotonicity", "participation", "reinforcement"],
+)
+def test_a_margin_rule_lists_witnesses_up_to_the_sweep_budget(capsys, monkeypatch, argv, unit):
+    """A margin rule's verdict is decided over cells; its witness list stops
+    once the sweep has visited SWEEP_BUDGET profiles (or pairs) and holds a
+    witness, with the same verdict and a prefix of the full list."""
+    argv = ["verify", *argv, "--max-witnesses", "1000000"]
+    code, full, err = run(capsys, *argv)
+    assert (code, err) == (1, "")
+    for budget in (1, 40):
+        monkeypatch.setattr(axioms, "SWEEP_BUDGET", budget)
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and full.startswith(out) and len(out) < len(full)
+        assert err == f"witness listing stopped after {budget} {unit}, the sweep budget\n"
+
+
 def test_verify_optimist_equivalence_without_rule(capsys):
     code, out, _ = run(capsys, "verify", "--axiom", "optimist_equivalence", "--bound", "4")
     assert code == 0
@@ -213,7 +270,7 @@ def test_verify_optimist_equivalence_answers_any_bound_without_any_work(
     def no_work(*args):
         raise AssertionError("a rule was evaluated or a margin cell built")
 
-    for module, name in ((rules, "_evaluate_cached"), (axioms, "_surplus_cells"),
+    for module, name in ((rules, "_evaluate_cached"), (axioms, "_grow_cells"),
                          (axioms, "_sweep"), (axioms, "_face_codes"), (axioms, "_grow_box")):
         monkeypatch.setattr(module, name, no_work)
     started = time.perf_counter()
@@ -346,7 +403,7 @@ def _refused(capsys, monkeypatch, argv, *work):
 def test_verify_refuses_oversized_margin_tables_before_allocating(capsys, monkeypatch, argv):
     err = _refused(
         capsys, monkeypatch, ["verify", *argv, "--bound", str(10**12)],
-        (axioms, "_surplus_cells"), (axioms, "_face_codes"), (axioms, "_grow_box"),
+        (axioms, "_grow_cells"), (axioms, "_face_codes"), (axioms, "_grow_box"),
     )
     assert f"over the {axioms.TABLE_BUDGET >> 20} MB budget" in err
 
@@ -388,7 +445,7 @@ def test_the_margin_cell_budget_refuses_every_axiom_at_the_same_bound(capsys, mo
     def no_table(*args):
         raise AssertionError("a margin table was allocated")
 
-    monkeypatch.setattr(axioms, "_surplus_cells", no_table)
+    monkeypatch.setattr(axioms, "_grow_cells", no_table)
     code, out, err = run(capsys, "verify", *argv, "--bound", "68")
     assert (code, out) == (2, "")
     budget = axioms.TABLE_BUDGET >> 20
@@ -419,7 +476,7 @@ def test_verify_refuses_an_oversized_sweep_before_any_work(capsys, monkeypatch, 
         raise AssertionError("work began before the sweep budget was checked")
 
     monkeypatch.setattr(rules, "_evaluate_cached", no_work)
-    monkeypatch.setattr(axioms, "_surplus_cells", no_work)
+    monkeypatch.setattr(axioms, "_grow_cells", no_work)
     code, out, err = run(capsys, "verify", *argv)
     assert code == 2
     assert out == ""
@@ -433,7 +490,7 @@ def test_verify_refuses_oversized_cell_pairs_before_any_work(capsys, monkeypatch
         raise AssertionError("work began before the cell pair budget was checked")
 
     monkeypatch.setattr(rules, "_evaluate_cached", no_work)
-    monkeypatch.setattr(axioms, "_surplus_cells", no_work)
+    monkeypatch.setattr(axioms, "_grow_cells", no_work)
     code, out, err = run(
         capsys, "verify", "--rule", "borda", "--axiom", "reinforcement", "--bound", bound
     )
