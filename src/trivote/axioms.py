@@ -343,8 +343,7 @@ class _Table(NamedTuple):
     profiles and outputs that ``reads`` names.  The sweep evaluates the rule
     on a second profile only for keys that ``guard(key, output on P)``
     admits; it starts at ``least`` voters, and its budget counts
-    ``instances``; one that only lists witnesses stops at ``budget``
-    profiles once it holds one.
+    ``instances``.
     """
 
     axiom: str
@@ -356,7 +355,6 @@ class _Table(NamedTuple):
     guard: Optional[Callable[[Hashable, ChoiceSet], bool]] = None
     least: int = 1
     instances: str = "profiles"
-    budget: float = math.inf
 
 
 def _stepper(table: _Table) -> Callable[[Profile], list[Witness]]:
@@ -393,11 +391,11 @@ def _stepper(table: _Table) -> Callable[[Profile], list[Witness]]:
 
 def _sweep(table: _Table, bound: int) -> Iterator[Union[Witness, str]]:
     """The witnesses of ``table`` on every profile with ``least <= n <=
-    bound``, in (n, colex) order, until the table's ``budget`` of profiles
-    is visited with a witness among them: then "profiles" ends them."""
+    bound``, in (n, colex) order, until SWEEP_BUDGET profiles are visited
+    with a witness among them: then "profiles" ends them."""
     step, found = _stepper(table), False
     for visited, profile in enumerate(profiles_up_to(bound, table.least)):
-        if found and visited >= table.budget:
+        if found and visited >= SWEEP_BUDGET:
             yield "profiles"
             return
         witnesses = step(profile)
@@ -418,6 +416,8 @@ def _margin_maps(keys: tuple[_Key, ...]) -> tuple[Optional[np.ndarray], ...]:
     matrix, offset = np.array([k.matrix for k in keys]), np.array([k.offset for k in keys])
     need = np.array([k.need for k in keys])
     assert need.max() <= 2, "a key takes more voters of an order than a surplus code keeps"
+    identity = (matrix == np.identity(3, dtype=int)).all()
+    assert identity or not offset.any(), "a key table with a shift is read as m + b, so A = I"
     clipped = np.stack(np.meshgrid(*[np.arange(-2, 3)] * 3, indexing="ij"), axis=-1)
     lack = np.maximum(need[:, None, :] - _order_surplus(clipped.reshape(-1, 3)), 0)
     extra = 2 * np.maximum(lack[..., _ORDERS], lack[..., _REVERSES]).sum(axis=-1)
@@ -528,8 +528,7 @@ def _check(table: _Table, bound: int, max_witnesses: Optional[int]) -> AxiomRepo
     f, *also = _margin_functions(max_witnesses, largest, table.rule, *table.also)
     functions = (f,) * len(table.reads) + tuple(also)
     fails = None if None in functions else functools.partial(_cells_fail, table, functions, bound)
-    listing = table if fails is None else table._replace(budget=SWEEP_BUDGET)
-    violations = functools.partial(_sweep, listing, bound)
+    violations = functools.partial(_sweep, table, bound)
     axiom, instances = table.axiom, table.instances
     return _decide(table.rule, axiom, bound, violations, fails, max_witnesses, instances)
 
@@ -582,14 +581,12 @@ def _reinforcement(variant: str, agreed: ChoiceSet, merged: ChoiceSet) -> Option
     )
 
 
-def _reinforcement_sweep(
-    rule_id: str, variant: str, bound: int, budget: float = math.inf
-) -> Iterator[Union[Witness, str]]:
-    """The witnesses on the pairs of ``_profile_pairs``, until ``budget``
+def _reinforcement_sweep(rule_id: str, variant: str, bound: int) -> Iterator[Union[Witness, str]]:
+    """The witnesses on the pairs of ``_profile_pairs``, until SWEEP_BUDGET
     pairs are visited with a witness among them: then "profile pairs"."""
     axiom, found = _REINFORCEMENT_AXIOMS[variant], False
     for visited, (first, second) in enumerate(_profile_pairs(bound)):
-        if found and visited >= budget:
+        if found and visited >= SWEEP_BUDGET:
             yield "profile pairs"
             return
         out1 = _f(rule_id, first)
@@ -686,8 +683,7 @@ def check_reinforcement(
     _validate_bound(bound, 2)
     (f,) = _margin_functions(max_witnesses, bound, rule_id)
     fails = None if f is None else functools.partial(_reinforcement_cells_fail, f, variant, bound)
-    budget = math.inf if f is None else SWEEP_BUDGET
-    violations = functools.partial(_reinforcement_sweep, rule_id, variant, bound, budget)
+    violations = functools.partial(_reinforcement_sweep, rule_id, variant, bound)
     return _decide(rule_id, axiom, bound, violations, fails, max_witnesses, "profile pairs")
 
 
