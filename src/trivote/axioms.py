@@ -15,10 +15,11 @@ P's margins m (m - v_o, m + shift, sigma m or 2m).  Two drivers read the
 table and call the same clause, ``clause(key, *outputs)``, which returns
 the witness note or None:
 
-* the sweep walks P in canonical (n, colex) order and the keys in table
-  order, takes each key whose need P holds, and lists the witnesses;
-* for a rule that reads only the margins (``rules.MARGINS``) the verdict is
-  first decided over the margin cells of ``enumeration``: the surplus
+* for a rule that reads more than the margins, the sweep walks P in
+  canonical (n, colex) order and the keys in table order, takes each key
+  whose need P holds, and lists the witnesses;
+* for a rule that reads only the margins (``rules.MARGINS``) one walk over
+  the margin cells of ``enumeration`` decides and lists: the surplus
   vectors d with |d|_1 <= bound, a prefix of the process's cell table of
   margin triples m, |d|_1, faces and the pair surpluses clipped to [-2, 2].
   A key counts on a cell only if some profile within the bound realizes
@@ -37,16 +38,22 @@ the witness note or None:
   that define the sign faces, so its codes on the 267 faces of the
   catalogue are one vector and a column is one gather of them.  A
   relabelling or a doubling maps faces to faces, one lookup per key; a
-  shifted image's face is read from the process's box of face positions.
-  When nothing fails, the verdict is ``holds-up-to-bound`` and no profile
-  is touched; otherwise the sweep lists the witnesses in its order, up to
-  :data:`SWEEP_BUDGET` profiles or profile pairs once it holds one.
+  shifted image's face is read from the process's box of face positions,
+  grown with the cells walked.  When nothing fails, the verdict is
+  ``holds-up-to-bound`` and no profile is touched.  Otherwise, n by n, the
+  profiles of the failing (key, cell) rows are the fibres of their cells
+  (the compositions of the (n - |d|_1) / 2 voter pairs over the three
+  order pairs) that hold the key's need; by colex and then key order they
+  are the sweep's witnesses, and each one's index in the sweep has a closed
+  form, so the list stops where the sweep's budget would stop it: at
+  :data:`SWEEP_BUDGET` profiles or profile pairs once it holds a witness.
 
 Reinforcement, over pairs of profiles, has a driver of each kind of its
 own: its sweep walks the profile pairs, and its cells pair two cells of
-the same table into m1 + m2.  ``optimist_equivalence`` needs neither: its
-clauses see only the joining voter's order and two non-empty winner sets,
-so it is decided on those 294 inputs once, for every rule and bound.
+the same table into m1 + m2, whose failing pairs list the witnesses the
+same way.  ``optimist_equivalence`` needs neither: its clauses see only
+the joining voter's order and two non-empty winner sets, so it is decided
+on those 294 inputs once, for every rule and bound.
 
 Every checker resolves its rules and refuses an electorate above a rule's
 voter cap before its first evaluation.  A margin check whose cells would
@@ -99,8 +106,8 @@ from .core import (
     total_voters,
 )
 from .enumeration import _FACE_CELLS, _ORDERS, _REVERSES, _cell_count, _condorcet_winner_set
-from .enumeration import _face_codes, _grow_box, _grow_cells, _keyed_positions, _order_surplus
-from .enumeration import _sum_reader, profiles_up_to
+from .enumeration import _expand, _face_codes, _grow_box, _grow_cells, _keyed_positions
+from .enumeration import _order_surplus, _sum_reader, profiles_up_to
 
 HOLDS = "holds-up-to-bound"
 VIOLATED = "violated"
@@ -283,6 +290,59 @@ def _new_classes(classes: np.ndarray, seen: np.ndarray) -> np.ndarray:
     return rows
 
 
+#: rows m -> 2 d: d = (m_ab + m_bc, m_ac - m_bc, m_ab - m_ac) / 2
+_MARGINS_TO_SURPLUS = np.array([[1, 0, 1], [0, 1, -1], [1, -1, 0]])
+
+
+def _fibres(m: np.ndarray, n: int, lack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``n``-voter profiles of the cells of margins ``m`` with at least
+    ``lack[:, i]`` voters of both orders of pair i, and the row of each: the
+    surplus plus t_i on both orders, t any split of the pairs left over."""
+    d = m @ _MARGINS_TO_SURPLUS // 2
+    j = n - np.abs(d).sum(axis=1) - 2 * lack.sum(axis=1)
+    j = np.where((j >= 0) & (j % 2 == 0), j // 2, -1)
+    owner, t1 = _expand(j + 1)
+    first, t2 = _expand(j[owner] - t1 + 1)
+    owner, t1 = owner[first], t1[first]
+    t = lack[owner] + np.stack((t1, t2, j[owner] - t1 - t2), axis=1)
+    profiles = _order_surplus(d)[owner]
+    profiles[:, _ORDERS] += t
+    profiles[:, _REVERSES] += t
+    return owner, profiles
+
+
+@functools.cache
+def _choose(n: int) -> np.ndarray:
+    """C(x + j, j) at [j, x], for j <= 5 and x <= ``n``."""
+    return np.array([[math.comb(x + j, j) for x in range(n + 1)] for j in range(6)])
+
+
+def _colex_ranks(profiles: np.ndarray, n: int) -> np.ndarray:
+    """Per profile of ``n`` voters, its index in colex order among them: with
+    S the prefix sums, the sum over j of C(S_j + j, j) - C(S_(j-1) + j, j)."""
+    s, j = np.cumsum(profiles, axis=1), np.arange(1, 6)
+    return (_choose(n)[j, s[:, 1:]] - _choose(n)[j, s[:, :-1]]).sum(axis=1)
+
+
+def _budgeted(
+    candidates: Iterator[tuple[int, Optional[Witness]]], total: int, instances: str
+) -> Iterator[Union[Witness, str]]:
+    """The witnesses of ``candidates``, pairs (index in the sweep's order,
+    witness or None) by index, as the sweep yields them: once it holds a
+    witness at index r it stops at max(SWEEP_BUDGET, r + 1), and then, if
+    that is short of its ``total`` instances, ``instances`` ends the list."""
+    limit = None
+    for index, witness in candidates:
+        if limit is not None and index >= limit:
+            break
+        if witness is not None:
+            if limit is None:
+                limit = max(SWEEP_BUDGET, index + 1)
+            yield witness
+    if limit is not None and limit < total:
+        yield instances
+
+
 # ---------------------------------------------------------------------------
 # Key tables and their two drivers
 # ---------------------------------------------------------------------------
@@ -407,12 +467,14 @@ def _sweep(table: _Table, bound: int) -> Iterator[Union[Witness, str]]:
 def _margin_maps(keys: tuple[_Key, ...]) -> tuple[Optional[np.ndarray], ...]:
     """Arrays A and b, index for index with ``keys``, such that the second
     profile of a key has the margins A m + b when P has the margins m, and
-    two lookups, built once per key table: ``extra[k, code]``, the voters
-    key k adds at fewest to |d|_1 on a cell of that clipped surplus code (no
-    key takes more than two voters of an order, so the clip loses no lack);
-    ``faces[k, F]``, the face of A m for m on face F when no key shifts the
-    margins (a relabelling or a doubling permutes the 12 forms up to sign
-    and scale), otherwise None: a shift is read from the box."""
+    three lookups, built once per key table: ``lack[k, code, i]``, the
+    voter pairs that pair i of a profile holding key k's need has at least
+    on a cell of that clipped surplus code (no key takes more than two
+    voters of an order, so the clip loses no lack); ``extra[k, code]``, the
+    voters key k so adds at fewest to |d|_1; ``faces[k, F]``, the face of A m
+    for m on face F when no key shifts the margins (a relabelling or a
+    doubling permutes the 12 forms up to sign and scale), otherwise None: a
+    shift is read from the box.  Returns A, b, extra, faces and lack."""
     matrix, offset = np.array([k.matrix for k in keys]), np.array([k.offset for k in keys])
     need = np.array([k.need for k in keys])
     assert need.max() <= 2, "a key takes more voters of an order than a surplus code keeps"
@@ -420,42 +482,45 @@ def _margin_maps(keys: tuple[_Key, ...]) -> tuple[Optional[np.ndarray], ...]:
     assert identity or not offset.any(), "a key table with a shift is read as m + b, so A = I"
     clipped = np.stack(np.meshgrid(*[np.arange(-2, 3)] * 3, indexing="ij"), axis=-1)
     lack = np.maximum(need[:, None, :] - _order_surplus(clipped.reshape(-1, 3)), 0)
-    extra = 2 * np.maximum(lack[..., _ORDERS], lack[..., _REVERSES]).sum(axis=-1)
+    lack = np.maximum(lack[..., _ORDERS], lack[..., _REVERSES])
     faces = None
     if not offset.any():
         images = (np.array(_FACE_CELLS) @ matrix.transpose(0, 2, 1)).reshape(-1, 3)
         faces = _keyed_positions(images).reshape(len(keys), -1)
-    return matrix, offset, extra.astype(np.int16), faces
+    return matrix, offset, 2 * lack.sum(axis=-1).astype(np.int16), faces, lack
 
 
-def _cells_fail(table: _Table, functions: tuple[MarginRule, ...], bound: int) -> bool:
-    """Whether the clause of ``table`` fails on some cell and key that a
-    profile with ``least <= n <= bound`` realizes, where ``functions`` gives
-    the margin function of each output; the outputs that ``reads`` puts on
-    the second profile read the face of A m + b.  Per block of cells of the
-    table, smallest first: the fewest voters per key, the image faces (by
-    the face lookup, or a box gather at the cell's index plus a per-key
-    jump) and each output column as a gather of codes.  The clause sees only
-    the key and the outputs, so it is called once per class of them met,
-    found by a bincount against ``seen``; the walk stops at a failure."""
+def _failing_cells(
+    table: _Table, functions: tuple[MarginRule, ...], bound: int, notes: dict[int, str]
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The walk of ``table`` over the margin cells, ``functions`` giving the
+    margin function of each output; the outputs that ``reads`` puts on the
+    second profile read the face of A m + b.  Per block of cells, smallest
+    first: the fewest voters per key, the image faces (by the face lookup,
+    or a box gather at the cell's index plus a per-key jump, the box grown
+    with the cells walked) and each output column as a gather of codes.
+    The clause is called once per class (key, outputs) met, found by a
+    bincount against ``seen``, and ``notes`` gets each failing one's note.
+    Yields per block its end and the failing (key, cell) rows in it that a
+    profile with ``least <= n <= bound`` realizes: key, margins, code, class."""
     _refuse_oversized(bound)
-    _, offset, extra, image_faces = _margin_maps(table.keys)
+    _, offset, extra, image_faces, _ = _margin_maps(table.keys)
     shifted = True in table.reads and image_faces is None
-    if shifted:  # m + b sits at (raw + jump[k, parity]) >> 1, raw the index of m doubled
-        box = _grow_box(bound + int(np.abs(offset).max()))
-        side = 1 + int(box.strides[1])
-        jump = (offset @ box.strides)[:, None] + side * (offset[:, :1] & 1) * np.array([-1, 1])
     on_image = table.reads + (False,) * len(table.also)
     codes, width, count = [_face_codes(f) for f in functions], len(functions), len(table.keys)
     keys, seen = np.arange(count)[:, None], np.zeros(count << 3 * width, dtype=bool)
+    failing, none = np.zeros_like(seen), np.zeros(0, dtype=np.intp)
     lo, end, step, cells = 0, _cell_count(bound), max(1, _BLOCK_ROWS // count), _grow_cells(0)
     while lo < end:
         hi = min(end, lo + step)
         if hi > cells.size.size:  # at least double the reach; 4 s^3 / 3 < _cell_count(s)
             cells = _grow_cells(min(bound, max(2 * cells.reach, int((0.75 * hi) ** (1 / 3)) + 1)))
-        n = _raised(cells.size[lo:hi] + extra[:, cells.code[lo:hi]], table.least)
+        within = _raised(cells.size[lo:hi] + extra[:, cells.code[lo:hi]], table.least) <= bound
         face = image = cells.face[lo:hi]
-        if shifted:
+        if shifted:  # m + b sits at (raw + jump[k, parity]) >> 1, raw the index of m doubled
+            box = _grow_box(min(bound, cells.reach) + int(np.abs(offset).max()))
+            side = 1 + int(box.strides[1])
+            jump = (offset @ box.strides)[:, None] + side * (offset[:, :1] & 1) * np.array([-1, 1])
             m = cells.margins[lo:hi]
             parity = (m[:, 0] + box.reach) & 1
             raw = m @ box.strides + box.base - side * parity
@@ -464,15 +529,57 @@ def _cells_fail(table: _Table, functions: tuple[MarginRule, ...], bound: int) ->
             image = image_faces[:, face]
         columns = [c[image if i else face] for c, i in zip(codes, on_image)]
         classes = functools.reduce(lambda acc, c: acc * 8 + c, columns, keys)
-        met = np.bincount(np.where(n <= bound, classes, seen.size).ravel(), minlength=seen.size + 1)
+        met = np.bincount(np.where(within, classes, seen.size).ravel(), minlength=seen.size + 1)
         fresh = np.flatnonzero((met[:-1] > 0) > seen)
         seen[fresh] = True
         for c in fresh.tolist():
             outputs = (CHOICE_SETS[c >> 3 * i & 7] for i in reversed(range(width)))
-            if table.clause(table.keys[c >> 3 * width].key, *outputs) is not None:
-                return True
+            note = table.clause(table.keys[c >> 3 * width].key, *outputs)
+            if note is not None:
+                notes[c], failing[c] = note, True
+        key, row = np.nonzero(within & failing[classes]) if notes else (none, none)
+        yield hi, key, cells.margins[lo + row], cells.code[lo + row], classes[key, row]
         lo, step = hi, min(2 * step, _BLOCK_CAP // count)
-    return False
+
+
+def _cells_fail(table: _Table, functions: tuple[MarginRule, ...], bound: int) -> bool:
+    """Whether the walk of ``table`` meets a failing row: the verdict."""
+    return any(key.size for _, key, *_ in _failing_cells(table, functions, bound, {}))
+
+
+def _cell_witnesses(
+    table: _Table, functions: tuple[MarginRule, ...], bound: int
+) -> Iterator[Union[Witness, str]]:
+    """What ``_sweep(table, bound)`` yields, read from the failing rows of the
+    walk: per n, the n-voter profiles of their fibres that hold their key's
+    need, by colex order and then key order."""
+    notes: dict[int, str] = {}
+    walk, lack = _failing_cells(table, functions, bound, notes), _margin_maps(table.keys)[4]
+    count, before = len(table.keys), math.comb(table.least + 5, 6)
+    shifts = [3 * (len(functions) - 1 - i) for i in range(len(table.reads))]  # shown outputs
+
+    def candidates() -> Iterator[tuple[int, Optional[Witness]]]:
+        covered, blocks = 0, []
+        for n in range(table.least, bound + 1):
+            first = math.comb(n + 5, 6) - before  # the index of the first n-voter profile
+            yield first, None
+            while covered < _cell_count(n):
+                covered, *block = next(walk)
+                blocks.append(block)
+            key, m, code, classes = map(np.concatenate, zip(*blocks))
+            owner, profiles = _fibres(m, n, lack[key, code])
+            ranks = _colex_ranks(profiles, n)
+            order = np.argsort(ranks * count + key[owner])
+            for rank, k, c, p in zip(
+                ranks[order].tolist(), *(a[owner[order]].tolist() for a in (key, classes)),
+                map(tuple, profiles[order].tolist()),
+            ):
+                image = table.keys[k].profile(p)
+                shown = tuple(image if r else p for r in table.reads)
+                outputs = tuple(CHOICE_SETS[c >> shift & 7] for shift in shifts)
+                yield first + rank, Witness(table.axiom, shown, outputs, notes[c])
+
+    return _budgeted(candidates(), math.comb(bound + 6, 6) - before, "profiles")
 
 
 def _margin_functions(
@@ -504,10 +611,12 @@ def _decide(
     max_witnesses: Optional[int],
     instances: str = "profiles",
 ) -> AxiomReport:
-    """A margin rule's verdict from ``fails`` (its margin cells), with the
-    sweep ``violations`` run only to list witnesses; any other rule
-    (``fails`` None) is swept outright, over ``instances`` within the sweep
-    budget."""
+    """A margin rule's verdict from ``fails`` (its walk over the margin
+    cells), with ``violations`` (the witnesses read from the failing cells)
+    run only when it fails; any other rule (``fails`` None) is swept
+    outright by ``violations``, over ``instances`` within the sweep budget.
+    A failing cell whose fibres list no witness is a fault of the checker,
+    and raises RuntimeError."""
     if fails is None:
         _refuse_oversized_sweep(bound, instances)
     elif not fails():
@@ -527,8 +636,11 @@ def _check(table: _Table, bound: int, max_witnesses: Optional[int]) -> AxiomRepo
     largest = bound * max(k.scale for k in table.keys)
     f, *also = _margin_functions(max_witnesses, largest, table.rule, *table.also)
     functions = (f,) * len(table.reads) + tuple(also)
-    fails = None if None in functions else functools.partial(_cells_fail, table, functions, bound)
-    violations = functools.partial(_sweep, table, bound)
+    if None in functions:
+        fails, violations = None, functools.partial(_sweep, table, bound)
+    else:
+        fails = functools.partial(_cells_fail, table, functions, bound)
+        violations = functools.partial(_cell_witnesses, table, functions, bound)
     axiom, instances = table.axiom, table.instances
     return _decide(table.rule, axiom, bound, violations, fails, max_witnesses, instances)
 
@@ -639,29 +751,109 @@ def _refuse_oversized_pairs(bound: int) -> None:
         )
 
 
-def _reinforcement_cells_fail(f: MarginRule, variant: str, bound: int) -> bool:
-    """Reinforcement over the cell pairs whose fewest voters sum to at most
-    ``bound``; the clause is symmetric, so each unordered pair is taken
-    once, and it sees only the three outputs, so it is called once per
-    triple of output codes met."""
+def _pair_cells(f: MarginRule, bound: int) -> tuple[np.ndarray, ...]:
+    """The cells that reinforcement pairs, by fewest voters: their margins,
+    fewest voters and outputs, with the box grown to hold every pair sum."""
     _refuse_oversized_pairs(bound)
     _grow_box(bound)
     cells = _grow_cells(bound - 1)
     n = _raised(cells.size[: _cell_count(bound - 1)], 1)
     order = np.argsort(n, kind="stable")
-    m, n = cells.margins[order], n[order]
-    codes = _face_codes(f)
-    outputs = codes[cells.face[order]]
-    keys, read = _sum_reader(m, codes)  # the box holds every pair sum: n1 + n2 <= bound
-    seen = np.zeros(8**3, dtype=bool)
+    return cells.margins[order], n[order], _face_codes(f)[cells.face[order]]
+
+
+def _failing_pairs(
+    f: MarginRule, variant: str, bound: int, m: np.ndarray, n: np.ndarray, outputs: np.ndarray
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Reinforcement's walk over the pairs of the cells ``_pair_cells`` gives
+    whose fewest voters sum to at most ``bound``; the clause is symmetric,
+    so each unordered pair is taken once, and it sees only the three
+    outputs, so it is called once per triple of output codes met.  Yields
+    per block of ``_cell_pairs`` the fewest voters of its last first cell
+    and its failing pairs (i, j) with the merged output code."""
+    keys, read = _sum_reader(m, _face_codes(f))  # the box holds every pair sum: n1 + n2 <= bound
+    seen, failing = np.zeros(8**3, dtype=bool), np.zeros(8**3, dtype=bool)
     for i, j in _cell_pairs(n, bound):
         out1, out2, out12 = outputs[i], outputs[j], read(keys[i] + keys[j])
-        rows = _new_classes((out1 * 8 + out2) * 8 + out12, seen)
-        for a, b, c in zip(out1[rows].tolist(), out2[rows].tolist(), out12[rows].tolist()):
-            agreed = _agreed(variant, CHOICE_SETS[a], CHOICE_SETS[b])
-            if agreed is not None and _reinforcement(variant, agreed, CHOICE_SETS[c]) is not None:
-                return True
-    return False
+        classes = (out1 * 8 + out2) * 8 + out12
+        for c in classes[_new_classes(classes, seen)].tolist():
+            agreed = _agreed(variant, CHOICE_SETS[c >> 6], CHOICE_SETS[c >> 3 & 7])
+            failing[c] = agreed is not None and _reinforcement(
+                variant, agreed, CHOICE_SETS[c & 7]
+            ) is not None
+        rows = np.flatnonzero(failing[classes]) if failing.any() else classes[:0]
+        yield int(n[i[-1]]), i[rows], j[rows], out12[rows]
+
+
+def _reinforcement_cells_fail(f: MarginRule, variant: str, bound: int) -> bool:
+    """Whether reinforcement's walk meets a failing cell pair: the verdict."""
+    walk = _failing_pairs(f, variant, bound, *_pair_cells(f, bound))
+    return any(i.size for _, i, _, _ in walk)
+
+
+def _pairs_before(first: int, n: int, bound: int) -> int:
+    """The pairs of ``_profile_pairs(bound)`` before those of the single at
+    index ``first``, which has ``n`` voters: with N(x) the singles of at
+    most x voters, the single at index i of a voters heads max(0,
+    N(bound - a) - i) pairs."""
+    before = 0
+    for a in range(1, n + 1):
+        lo, seconds = math.comb(a + 5, 6) - 1, math.comb(bound - a + 6, 6) - 1
+        hi = min(first if a == n else math.comb(a + 6, 6) - 1, seconds)
+        if hi > lo:
+            before += (hi - lo) * seconds - (lo + hi - 1) * (hi - lo) // 2
+    return before
+
+
+def _pair_witnesses(f: MarginRule, variant: str, bound: int) -> Iterator[Union[Witness, str]]:
+    """What ``_reinforcement_sweep`` yields, read from the failing cell pairs
+    of the walk: each first profile P1, by (n, colex), of the fibres of the
+    cells with a failing partner, with the profiles P2 >= P1, by (n, colex),
+    of its partners' fibres, n1 + n2 <= bound."""
+    axiom, (m, n, outputs) = _REINFORCEMENT_AXIOMS[variant], _pair_cells(f, bound)
+    walk = _failing_pairs(f, variant, bound, m, n, outputs)
+
+    def candidates() -> Iterator[tuple[int, Optional[Witness]]]:
+        walked, blocks = 0, []
+        for n1 in range(1, bound):
+            while walked <= n1:  # until every pair of a first cell of n1 voters is in
+                walked, *block = next(walk, (bound, *[np.zeros(0, dtype=np.intp)] * 3))
+                blocks.append(block)
+            i, j, merged = map(np.concatenate, zip(*blocks))
+            # each pair both ways round; no cell fails with itself, as 2 m has m's face
+            first, second = np.concatenate((i, j)), np.concatenate((j, i))
+            merged = np.tile(merged, 2)
+            live = (n[first] <= n1) & ((n1 - n[first]) % 2 == 0) & (n[second] <= bound - n1)
+            order = np.flatnonzero(live)[np.argsort(first[live], kind="stable")]
+            first, second, merged = first[order], second[order], merged[order]
+            cells = first[np.flatnonzero(np.diff(first, prepend=-1))]
+            owner, singles = _fibres(m[cells], n1, np.zeros_like(m[cells]))
+            ranks = _colex_ranks(singles, n1)
+            order = np.argsort(ranks)
+            for rank, c1, p1 in zip(
+                ranks[order].tolist(), cells[owner[order]].tolist(), singles[order].tolist()
+            ):
+                index1 = math.comb(n1 + 5, 6) - 1 + rank
+                start = _pairs_before(index1, n1, bound)
+                lo, hi = np.searchsorted(first, [c1, c1 + 1]).tolist()
+                mates, p1, out1 = second[lo:hi], tuple(p1), CHOICE_SETS[outputs[c1]]
+                for n2 in range(n1, bound - n1 + 1):
+                    offset = math.comb(n2 + 5, 6) - 1
+                    yield start + max(offset - index1, 0), None
+                    owner, seconds = _fibres(m[mates], n2, np.zeros_like(m[mates]))
+                    index2 = offset + _colex_ranks(seconds, n2)
+                    keep = np.flatnonzero(index2 >= index1)
+                    keep = keep[np.argsort(index2[keep])]
+                    for index, code2, code12, p2 in zip(
+                        index2[keep].tolist(), outputs[mates[owner[keep]]].tolist(),
+                        merged[lo:hi][owner[keep]].tolist(), map(tuple, seconds[keep].tolist()),
+                    ):
+                        outs = (out1, CHOICE_SETS[code2], CHOICE_SETS[code12])
+                        note = _reinforcement(variant, out1 & outs[1], outs[2])
+                        witness = Witness(axiom, (p1, p2, combine(p1, p2)), outs, note)
+                        yield start + index - index1, witness
+
+    return _budgeted(candidates(), _SWEEP_SIZE["profile pairs"](bound), "profile pairs")
 
 
 def check_reinforcement(
@@ -682,8 +874,11 @@ def check_reinforcement(
         raise ValueError(f"unknown reinforcement variant: {variant!r}")
     _validate_bound(bound, 2)
     (f,) = _margin_functions(max_witnesses, bound, rule_id)
-    fails = None if f is None else functools.partial(_reinforcement_cells_fail, f, variant, bound)
-    violations = functools.partial(_reinforcement_sweep, rule_id, variant, bound)
+    if f is None:
+        fails, violations = None, functools.partial(_reinforcement_sweep, rule_id, variant, bound)
+    else:
+        fails = functools.partial(_reinforcement_cells_fail, f, variant, bound)
+        violations = functools.partial(_pair_witnesses, f, variant, bound)
     return _decide(rule_id, axiom, bound, violations, fails, max_witnesses, "profile pairs")
 
 

@@ -195,9 +195,10 @@ def _order_surplus(d: np.ndarray) -> np.ndarray:
 #
 # A triple's face is found from its 12 signs, the face key, or from the
 # box: the face positions of every triple with |m_i| <= R, filled through
-# the keys and grown when a check needs a larger R.  The axiom checkers
-# that read shifted images, or sums of two cells, grow it to their bound
-# plus the largest shift, so an image's face is one gather.  The counting
+# the keys and grown when a check needs a larger R, each triple keyed once.
+# The axiom checkers that read shifted images grow it with their walk, to
+# the cells walked plus the largest shift, and those that read sums of two
+# cells to their bound, so an image's face is one gather.  The counting
 # maps each cell of its pass once, and keys it unless a check grew the box
 # past it.  The checkers read P's faces from the cell table below instead:
 # every d with |d|_1 <= R, ordered by |d|_1 and keyed once per process as it
@@ -267,23 +268,31 @@ _box = _Box(-1, np.zeros(3, dtype=np.int64), 0, np.zeros(0, dtype=np.int16))
 
 
 def _grow_box(reach: int) -> _Box:
-    """The box, made to hold every triple with |m_i| <= ``reach``; a larger
-    box is filled afresh through the face keys, slab by slab of m_ab."""
+    """The box, made to hold every triple with |m_i| <= ``reach``.  The old
+    box's slots of each parity of m_ab + R are a block of the new one, so
+    they are copied, and only the other triples are keyed, slab by slab of
+    m_ab: each triple is keyed once however often the box grows."""
     global _box
-    if reach <= _box.reach:
-        return _box
-    side = reach + 1
-    halves = 2 * np.stack(np.divmod(np.arange(side * side), side), axis=1) - reach
-    positions = np.empty((2 * reach + 1) * side * side, dtype=np.int16)
+    old, side = _box, reach + 1
+    if reach <= old.reach:
+        return old
+    positions = np.empty((2 * reach + 1, side, side), dtype=np.int16)
+    fresh = np.ones(positions.shape, dtype=bool)
+    grow = reach - old.reach
+    for parity in range(2 if old.reach >= 0 else 0):
+        q = (grow + parity - ((grow + parity) & 1)) // 2  # how far m_ac's slot moves
+        slot = slice(q, q + old.reach + 1)
+        block = (slice(grow + parity, reach + old.reach + 1, 2), slot, slot)
+        positions[block] = old.positions.reshape(-1, old.reach + 1, old.reach + 1)[parity::2]
+        fresh[block] = False
     step = max(1, _CELL_CHUNK // side**2)
     for lo in range(0, 2 * reach + 1, step):
-        first = np.arange(lo, min(lo + step, 2 * reach + 1))  # m_ab + reach
-        rest = halves + (first & 1)[:, None, None]  # m_ac and m_bc share m_ab's parity
-        ab = np.broadcast_to((first - reach)[:, None, None], (first.size, side * side, 1))
-        m = np.concatenate((ab, rest), axis=2).reshape(-1, 3)
-        positions[lo * side * side : (lo + first.size) * side * side] = _keyed_positions(m)
+        first, q, p = np.nonzero(fresh[lo : lo + step])  # m_ab + R - lo, and the slot
+        odd = (first + lo) & 1  # m_ac and m_bc share m_ab's parity
+        m = np.stack((first + lo - reach, 2 * q - reach + odd, 2 * p - reach + odd), axis=1)
+        positions[lo : lo + step][fresh[lo : lo + step]] = _keyed_positions(m)
     strides = np.array([2 * side * side, side, 1])
-    _box = _Box(reach, strides, int(strides.sum()) * reach, positions)
+    _box = _Box(reach, strides, int(strides.sum()) * reach, positions.ravel())
     return _box
 
 

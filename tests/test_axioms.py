@@ -765,6 +765,98 @@ def test_reinforcement_over_the_cell_table_gives_the_verdicts_of_the_pair_walk(m
         assert axioms._reinforcement_cells_fail(f, variant, bound) == expected, (rule_id, variant)
 
 
+#: the sweep budgets the listings are checked at: the real one, and budgets
+#: that stop them at the first witness, early, and late
+LISTING_BUDGETS = [axioms.SWEEP_BUDGET, 1, 40, 500]
+
+
+def listed(violations):
+    """The witnesses and the stop line of a listing, uncapped."""
+    report = axioms._finish("rule", "axiom", 1, violations, None)
+    return report.witnesses, report.stopped
+
+
+@pytest.mark.parametrize("budget", LISTING_BUDGETS)
+def test_the_cell_listing_gives_the_witnesses_of_the_sweep(monkeypatch, budget):
+    """Every margin rule on every key table, at the bounds 3-7 in turn: the
+    witnesses read from the failing rows of the walk, and the line that
+    stops them, are the sweep's.  Where the cells hold, the listing is
+    empty; that the sweep then finds nothing either is the verdict test's."""
+    monkeypatch.setattr(axioms, "SWEEP_BUDGET", budget)
+    bounds, stops, lists = itertools.cycle(range(3, 8)), 0, 0
+    for rule_id in MARGIN_RULES:
+        for name, table in key_tables(rule_id).items():
+            bound, functions = next(bounds), margin_functions(table)
+            if not axioms._cells_fail(table, functions, bound):
+                assert listed(axioms._cell_witnesses(table, functions, bound)) == ((), "")
+                continue
+            witnesses, stopped = listed(axioms._sweep(table, bound))
+            found = listed(axioms._cell_witnesses(table, functions, bound))
+            assert found == (witnesses, stopped), (rule_id, name, bound)
+            stops, lists = stops + bool(stopped), lists + 1
+    assert lists > 100 and bool(stops) == (budget < LISTING_BUDGETS[0])
+
+
+@pytest.mark.parametrize("budget", LISTING_BUDGETS)
+def test_the_pair_listing_gives_the_witnesses_of_the_pair_sweep(monkeypatch, budget):
+    """Every margin rule that violates a reinforcement variant at the bounds
+    3-7 in turn: the witnesses read from the failing cell pairs, and the
+    line that stops them, are the pair sweep's."""
+    monkeypatch.setattr(axioms, "SWEEP_BUDGET", budget)
+    bounds, stops, lists = itertools.cycle(range(3, 8)), 0, 0
+    for rule_id, variant in itertools.product(MARGIN_RULES, axioms._REINFORCEMENT_AXIOMS):
+        bound, f = next(bounds), rules.RULES[rule_id].compute
+        if not axioms._reinforcement_cells_fail(f, variant, bound):
+            continue
+        witnesses, stopped = listed(axioms._reinforcement_sweep(rule_id, variant, bound))
+        found = listed(axioms._pair_witnesses(f, variant, bound))
+        assert found == (witnesses, stopped), (rule_id, variant, bound)
+        stops, lists = stops + bool(stopped), lists + 1
+    assert lists > 30 and bool(stops) == (budget < LISTING_BUDGETS[0])
+
+
+def test_each_listed_witness_sits_at_its_index_in_the_sweep(monkeypatch):
+    """The index each listing gives a witness, and the total that the budget
+    stop compares, count the profiles (or profile pairs) the sweep visits;
+    the indices never fall, so the stop may cut at the first past the budget."""
+    totals = []
+    monkeypatch.setattr(axioms, "_budgeted", lambda found, total, _: totals.append(total) or found)
+
+    def witnesses(listing, visited):
+        indexed = list(listing)
+        assert totals.pop() == len(visited)
+        assert all(a <= b for (a, _), (b, _) in zip(indexed, indexed[1:]))
+        return [(visited[index], witness) for index, witness in indexed if witness is not None]
+
+    bound, count = 6, 0
+    pairs = list(axioms._profile_pairs(bound))
+    for rule_id in ("copeland", "baldwin", "black", "nanson"):
+        for name, table in key_tables(rule_id).items():
+            profiles = list(enumeration.profiles_up_to(bound, table.least))
+            listing = axioms._cell_witnesses(table, margin_functions(table), bound)
+            for profile, witness in witnesses(listing, profiles):
+                assert witness.profiles[table.reads.index(False)] == profile, name
+                count += 1
+        for variant in axioms._REINFORCEMENT_AXIOMS:
+            listing = axioms._pair_witnesses(rules.RULES[rule_id].compute, variant, bound)
+            for pair, witness in witnesses(listing, pairs):
+                assert witness.profiles[:2] == pair, variant
+                count += 1
+    assert count > 1000
+
+
+def test_colex_ranks_and_pair_indices_follow_the_sweeps():
+    for n in range(1, 6):
+        profiles = np.array(list(enumeration.ProfileCursor(n)))
+        assert axioms._colex_ranks(profiles, n).tolist() == list(range(len(profiles)))
+    for bound in range(2, 7):
+        singles = list(enumeration.profiles_up_to(bound - 1))
+        heads = [singles.index(first) for first, _ in axioms._profile_pairs(bound)]
+        for index, first in enumerate(singles):
+            expected = heads.index(index) if index in heads else len(heads)
+            assert axioms._pairs_before(index, sum(first), bound) == expected
+
+
 def test_the_cell_table_holds_each_cell_once_by_size():
     cells = enumeration._grow_cells(12)
     end = enumeration._cell_count(12)
@@ -1007,9 +1099,15 @@ def test_every_rule_elects_someone():
 
 
 def test_a_failing_cell_without_a_failing_profile_is_an_error(monkeypatch):
-    monkeypatch.setattr(axioms, "_sweep", lambda table, bound: iter(()))
+    monkeypatch.setattr(axioms, "_cell_witnesses", lambda table, functions, bound: iter(()))
     with pytest.raises(RuntimeError, match="a margin cell fails but no profile up to 10 does"):
         axioms.check_responsiveness("baldwin", "monotonicity", 10)
+
+
+def test_a_failing_cell_pair_without_a_failing_profile_pair_is_an_error(monkeypatch):
+    monkeypatch.setattr(axioms, "_pair_witnesses", lambda f, variant, bound: iter(()))
+    with pytest.raises(RuntimeError, match="a margin cell fails but no profile up to 6 does"):
+        axioms.check_reinforcement("nanson", "full", 6)
 
 
 @pytest.fixture

@@ -566,6 +566,63 @@ def test_swept_verify_output_matches_the_recorded_digests(capsys, axiom):
         assert _exit_and_digest(capsys, command) == expected, command
 
 
+_STOPPED = "witness listing stopped after 200000 profile pairs, the sweep budget\n"
+
+#: [exit code, stdout sha256, stderr] of violated margin-rule checks, recorded
+#: at commit 46e95fd, where the profile sweeps listed their witnesses (the
+#: last command took 7.8 s there, for one witness)
+LISTED_BY_SWEEPS = {
+    "verify --rule baldwin --axiom monotonicity --bound 10": (
+        1, "014515f563ed4b932661241eede1139c0892ad3e6eda1182d95765464d442f45", ""
+    ),
+    "verify --rule copeland --axiom optimist_participation --bound 12": (
+        1, "e4ec6d8141c6f0056093cae224794b874e7d22102f4b88b88f06f27f2d162cb2", ""
+    ),
+    "verify --rule nanson --axiom reinforcement --bound 14": (
+        1, "c4af4fbf4a63ab5b507fbed9df6ca8515646c1047b6e409cdb4122012a1bf1cf", _STOPPED
+    ),
+    "verify --rule nanson --axiom reinforcement --bound 24 --max-witnesses 1000000000": (
+        1, "d9b36b23df4be8a11559eb8928f33c96d3a701250f42e4781c5dc4c5fb416fc7", _STOPPED
+    ),
+}
+
+
+def test_a_violated_margin_rule_check_walks_no_profile(capsys, monkeypatch):
+    """Its witnesses are read from the failing cells: neither the profiles
+    nor the profile pairs are walked, and the output is the sweep's."""
+    def no_walk(*args):
+        raise AssertionError("a margin rule's check walked the profiles")
+
+    for name in ("profiles_up_to", "_profile_pairs", "_stepper"):
+        monkeypatch.setattr(axioms, name, no_walk)
+    for command, (code, digest, err) in LISTED_BY_SWEEPS.items():
+        found, out, found_err = run(capsys, *command.split())
+        assert (found, hashlib.sha256(out.encode()).hexdigest(), found_err) == (code, digest, err)
+
+
+def test_a_warm_verify_imports_no_further_module():
+    """After one check, a violated check of each kind and a holding one import
+    nothing: np.unique without return_index or return_inverse, for one,
+    imports numpy.ma on its first call."""
+    script = "\n".join((
+        "import contextlib, io, sys",
+        "from trivote import cli",
+        "def verify(*argv):",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        cli.main(['verify', '--rule', *argv])",
+        "verify('maximin', '--axiom', 'optimist_participation', '--bound', '6')",
+        "before = set(sys.modules)",
+        "verify('baldwin', '--axiom', 'monotonicity', '--bound', '10')",
+        "verify('nanson', '--axiom', 'reinforcement', '--bound', '8')",
+        "verify('black', '--axiom', 'condorcet', '--bound', '8')",
+        "print(sorted(set(sys.modules) - before))",
+    ))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_module_env()
+    )
+    assert (result.stdout, result.stderr) == ("[]\n", "")
+
+
 # ---------------------------------------------------------------------------
 # figure4
 # ---------------------------------------------------------------------------
