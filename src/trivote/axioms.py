@@ -40,13 +40,14 @@ the witness note or None:
   relabelling or a doubling maps faces to faces, one lookup per key; a
   shifted image's face is read from the process's box of face positions,
   grown with the cells walked.  When nothing fails, the verdict is
-  ``holds-up-to-bound`` and no profile is touched.  Otherwise, n by n, the
-  profiles of the failing (key, cell) rows are the fibres of their cells
-  (the compositions of the (n - |d|_1) / 2 voter pairs over the three
-  order pairs) that hold the key's need; by colex and then key order they
-  are the sweep's witnesses, and each one's index in the sweep has a closed
-  form, so the list stops where the sweep's budget would stop it: at
-  :data:`SWEEP_BUDGET` profiles or profile pairs once it holds a witness.
+  ``holds-up-to-bound`` and no profile is touched.  Otherwise the walk
+  goes on as the witnesses are read: n by n, the profiles of the failing
+  (key, cell) rows are the fibres of their cells (the compositions of the
+  (n - |d|_1) / 2 voter pairs over the three order pairs) that hold the
+  key's need; by colex and then key order they are the sweep's witnesses,
+  and each one's index in the sweep has a closed form, so the list stops
+  where the sweep's budget would stop it: at :data:`SWEEP_BUDGET` profiles
+  or profile pairs once it holds a witness.
 
 Reinforcement, over pairs of profiles, has a driver of each kind of its
 own: its sweep walks the profile pairs, and its cells pair two cells of
@@ -542,31 +543,40 @@ def _failing_cells(
         lo, step = hi, min(2 * step, _BLOCK_CAP // count)
 
 
-def _cells_fail(table: _Table, functions: tuple[MarginRule, ...], bound: int) -> bool:
-    """Whether the walk of ``table`` meets a failing row: the verdict."""
-    return any(key.size for _, key, *_ in _failing_cells(table, functions, bound, {}))
+def _first_failure(walk: Iterator[tuple]) -> Optional[list[tuple]]:
+    """The blocks of ``walk`` up to the first with a failing row, or None
+    when none has one: the verdict."""
+    blocks = []
+    for block in walk:
+        blocks.append(block)
+        if block[1].size:
+            return blocks
+    return None
 
 
 def _cell_witnesses(
     table: _Table, functions: tuple[MarginRule, ...], bound: int
-) -> Iterator[Union[Witness, str]]:
-    """What ``_sweep(table, bound)`` yields, read from the failing rows of the
-    walk: per n, the n-voter profiles of their fibres that hold their key's
+) -> Optional[Iterator[Union[Witness, str]]]:
+    """None when the walk of ``table`` meets no failing row; otherwise what
+    ``_sweep(table, bound)`` yields, read on from the same walk's failing
+    rows: per n, the n-voter profiles of their fibres that hold their key's
     need, by colex order and then key order."""
     notes: dict[int, str] = {}
-    walk, lack = _failing_cells(table, functions, bound, notes), _margin_maps(table.keys)[4]
+    walk = _failing_cells(table, functions, bound, notes)
+    blocks = _first_failure(walk)
+    if blocks is None:
+        return None
     count, before = len(table.keys), math.comb(table.least + 5, 6)
+    lack = _margin_maps(table.keys)[4]
     shifts = [3 * (len(functions) - 1 - i) for i in range(len(table.reads))]  # shown outputs
 
     def candidates() -> Iterator[tuple[int, Optional[Witness]]]:
-        covered, blocks = 0, []
         for n in range(table.least, bound + 1):
             first = math.comb(n + 5, 6) - before  # the index of the first n-voter profile
             yield first, None
-            while covered < _cell_count(n):
-                covered, *block = next(walk)
-                blocks.append(block)
-            key, m, code, classes = map(np.concatenate, zip(*blocks))
+            while blocks[-1][0] < _cell_count(n):
+                blocks.append(next(walk))
+            key, m, code, classes = map(np.concatenate, list(zip(*blocks))[1:])
             owner, profiles = _fibres(m, n, lack[key, code])
             ranks = _colex_ranks(profiles, n)
             order = np.argsort(ranks * count + key[owner])
@@ -606,23 +616,21 @@ def _decide(
     rule_id: str,
     axiom: str,
     bound: int,
-    violations: Callable[[], Iterator[Union[Witness, str]]],
-    fails: Optional[Callable[[], bool]],
+    violations: Optional[Iterator[Union[Witness, str]]],
     max_witnesses: Optional[int],
-    instances: str = "profiles",
+    instances: Optional[str] = None,
 ) -> AxiomReport:
-    """A margin rule's verdict from ``fails`` (its walk over the margin
-    cells), with ``violations`` (the witnesses read from the failing cells)
-    run only when it fails; any other rule (``fails`` None) is swept
-    outright by ``violations``, over ``instances`` within the sweep budget.
-    A failing cell whose fibres list no witness is a fault of the checker,
-    and raises RuntimeError."""
-    if fails is None:
-        _refuse_oversized_sweep(bound, instances)
-    elif not fails():
+    """The report of ``violations``: a margin rule's witnesses read from its
+    failing cells, None when no cell fails, or with ``instances`` the sweep
+    of any other rule, refused first above the sweep budget.  A failing
+    cell whose fibres list no witness is a fault of the checker, and raises
+    RuntimeError."""
+    if violations is None:
         return AxiomReport(rule_id, axiom, bound, HOLDS, ())
-    report = _finish(rule_id, axiom, bound, violations(), max_witnesses)
-    if fails is not None and report.holds:
+    if instances is not None:
+        _refuse_oversized_sweep(bound, instances)
+    report = _finish(rule_id, axiom, bound, violations, max_witnesses)
+    if instances is None and report.holds:
         raise RuntimeError(
             f"{rule_id} {axiom}: a margin cell fails but no profile up to {bound} does"
         )
@@ -637,12 +645,10 @@ def _check(table: _Table, bound: int, max_witnesses: Optional[int]) -> AxiomRepo
     f, *also = _margin_functions(max_witnesses, largest, table.rule, *table.also)
     functions = (f,) * len(table.reads) + tuple(also)
     if None in functions:
-        fails, violations = None, functools.partial(_sweep, table, bound)
+        violations, instances = _sweep(table, bound), table.instances
     else:
-        fails = functools.partial(_cells_fail, table, functions, bound)
-        violations = functools.partial(_cell_witnesses, table, functions, bound)
-    axiom, instances = table.axiom, table.instances
-    return _decide(table.rule, axiom, bound, violations, fails, max_witnesses, instances)
+        violations, instances = _cell_witnesses(table, functions, bound), None
+    return _decide(table.rule, table.axiom, bound, violations, max_witnesses, instances)
 
 
 # ---------------------------------------------------------------------------
@@ -785,12 +791,6 @@ def _failing_pairs(
         yield int(n[i[-1]]), i[rows], j[rows], out12[rows]
 
 
-def _reinforcement_cells_fail(f: MarginRule, variant: str, bound: int) -> bool:
-    """Whether reinforcement's walk meets a failing cell pair: the verdict."""
-    walk = _failing_pairs(f, variant, bound, *_pair_cells(f, bound))
-    return any(i.size for _, i, _, _ in walk)
-
-
 def _pairs_before(first: int, n: int, bound: int) -> int:
     """The pairs of ``_profile_pairs(bound)`` before those of the single at
     index ``first``, which has ``n`` voters: with N(x) the singles of at
@@ -805,21 +805,26 @@ def _pairs_before(first: int, n: int, bound: int) -> int:
     return before
 
 
-def _pair_witnesses(f: MarginRule, variant: str, bound: int) -> Iterator[Union[Witness, str]]:
-    """What ``_reinforcement_sweep`` yields, read from the failing cell pairs
-    of the walk: each first profile P1, by (n, colex), of the fibres of the
-    cells with a failing partner, with the profiles P2 >= P1, by (n, colex),
-    of its partners' fibres, n1 + n2 <= bound."""
+def _pair_witnesses(
+    f: MarginRule, variant: str, bound: int
+) -> Optional[Iterator[Union[Witness, str]]]:
+    """None when reinforcement's walk meets no failing cell pair; otherwise
+    what ``_reinforcement_sweep`` yields, read on from the same walk's
+    failing pairs: each first profile P1, by (n, colex), of the fibres of
+    the cells with a failing partner, with the profiles P2 >= P1, by (n,
+    colex), of its partners' fibres, n1 + n2 <= bound."""
     axiom, (m, n, outputs) = _REINFORCEMENT_AXIOMS[variant], _pair_cells(f, bound)
     walk = _failing_pairs(f, variant, bound, m, n, outputs)
+    blocks = _first_failure(walk)
+    if blocks is None:
+        return None
+    end = (bound, *[np.zeros(0, dtype=np.intp)] * 3)  # past the walk
 
     def candidates() -> Iterator[tuple[int, Optional[Witness]]]:
-        walked, blocks = 0, []
         for n1 in range(1, bound):
-            while walked <= n1:  # until every pair of a first cell of n1 voters is in
-                walked, *block = next(walk, (bound, *[np.zeros(0, dtype=np.intp)] * 3))
-                blocks.append(block)
-            i, j, merged = map(np.concatenate, zip(*blocks))
+            while blocks[-1][0] <= n1:  # until every pair of a first cell of n1 voters is in
+                blocks.append(next(walk, end))
+            i, j, merged = map(np.concatenate, list(zip(*blocks))[1:])
             # each pair both ways round; no cell fails with itself, as 2 m has m's face
             first, second = np.concatenate((i, j)), np.concatenate((j, i))
             merged = np.tile(merged, 2)
@@ -875,11 +880,10 @@ def check_reinforcement(
     _validate_bound(bound, 2)
     (f,) = _margin_functions(max_witnesses, bound, rule_id)
     if f is None:
-        fails, violations = None, functools.partial(_reinforcement_sweep, rule_id, variant, bound)
+        violations, instances = _reinforcement_sweep(rule_id, variant, bound), "profile pairs"
     else:
-        fails = functools.partial(_reinforcement_cells_fail, f, variant, bound)
-        violations = functools.partial(_pair_witnesses, f, variant, bound)
-    return _decide(rule_id, axiom, bound, violations, fails, max_witnesses, "profile pairs")
+        violations, instances = _pair_witnesses(f, variant, bound), None
+    return _decide(rule_id, axiom, bound, violations, max_witnesses, instances)
 
 
 # ---------------------------------------------------------------------------

@@ -656,8 +656,18 @@ def oracle_classes(keys, least, bound):
     return np.stack((classes // 267**2, classes // 267 % 267, classes % 267))
 
 
+def cells_fail(table, functions, bound):
+    """The verdict of the walk over the margin cells: whether it lists."""
+    return axioms._cell_witnesses(table, functions, bound) is not None
+
+
+def reinforcement_cells_fail(f, variant, bound):
+    """The verdict of reinforcement's walk over the cell pairs."""
+    return axioms._pair_witnesses(f, variant, bound) is not None
+
+
 def oracle_cells_fail(table, functions, bound):
-    """``axioms._cells_fail`` read from the classes of the pair walk: the
+    """``cells_fail`` read from the classes of the pair walk: the
     clause on each (key, output codes) they give."""
     key, face, image = oracle_classes(table.keys, table.least, bound)
     on_image = table.reads + (False,) * len(table.also)
@@ -669,7 +679,7 @@ def oracle_cells_fail(table, functions, bound):
 
 
 def oracle_reinforcement_cells_fail(f, variant, bound):
-    """``axioms._reinforcement_cells_fail`` by cells of int64 arrays, each
+    """``reinforcement_cells_fail`` by cells of int64 arrays, each
     cell pair's sum mapped to its face."""
     m, surplus, size = oracle_surplus_cells(bound - 1)
     n = oracle_fewest_voters(surplus, size, axioms._NOBODY, 1)
@@ -745,7 +755,7 @@ def test_the_cell_table_gives_the_verdicts_of_the_pair_walk(monkeypatch, reach):
     if reach is not None:
         enumeration._grow_cells(reach)
     found = {
-        (rule_id, name, bound): axioms._cells_fail(table, margin_functions(table), bound)
+        (rule_id, name, bound): cells_fail(table, margin_functions(table), bound)
         for rule_id in MARGIN_RULES
         for name, table in key_tables(rule_id).items()
         for bound in ORACLE_BOUNDS
@@ -762,7 +772,7 @@ def test_reinforcement_over_the_cell_table_gives_the_verdicts_of_the_pair_walk(m
     for rule_id, variant, bound in grid:
         f = rules.RULES[rule_id].compute
         expected = oracle_reinforcement_cells_fail(f, variant, bound)
-        assert axioms._reinforcement_cells_fail(f, variant, bound) == expected, (rule_id, variant)
+        assert reinforcement_cells_fail(f, variant, bound) == expected, (rule_id, variant)
 
 
 #: the sweep budgets the listings are checked at: the real one, and budgets
@@ -780,19 +790,19 @@ def listed(violations):
 def test_the_cell_listing_gives_the_witnesses_of_the_sweep(monkeypatch, budget):
     """Every margin rule on every key table, at the bounds 3-7 in turn: the
     witnesses read from the failing rows of the walk, and the line that
-    stops them, are the sweep's.  Where the cells hold, the listing is
-    empty; that the sweep then finds nothing either is the verdict test's."""
+    stops them, are the sweep's.  Where the cells hold there is no listing;
+    that the sweep then finds nothing either is the verdict test's."""
     monkeypatch.setattr(axioms, "SWEEP_BUDGET", budget)
     bounds, stops, lists = itertools.cycle(range(3, 8)), 0, 0
     for rule_id in MARGIN_RULES:
         for name, table in key_tables(rule_id).items():
             bound, functions = next(bounds), margin_functions(table)
-            if not axioms._cells_fail(table, functions, bound):
-                assert listed(axioms._cell_witnesses(table, functions, bound)) == ((), "")
+            listing = axioms._cell_witnesses(table, functions, bound)
+            if listing is None:
                 continue
-            witnesses, stopped = listed(axioms._sweep(table, bound))
-            found = listed(axioms._cell_witnesses(table, functions, bound))
-            assert found == (witnesses, stopped), (rule_id, name, bound)
+            found = listed(listing)
+            assert found == listed(axioms._sweep(table, bound)), (rule_id, name, bound)
+            stopped = found[1]
             stops, lists = stops + bool(stopped), lists + 1
     assert lists > 100 and bool(stops) == (budget < LISTING_BUDGETS[0])
 
@@ -806,11 +816,14 @@ def test_the_pair_listing_gives_the_witnesses_of_the_pair_sweep(monkeypatch, bud
     bounds, stops, lists = itertools.cycle(range(3, 8)), 0, 0
     for rule_id, variant in itertools.product(MARGIN_RULES, axioms._REINFORCEMENT_AXIOMS):
         bound, f = next(bounds), rules.RULES[rule_id].compute
-        if not axioms._reinforcement_cells_fail(f, variant, bound):
+        listing = axioms._pair_witnesses(f, variant, bound)
+        if listing is None:
             continue
-        witnesses, stopped = listed(axioms._reinforcement_sweep(rule_id, variant, bound))
-        found = listed(axioms._pair_witnesses(f, variant, bound))
-        assert found == (witnesses, stopped), (rule_id, variant, bound)
+        found = listed(listing)
+        assert found == listed(axioms._reinforcement_sweep(rule_id, variant, bound)), (
+            rule_id, variant, bound
+        )
+        stopped = found[1]
         stops, lists = stops + bool(stopped), lists + 1
     assert lists > 30 and bool(stops) == (budget < LISTING_BUDGETS[0])
 
@@ -823,6 +836,9 @@ def test_each_listed_witness_sits_at_its_index_in_the_sweep(monkeypatch):
     monkeypatch.setattr(axioms, "_budgeted", lambda found, total, _: totals.append(total) or found)
 
     def witnesses(listing, visited):
+        """The listed witnesses with what the sweep visits at their indices."""
+        if listing is None:
+            return []
         indexed = list(listing)
         assert totals.pop() == len(visited)
         assert all(a <= b for (a, _), (b, _) in zip(indexed, indexed[1:]))
@@ -984,7 +1000,7 @@ def test_a_holding_check_evaluates_a_registered_rule_once_per_sign_face(
 )
 def test_a_per_profile_clause_is_called_once_per_output_class(monkeypatch, check):
     calls, widths = [], []
-    cells_fail = axioms._cells_fail
+    cell_witnesses = axioms._cell_witnesses
 
     def counting(table, functions, bound):
         def counted(key, *outputs):
@@ -992,9 +1008,9 @@ def test_a_per_profile_clause_is_called_once_per_output_class(monkeypatch, check
             return table.clause(key, *outputs)
 
         widths.append(len(functions))
-        return cells_fail(table._replace(clause=counted), functions, bound)
+        return cell_witnesses(table._replace(clause=counted), functions, bound)
 
-    monkeypatch.setattr(axioms, "_cells_fail", counting)
+    monkeypatch.setattr(axioms, "_cell_witnesses", counting)
     assert check().holds
     (k,) = widths
     assert calls and len(set(calls)) == len(calls) <= 8**k
@@ -1098,14 +1114,20 @@ def test_every_rule_elects_someone():
             assert rules.evaluate_uncached(rule_id, profile), (rule_id, profile)
 
 
+def no_fibres(monkeypatch):
+    """Make every cell's fibre empty while the test runs."""
+    empty = np.zeros(0, dtype=np.intp), np.zeros((0, 6), dtype=np.int64)
+    monkeypatch.setattr(axioms, "_fibres", lambda m, n, lack: empty)
+
+
 def test_a_failing_cell_without_a_failing_profile_is_an_error(monkeypatch):
-    monkeypatch.setattr(axioms, "_cell_witnesses", lambda table, functions, bound: iter(()))
+    no_fibres(monkeypatch)
     with pytest.raises(RuntimeError, match="a margin cell fails but no profile up to 10 does"):
         axioms.check_responsiveness("baldwin", "monotonicity", 10)
 
 
 def test_a_failing_cell_pair_without_a_failing_profile_pair_is_an_error(monkeypatch):
-    monkeypatch.setattr(axioms, "_pair_witnesses", lambda f, variant, bound: iter(()))
+    no_fibres(monkeypatch)
     with pytest.raises(RuntimeError, match="a margin cell fails but no profile up to 6 does"):
         axioms.check_reinforcement("nanson", "full", 6)
 
