@@ -302,6 +302,8 @@ def _fibres(m: np.ndarray, n: int, lack: np.ndarray) -> tuple[np.ndarray, np.nda
     d = m @ _MARGINS_TO_SURPLUS // 2
     j = n - np.abs(d).sum(axis=1) - 2 * lack.sum(axis=1)
     j = np.where((j >= 0) & (j % 2 == 0), j // 2, -1)
+    if j.max(initial=-1) < 0:  # no cell has a profile of n voters
+        return j[:0], np.zeros((0, 6), dtype=d.dtype)
     owner, t1 = _expand(j + 1)
     first, t2 = _expand(j[owner] - t1 + 1)
     owner, t1 = owner[first], t1[first]
@@ -321,8 +323,8 @@ def _choose(n: int) -> np.ndarray:
 def _colex_ranks(profiles: np.ndarray, n: int) -> np.ndarray:
     """Per profile of ``n`` voters, its index in colex order among them: with
     S the prefix sums, the sum over j of C(S_j + j, j) - C(S_(j-1) + j, j)."""
-    s, j = np.cumsum(profiles, axis=1), np.arange(1, 6)
-    return (_choose(n)[j, s[:, 1:]] - _choose(n)[j, s[:, :-1]]).sum(axis=1)
+    s, j, choose = np.cumsum(profiles, axis=1), np.arange(1, 6), _choose(n)
+    return (choose[j, s[:, 1:]] - choose[j, s[:, :-1]]).sum(axis=1)
 
 
 def _budgeted(
@@ -502,15 +504,17 @@ def _failing_cells(
     with the cells walked) and each output column as a gather of codes.
     The clause is called once per class (key, outputs) met, found by a
     bincount against ``seen``, and ``notes`` gets each failing one's note.
-    Yields per block its end and the failing (key, cell) rows in it that a
-    profile with ``least <= n <= bound`` realizes: key, margins, code, class."""
+    From the first block with a failing row on, yields per block its end and
+    the failing (key, cell) rows in it that a profile with ``least <= n <=
+    bound`` realizes: key, margins, code, class; the verdict is whether it
+    yields."""
     _refuse_oversized(bound)
     _, offset, extra, image_faces, _ = _margin_maps(table.keys)
     shifted = True in table.reads and image_faces is None
     on_image = table.reads + (False,) * len(table.also)
     codes, width, count = [_face_codes(f) for f in functions], len(functions), len(table.keys)
     keys, seen = np.arange(count)[:, None], np.zeros(count << 3 * width, dtype=bool)
-    failing, none = np.zeros_like(seen), np.zeros(0, dtype=np.intp)
+    failing, box, widest = np.zeros_like(seen), None, int(np.abs(offset).max())
     lo, end, step, cells = 0, _cell_count(bound), max(1, _BLOCK_ROWS // count), _grow_cells(0)
     while lo < end:
         hi = min(end, lo + step)
@@ -519,9 +523,11 @@ def _failing_cells(
         within = _raised(cells.size[lo:hi] + extra[:, cells.code[lo:hi]], table.least) <= bound
         face = image = cells.face[lo:hi]
         if shifted:  # m + b sits at (raw + jump[k, parity]) >> 1, raw the index of m doubled
-            box = _grow_box(min(bound, cells.reach) + int(np.abs(offset).max()))
-            side = 1 + int(box.strides[1])
-            jump = (offset @ box.strides)[:, None] + side * (offset[:, :1] & 1) * np.array([-1, 1])
+            if box is None or box.reach < min(bound, cells.reach) + widest:
+                box = _grow_box(min(bound, cells.reach) + widest)
+                side = 1 + int(box.strides[1])
+                jump = side * (offset[:, :1] & 1) * np.array([-1, 1])
+                jump += (offset @ box.strides)[:, None]
             m = cells.margins[lo:hi]
             parity = (m[:, 0] + box.reach) & 1
             raw = m @ box.strides + box.base - side * parity
@@ -538,20 +544,10 @@ def _failing_cells(
             note = table.clause(table.keys[c >> 3 * width].key, *outputs)
             if note is not None:
                 notes[c], failing[c] = note, True
-        key, row = np.nonzero(within & failing[classes]) if notes else (none, none)
-        yield hi, key, cells.margins[lo + row], cells.code[lo + row], classes[key, row]
+        if notes:
+            key, row = np.nonzero(within & failing[classes])
+            yield hi, key, cells.margins[lo + row], cells.code[lo + row], classes[key, row]
         lo, step = hi, min(2 * step, _BLOCK_CAP // count)
-
-
-def _first_failure(walk: Iterator[tuple]) -> Optional[list[tuple]]:
-    """The blocks of ``walk`` up to the first with a failing row, or None
-    when none has one: the verdict."""
-    blocks = []
-    for block in walk:
-        blocks.append(block)
-        if block[1].size:
-            return blocks
-    return None
 
 
 def _cell_witnesses(
@@ -563,8 +559,8 @@ def _cell_witnesses(
     need, by colex order and then key order."""
     notes: dict[int, str] = {}
     walk = _failing_cells(table, functions, bound, notes)
-    blocks = _first_failure(walk)
-    if blocks is None:
+    blocks = [next(walk, None)]
+    if blocks[0] is None:
         return None
     count, before = len(table.keys), math.comb(table.least + 5, 6)
     lack = _margin_maps(table.keys)[4]
@@ -578,6 +574,8 @@ def _cell_witnesses(
                 blocks.append(next(walk))
             key, m, code, classes = map(np.concatenate, list(zip(*blocks))[1:])
             owner, profiles = _fibres(m, n, lack[key, code])
+            if not owner.size:
+                continue
             ranks = _colex_ranks(profiles, n)
             order = np.argsort(ranks * count + key[owner])
             for rank, k, c, p in zip(
@@ -774,9 +772,10 @@ def _failing_pairs(
     """Reinforcement's walk over the pairs of the cells ``_pair_cells`` gives
     whose fewest voters sum to at most ``bound``; the clause is symmetric,
     so each unordered pair is taken once, and it sees only the three
-    outputs, so it is called once per triple of output codes met.  Yields
-    per block of ``_cell_pairs`` the fewest voters of its last first cell
-    and its failing pairs (i, j) with the merged output code."""
+    outputs, so it is called once per triple of output codes met.  From the
+    first block of ``_cell_pairs`` with a failing pair on, yields per block
+    the fewest voters of its last first cell and its failing pairs (i, j)
+    with the merged output code; the verdict is whether it yields."""
     keys, read = _sum_reader(m, _face_codes(f))  # the box holds every pair sum: n1 + n2 <= bound
     seen, failing = np.zeros(8**3, dtype=bool), np.zeros(8**3, dtype=bool)
     for i, j in _cell_pairs(n, bound):
@@ -787,8 +786,9 @@ def _failing_pairs(
             failing[c] = agreed is not None and _reinforcement(
                 variant, agreed, CHOICE_SETS[c & 7]
             ) is not None
-        rows = np.flatnonzero(failing[classes]) if failing.any() else classes[:0]
-        yield int(n[i[-1]]), i[rows], j[rows], out12[rows]
+        if failing.any():
+            rows = np.flatnonzero(failing[classes])
+            yield int(n[i[-1]]), i[rows], j[rows], out12[rows]
 
 
 def _pairs_before(first: int, n: int, bound: int) -> int:
@@ -815,8 +815,8 @@ def _pair_witnesses(
     colex), of its partners' fibres, n1 + n2 <= bound."""
     axiom, (m, n, outputs) = _REINFORCEMENT_AXIOMS[variant], _pair_cells(f, bound)
     walk = _failing_pairs(f, variant, bound, m, n, outputs)
-    blocks = _first_failure(walk)
-    if blocks is None:
+    blocks = [next(walk, None)]
+    if blocks[0] is None:
         return None
     end = (bound, *[np.zeros(0, dtype=np.intp)] * 3)  # past the walk
 

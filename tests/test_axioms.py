@@ -1017,6 +1017,33 @@ def test_a_per_profile_clause_is_called_once_per_output_class(monkeypatch, check
 
 
 @pytest.mark.parametrize(
+    "check",
+    [
+        lambda: axioms.check_responsiveness("baldwin", "monotonicity", 10, max_witnesses=50),
+        lambda: axioms.check_participation("copeland", "optimist", 12),
+        lambda: axioms.check_condorcet("borda", "standard", 12),
+    ],
+    ids=["monotonicity", "participation", "condorcet"],
+)
+def test_a_violated_check_decides_and_lists_from_one_walk(monkeypatch, check):
+    """The walk that finds the first failing row goes on to list the
+    witnesses, so the clause of each (key, outputs) class runs once."""
+    calls = []
+    failing_cells = axioms._failing_cells
+
+    def counting(table, functions, bound, notes):
+        def counted(key, *outputs):
+            calls.append((key, outputs))
+            return table.clause(key, *outputs)
+
+        return failing_cells(table._replace(clause=counted), functions, bound, notes)
+
+    monkeypatch.setattr(axioms, "_failing_cells", counting)
+    assert not check().holds
+    assert calls and len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize(
     "check, cells, reach",
     [
         (lambda: axioms.check_participation("maximin", "optimist", 15), 15, 16),
