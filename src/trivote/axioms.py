@@ -38,8 +38,9 @@ the witness note or None:
   that define the sign faces, so its codes on the 267 faces of the
   catalogue are one vector and a column is one gather of them.  A
   relabelling or a doubling maps faces to faces, one lookup per key; a
-  shifted image's face is read from the process's box of face positions,
-  grown with the cells walked.  When nothing fails, the verdict is
+  shifted image m + b is read from the process's box of face positions at
+  m's index plus the key's offset b . strides, the box grown with the cells
+  walked.  When nothing fails, the verdict is
   ``holds-up-to-bound`` and no profile is touched.  Otherwise the walk
   goes on as the witnesses are read: n by n, the profiles of the failing
   (key, cell) rows are the fibres of their cells (the compositions of the
@@ -108,7 +109,7 @@ from .core import (
 )
 from .enumeration import _FACE_CELLS, _ORDERS, _REVERSES, _cell_count, _condorcet_winner_set
 from .enumeration import _expand, _face_codes, _grow_box, _grow_cells, _keyed_positions
-from .enumeration import _order_surplus, _sum_reader, profiles_up_to
+from .enumeration import _order_surplus, _profile_pairs, _sum_reader, profiles_up_to
 
 HOLDS = "holds-up-to-bound"
 VIOLATED = "violated"
@@ -502,8 +503,8 @@ def _failing_cells(
     first: the fewest voters per key, the image faces (by the face lookup,
     or a box gather at the cell's index plus a per-key jump, the box grown
     with the cells walked) and each output column as a gather of codes.
-    The clause is called once per class (key, outputs) met, found by a
-    bincount against ``seen``, and ``notes`` gets each failing one's note.
+    The clause is called once per class (key, outputs) met, found against
+    ``seen``, and ``notes`` gets each failing one's note.
     From the first block with a failing row on, yields per block its end and
     the failing (key, cell) rows in it that a profile with ``least <= n <=
     bound`` realizes: key, margins, code, class; the verdict is whether it
@@ -522,24 +523,17 @@ def _failing_cells(
             cells = _grow_cells(min(bound, max(2 * cells.reach, int((0.75 * hi) ** (1 / 3)) + 1)))
         within = _raised(cells.size[lo:hi] + extra[:, cells.code[lo:hi]], table.least) <= bound
         face = image = cells.face[lo:hi]
-        if shifted:  # m + b sits at (raw + jump[k, parity]) >> 1, raw the index of m doubled
+        if shifted:  # m + b sits at m . strides + jump[k], jump = b . strides + base
             if box is None or box.reach < min(bound, cells.reach) + widest:
                 box = _grow_box(min(bound, cells.reach) + widest)
-                side = 1 + int(box.strides[1])
-                jump = side * (offset[:, :1] & 1) * np.array([-1, 1])
-                jump += (offset @ box.strides)[:, None]
-            m = cells.margins[lo:hi]
-            parity = (m[:, 0] + box.reach) & 1
-            raw = m @ box.strides + box.base - side * parity
-            image = box.positions[(raw + jump[:, parity]) >> 1]
+                jump = offset @ box.strides + box.base
+            image = box.positions[cells.margins[lo:hi] @ box.strides + jump[:, None]]
         elif True in table.reads:
             image = image_faces[:, face]
         columns = [c[image if i else face] for c, i in zip(codes, on_image)]
         classes = functools.reduce(lambda acc, c: acc * 8 + c, columns, keys)
-        met = np.bincount(np.where(within, classes, seen.size).ravel(), minlength=seen.size + 1)
-        fresh = np.flatnonzero((met[:-1] > 0) > seen)
-        seen[fresh] = True
-        for c in fresh.tolist():
+        met = classes[within]
+        for c in met[_new_classes(met, seen)].tolist():
             outputs = (CHOICE_SETS[c >> 3 * i & 7] for i in reversed(range(width)))
             note = table.clause(table.keys[c >> 3 * width].key, *outputs)
             if note is not None:
@@ -658,21 +652,6 @@ _REINFORCEMENT_AXIOMS = {
     "subset": "subset_reinforcement",
     "superset": "superset_reinforcement",
 }
-
-
-def _profile_pairs(bound: int) -> Iterator[tuple[Profile, Profile]]:
-    """Unordered pairs (repeats allowed) of non-empty profiles, n1+n2 <= bound.
-
-    Pairs are generated in canonical order: profiles sorted by (n, colex),
-    second component never earlier than the first.
-    """
-    singles = list(profiles_up_to(bound - 1))
-    for i, first in enumerate(singles):
-        budget = bound - total_voters(first)
-        for second in singles[i:]:
-            if total_voters(second) > budget:
-                break  # later profiles only get bigger
-            yield first, second
 
 
 def _agreed(variant: str, out1: ChoiceSet, out2: ChoiceSet) -> Optional[ChoiceSet]:

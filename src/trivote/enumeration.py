@@ -35,7 +35,7 @@ import numpy as np
 
 from . import rules as _rules
 from .core import CANDIDATES, CHOICE_SETS, ORDER_RANK_OF, ChoiceSet, Margins, Profile
-from .core import condorcet_winner
+from .core import condorcet_winner, total_voters
 
 CSV_HEADER = "n,rule,irresolute,total,fraction"
 
@@ -115,6 +115,21 @@ def profiles_up_to(bound: int, min_n: int = 1) -> Iterator[Profile]:
         yield from ProfileCursor(n)
 
 
+def _profile_pairs(bound: int) -> Iterator[tuple[Profile, Profile]]:
+    """Unordered pairs (repeats allowed) of non-empty profiles, n1+n2 <= bound.
+
+    Pairs are generated in canonical order: profiles sorted by (n, colex),
+    second component never earlier than the first.
+    """
+    singles = list(profiles_up_to(bound - 1))
+    for i, first in enumerate(singles):
+        budget = bound - total_voters(first)
+        for second in singles[i:]:
+            if total_voters(second) > budget:
+                break  # later profiles only get bigger
+            yield first, second
+
+
 # ---------------------------------------------------------------------------
 # Margin cells
 # ---------------------------------------------------------------------------
@@ -125,9 +140,8 @@ def profiles_up_to(bound: int, min_n: int = 1) -> Iterator[Profile]:
 # m_ab = d1+d2+d3, m_ac = d1+d2-d3 and m_bc = d1-d2-d3, and the profiles with
 # surplus d put |d_i| + 2 t_i voters on pair i with t1+t2+t3 = J =
 # (n - |d|_1) / 2: C(J+2, 2) of them (the fibre of d) share the margin triple,
-# so the cells of n voters are the d with |d|_1 <= n and the parity of n.
-# With u = d2+d3 and v = d2-d3, |d2| + |d3| = max(|u|, |v|): the cells with a
-# given d1 are the grid u = 2q - r, v = 2p - r, q and p in [0, r], r = n - |d1|.
+# so the cells of n voters are the d with |d|_1 <= n and the parity of n:
+# the shells |d|_1 = L of that parity, L <= n.
 
 #: the order and the reverse order of each pair kind; d_i is the order's surplus
 _ORDERS, _REVERSES = [0, 1, 4], [5, 3, 2]
@@ -135,7 +149,7 @@ _ORDERS, _REVERSES = [0, 1, 4], [5, 3, 2]
 #: row i maps the surplus vector d to margin i: (d1+d2+d3, d1+d2-d3, d1-d2-d3)
 _SURPLUS_TO_MARGINS = np.array([[1, 1, 1], [1, 1, -1], [1, -1, -1]])
 
-#: cells per chunk; whole d1 slabs are grouped up to this size, so small
+#: cells per chunk; whole sizes |d|_1 are grouped up to this size, so small
 #: electorates take a few numpy calls and memory stays O(n^2) for large ones
 _CELL_CHUNK = 1 << 16
 
@@ -144,22 +158,6 @@ def _expand(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(owner, k)`` for every ``k in range(sizes[owner])``, owner by owner."""
     owner = np.repeat(np.arange(sizes.size), sizes)
     return owner, np.arange(owner.size) - (np.cumsum(sizes) - sizes)[owner]
-
-
-def _surplus_vectors(n: int) -> Iterator[np.ndarray]:
-    """Chunks of the surplus vectors d of the ``n``-voter cells, one row each."""
-    lo, cells = -n, 0
-    for d1 in range(-n, n + 1):
-        cells += (n + 1 - abs(d1)) ** 2
-        if cells >= _CELL_CHUNK or d1 == n:
-            r = n - np.abs(np.arange(lo, d1 + 1))
-            slab, index = _expand((r + 1) ** 2)
-            side = r[slab] + 1
-            q, p = np.divmod(index, side)
-            d = np.stack((slab + lo, q + p + 1 - side, q - p), axis=1)
-            del slab, index, side, q, p  # not held while the caller works on d
-            yield d
-            lo, cells = d1 + 1, 0
 
 
 def _order_surplus(d: np.ndarray) -> np.ndarray:
@@ -194,11 +192,13 @@ def _order_surplus(d: np.ndarray) -> np.ndarray:
 # checkers read a column of outputs as one gather of that vector.
 #
 # A triple's face is found from its 12 signs, the face key, or from the
-# box: the face positions of every triple with |m_i| <= R, filled through
-# the keys and grown when a check needs a larger R, each triple keyed once.
-# The axiom checkers that read shifted images grow it with their walk, to
-# the cells walked plus the largest shift, and those that read sums of two
-# cells to their bound, so an image's face is one gather.  The counting
+# box: the face positions of every triple with |m_i| <= R, at one linear
+# index m . strides + base, filled through the keys and grown when a check
+# needs a larger R, each triple keyed once.  The axiom checkers that read
+# shifted images grow it with their walk, to the cells walked plus the
+# largest shift, and those that read sums of two cells to their bound; an
+# image m + b then sits b . strides past m, and m1 + m2 at the sum of their
+# indices less base, so an image's face is one gather.  The counting
 # maps each cell of its pass once, and keys it unless a check grew the box
 # past it.  The checkers read P's faces from the cell table below instead:
 # every d with |d|_1 <= R, ordered by |d|_1 and keyed once per process as it
@@ -250,12 +250,11 @@ def _keyed_positions(m: np.ndarray) -> np.ndarray:
 
 
 class _Box(NamedTuple):
-    """The face positions of every margin triple m with |m_i| <= ``reach``.
-    The three margins share their parity, so with R the reach and s = R + 1
-    the triple sits at ((m_ab + R) s + (m_ac + R) // 2) s + (m_bc + R) // 2:
-    m_ab + R tells the parity, and the two parities share one array of
-    (2R + 1) s^2 positions, 1.5 MB at R = 71.  That index is
-    (m . ``strides`` + ``base`` - (s + 1) (m_ab + R mod 2)) / 2."""
+    """The face positions of every margin triple m with |m_i| <= ``reach``:
+    a cube of side 2R + 1, R the reach, in which m sits at the linear index
+    m . ``strides`` + ``base``; 5.8 MB at R = 71.  The three margins share
+    their parity, so only the slots of same-parity triples hold a face, and
+    the others hold 0."""
 
     reach: int
     strides: np.ndarray
@@ -269,29 +268,29 @@ _box = _Box(-1, np.zeros(3, dtype=np.int64), 0, np.zeros(0, dtype=np.int16))
 
 def _grow_box(reach: int) -> _Box:
     """The box, made to hold every triple with |m_i| <= ``reach``.  The old
-    box's slots of each parity of m_ab + R are a block of the new one, so
-    they are copied, and only the other triples are keyed, slab by slab of
-    m_ab: each triple is keyed once however often the box grows."""
+    box is copied into the centre of the new one, and only the triples
+    outside it are keyed, slab by slab of m_ab through the two strided
+    blocks of same-parity slots: each triple is keyed once however often the
+    box grows."""
     global _box
-    old, side = _box, reach + 1
+    old, side = _box, 2 * reach + 1
     if reach <= old.reach:
         return old
-    positions = np.empty((2 * reach + 1, side, side), dtype=np.int16)
-    fresh = np.ones(positions.shape, dtype=bool)
-    grow = reach - old.reach
-    for parity in range(2 if old.reach >= 0 else 0):
-        q = (grow + parity - ((grow + parity) & 1)) // 2  # how far m_ac's slot moves
-        slot = slice(q, q + old.reach + 1)
-        block = (slice(grow + parity, reach + old.reach + 1, 2), slot, slot)
-        positions[block] = old.positions.reshape(-1, old.reach + 1, old.reach + 1)[parity::2]
-        fresh[block] = False
-    step = max(1, _CELL_CHUNK // side**2)
-    for lo in range(0, 2 * reach + 1, step):
-        first, q, p = np.nonzero(fresh[lo : lo + step])  # m_ab + R - lo, and the slot
-        odd = (first + lo) & 1  # m_ac and m_bc share m_ab's parity
-        m = np.stack((first + lo - reach, 2 * q - reach + odd, 2 * p - reach + odd), axis=1)
-        positions[lo : lo + step][fresh[lo : lo + step]] = _keyed_positions(m)
-    strides = np.array([2 * side * side, side, 1])
+    positions = np.zeros((side, side, side), dtype=np.int16)
+    if old.reach >= 0:
+        inner = slice(reach - old.reach, reach + old.reach + 1)
+        positions[inner, inner, inner] = old.positions.reshape((2 * old.reach + 1,) * 3)
+    step = max(1, _CELL_CHUNK // (reach + 1) ** 2)  # an m_ab holds (reach + 1)^2 triples at most
+    for parity in (0, 1):
+        s = slice((reach + parity) % 2, None, 2)
+        span = np.arange(s.start - reach, reach + 1, 2)  # the margins of this parity
+        outer, block = np.abs(span) > old.reach, positions[s, s, s]
+        for lo in range(0, span.size, step):
+            fresh = outer[lo : lo + step, None, None] | outer[:, None] | outer
+            ab, ac, bc = np.nonzero(fresh)
+            m = np.stack((span[ab + lo], span[ac], span[bc]), axis=1)
+            block[lo : lo + step][fresh] = _keyed_positions(m)
+    strides = np.array([side * side, side, 1])
     _box = _Box(reach, strides, int(strides.sum()) * reach, positions.ravel())
     return _box
 
@@ -302,25 +301,18 @@ def _face_positions(m: np.ndarray) -> np.ndarray:
     it, otherwise through the face keys."""
     box = _box
     if m.size and -box.reach <= m.min() and m.max() <= box.reach:
-        parity = (m[:, 0] + box.reach) & 1
-        return box.positions[(m @ box.strides + box.base - (box.strides[1] + 1) * parity) >> 1]
+        return box.positions[m @ box.strides + box.base]
     return _keyed_positions(m)
 
 
 def _sum_reader(m: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, Callable]:
     """For rows of margins whose sums of two the box holds: per row a key,
-    4 (m . strides) + (m_ab mod 2), and a function from a sum of two keys to
-    the output code, by ``codes``, of the face of the summed margins.  The
-    sum of the keys holds the sum's m . strides (keys >> 2) and the parity
-    of its m_ab; so a pair of rows is read with one add and one gather."""
+    m . strides, and a function from a sum of two keys to the output code,
+    by ``codes``, of the face of the summed margins, read at that sum plus
+    base; so a pair of rows is read with one add and one gather."""
     box = _box
-    by_slot = codes[box.positions]
-
-    def read(keys: np.ndarray) -> np.ndarray:
-        parity = (keys + box.reach) & 1
-        return by_slot[((keys >> 2) + box.base - (box.strides[1] + 1) * parity) >> 1]
-
-    return 4 * (m @ box.strides) + (m[:, 0] & 1), read
+    by_slot = codes.astype(np.int16)[box.positions]
+    return m @ box.strides, lambda keys: by_slot[keys + box.base]
 
 
 class _Cells(NamedTuple):
@@ -347,36 +339,42 @@ def _cell_count(bound: int) -> int:
     return (2 * bound + 1) * (2 * bound * bound + 2 * bound + 3) // 3
 
 
-def _shells(sizes: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Columns d1, d2, d3 and |d|_1 of the surplus vectors d with |d|_1 in
-    ``sizes``, size by size: per d1, the 4r points with |d2| + |d3| = r =
-    |d|_1 - |d1| > 0, one side of their square at a time (each turns the
-    first a quarter), or the origin."""
+def _shells(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The surplus vectors d with |d|_1 in ``sizes``, one row each, and their
+    |d|_1, size by size: per d1, the 4r points t of the diamond |d2| + |d3| =
+    r = |d|_1 - |d1| > 0, walked around from (r, 0) in closed form, or the
+    origin."""
     owner, k = _expand(2 * sizes + 1)
     size = sizes[owner]
     d1 = k - size
     r = size - np.abs(d1)
-    owner, k = _expand(np.maximum(4 * r, 1))
+    around = np.maximum(4 * r, 1)
+    owner, t = _expand(around)
     r = r[owner]
-    side, j = np.divmod(k, np.maximum(r, 1))
-    cos, sin = np.array([1, 0, -1, 0])[side], np.array([0, 1, 0, -1])[side]
-    return d1[owner], cos * (r - j) - sin * j, sin * (r - j) + cos * j, size[owner]
+    d2 = np.abs(t - 2 * r) - r
+    d3 = np.abs((t + 3 * r) % around[owner] - 2 * r) - r
+    return np.stack((d1[owner], d2, d3), axis=1), size[owner]
+
+
+def _shell_chunks(sizes: np.ndarray, cells: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """What :func:`_shells` gives for ``sizes``, ascending, in chunks of whole
+    sizes of about ``cells`` cells: 4 L^2 + 2 of size L > 0."""
+    cuts = np.flatnonzero(np.diff(np.cumsum(4 * sizes * sizes + 2) // cells)) + 1
+    for group in np.split(sizes, cuts):
+        yield _shells(group)
 
 
 def _grow_cells(reach: int) -> _Cells:
     """The cell table, grown to hold every d with |d|_1 <= ``reach``: the new
-    sizes are appended, built in chunks of whole sizes of about a quarter of
-    _CELL_CHUNK cells, each new cell keyed to its face once."""
+    sizes are appended, built in chunks of about a quarter of _CELL_CHUNK
+    cells, each new cell keyed to its face once."""
     global _cells
     if reach <= _cells.reach:
         return _cells
-    sizes = np.arange(_cells.reach + 1, reach + 1)
     columns = [_cells[1:]]
-    cuts = np.flatnonzero(np.diff(np.cumsum(4 * sizes * sizes + 2) // (_CELL_CHUNK >> 2))) + 1
-    for group in np.split(sizes, cuts):
-        d1, d2, d3, size = _shells(group)
-        m = np.stack((d1 + d2 + d3, d1 + d2 - d3, d1 - d2 - d3), axis=1)
-        code = np.clip(d1, -2, 2) * 25 + np.clip(d2, -2, 2) * 5 + np.clip(d3, -2, 2) + 62
+    for d, size in _shell_chunks(np.arange(_cells.reach + 1, reach + 1), _CELL_CHUNK >> 2):
+        m = d @ _SURPLUS_TO_MARGINS.T
+        code = np.clip(d, -2, 2) @ np.array([25, 5, 1]) + 62
         columns.append((m, size, code, _keyed_positions(m)))
     _cells = _Cells(reach, *(
         np.concatenate(c, dtype=old.dtype, casting="unsafe")
@@ -595,8 +593,7 @@ def _tie_counts(ns: Sequence[int], targets: Sequence) -> dict[int, list[int]]:
     for top in {max(m for m in ns if m % 2 == n % 2) for n in ns}:
         own = sorted({n for n in ns if n % 2 == top % 2})
         histogram = np.zeros((len(_FACE_CELLS), top + 1), dtype=np.int64)  # H
-        for d in _surplus_vectors(top):
-            size = sum(np.abs(d).T)  # |d|_1 as column sums: faster than .sum(axis=1)
+        for d, size in _shell_chunks(np.arange(top % 2, top + 1, 2), _CELL_CHUNK):
             faces = _face_positions(d @ _SURPLUS_TO_MARGINS.T)
             histogram.flat += np.bincount(
                 np.ravel_multi_index((faces, size), histogram.shape), minlength=histogram.size
@@ -615,15 +612,14 @@ def _tie_counts(ns: Sequence[int], targets: Sequence) -> dict[int, list[int]]:
                 del class_size, parts
             if not artificial:
                 continue
-            # the cells where maximin ties, by size, and their winners and surplus
+            # the cells where maximin ties, by size as the shells are, their winners and surplus
             tied = np.flatnonzero(_SEVERAL[maximin[faces]])
-            tied = tied[np.argsort(size[tied], kind="stable")]
             winners, tied_size = _MEMBERS[maximin[faces[tied]]], size[tied]
             surplus = _order_surplus(d[tied])
             # the artificial rule: one closed-form count per score table over the
-            # rows (n, tied cell of n) of all its n; a chunk's tied cells thin out
-            # as 1/n while the n grow as n, so the rows stay below _CELL_CHUNK
-            # (at most 36,533 up to n = 240)
+            # rows (n, tied cell of n) of all its n; most rows are in the first
+            # chunk, whose small sizes every n counts (at most 213,843 rows a
+            # chunk up to n = 240)
             for table in dict.fromkeys(map(_rules.artificial_table, own)):
                 points = _order_points([(top, mid, 0) for top, mid in table])
                 group = np.array([n for n in own if _rules.artificial_table(n) == table])
@@ -682,7 +678,7 @@ class FrequencyRow:
 #: positional rules were counted cell by cell.  Counted per score class, a
 #: cell of one n takes 12-16 there, the margin pass 70-85 and an artificial
 #: row 200-390, so the estimate is an upper bound: the seven figure4 rules
-#: pass to n = 200 (2.7-3.3 s there) and are refused at 202
+#: pass to n = 200 (1.9-2.9 s there) and are refused at 202
 COUNT_BUDGET = 11_750_000_000
 
 

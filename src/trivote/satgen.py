@@ -35,8 +35,7 @@ from .core import (
     permute_profile,
     total_voters,
 )
-from .axioms import _profile_pairs
-from .enumeration import condorcet_profile_counts, profile_count, profiles_up_to
+from .enumeration import _profile_pairs, condorcet_profile_counts, profile_count, profiles_up_to
 
 Clause = tuple[int, ...]
 

@@ -612,9 +612,9 @@ def test_each_key_maps_the_margins_as_it_maps_the_profile():
 def oracle_surplus_cells(bound):
     """Arrays (margins, surplus, size) over every surplus vector d with
     |d|_1 <= bound, the cells of ``bound`` and of ``bound - 1`` voters."""
-    d = np.concatenate(
-        [*enumeration._surplus_vectors(bound), *enumeration._surplus_vectors(bound - 1)]
-    )
+    span = np.arange(-bound, bound + 1)
+    d = np.stack(np.meshgrid(span, span, span, indexing="ij"), axis=-1).reshape(-1, 3)
+    d = d[np.abs(d).sum(axis=1) <= bound]
     return d @ enumeration._SURPLUS_TO_MARGINS.T, enumeration._order_surplus(d), np.abs(d).sum(1)
 
 
@@ -1072,7 +1072,7 @@ def test_a_holding_check_keys_no_row_outside_the_box_fill(monkeypatch, check, ce
     monkeypatch.setattr(enumeration, "_face_keys", counting)
     assert check().holds
     assert (enumeration._cells.reach, enumeration._box.reach) == (cells, reach)
-    box = (2 * reach + 1) * (reach + 1) ** 2 if reach >= 0 else 0
+    box = (reach + 1) ** 3 + reach**3 if reach >= 0 else 0
     assert sum(keyed) == enumeration._cell_count(cells) + box
 
 

@@ -737,7 +737,7 @@ def test_figure4_refuses_points_that_could_overflow_before_any_work(
     capsys, monkeypatch, vector, message
 ):
     argv = ["figure4", "--rules", f"scoring:{vector}", "--max-n", "8"]
-    assert _refused(capsys, monkeypatch, argv, (enumeration, "_surplus_vectors")) == message
+    assert _refused(capsys, monkeypatch, argv, (enumeration, "_shell_chunks")) == message
 
 
 @pytest.mark.parametrize(
@@ -759,7 +759,7 @@ def test_figure4_refuses_a_count_over_the_cell_budget_before_any_work(capsys, mo
     for rule_ids, max_n, reached in (("maximin", 100000, 560), ("maximin", 752, 560),
                                      ("plurality", 236, 204), ("artificial", 10**12, 424)):
         argv = ["figure4", "--rules", rule_ids, "--max-n", str(max_n)]
-        err = _refused(capsys, monkeypatch, argv, (enumeration, "_surplus_vectors"))
+        err = _refused(capsys, monkeypatch, argv, (enumeration, "_shell_chunks"))
         assert err == (
             f"a count that reaches {reached} voters is estimated at over "
             f"{enumeration.COUNT_BUDGET / 1e9:g} s, the budget of one count\n"

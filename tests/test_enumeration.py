@@ -86,10 +86,28 @@ def test_profiles_up_to_orders_by_voter_count_then_colex():
 # ---------------------------------------------------------------------------
 
 
+def surplus_vectors(n):
+    """The oracle of the cells: chunks, of whole d1 slabs, of the surplus
+    vectors d of the ``n``-voter cells, one row each.  With u = d2 + d3 and
+    v = d2 - d3, |d2| + |d3| = max(|u|, |v|): the cells with a given d1 are
+    the grid u = 2q - r, v = 2p - r, q and p in [0, r], r = n - |d1|."""
+    lo, cells = -n, 0
+    for d1 in range(-n, n + 1):
+        cells += (n + 1 - abs(d1)) ** 2
+        if cells >= 1 << 16 or d1 == n:
+            r = n - np.abs(np.arange(lo, d1 + 1))
+            slab = np.repeat(np.arange(r.size), (r + 1) ** 2)
+            index = np.arange(slab.size) - (np.cumsum((r + 1) ** 2) - (r + 1) ** 2)[slab]
+            side = r[slab] + 1
+            q, p = np.divmod(index, side)
+            yield np.stack((slab + lo, q + p + 1 - side, q - p), axis=1)
+            lo, cells = d1 + 1, 0
+
+
 def margin_cells(n):
     """Chunks (margins, weights) of the ``n``-voter cells: ``weights[i]``
     profiles have the margins ``margins[i]``."""
-    for d in enumeration._surplus_vectors(n):
+    for d in surplus_vectors(n):
         j = (n - np.abs(d).sum(axis=1)) // 2
         yield d @ enumeration._SURPLUS_TO_MARGINS.T, (j + 1) * (j + 2) // 2
 
@@ -115,11 +133,22 @@ def test_cell_histogram_matches_brute_force_margins(n):
 
 
 def test_cells_arrive_in_bounded_chunks():
-    chunks = list(margin_cells(60))
+    chunks = list(enumeration._shell_chunks(np.arange(0, 61, 2), enumeration._CELL_CHUNK))
     assert len(chunks) > 1
-    slab = 61 * 61
-    assert all(len(m) < enumeration._CELL_CHUNK + slab for m, _ in chunks)
-    assert sum(len(m) for m, _ in chunks) == len(cell_histogram(60))
+    shell = 4 * 60 * 60 + 2
+    assert all(len(d) < enumeration._CELL_CHUNK + shell for d, _ in chunks)
+    assert sum(len(d) for d, _ in chunks) == len(cell_histogram(60))
+
+
+@pytest.mark.parametrize("n", range(41))
+def test_the_shell_chunks_hold_the_cells_of_the_oracle_each_once(n):
+    chunks = list(enumeration._shell_chunks(np.arange(n % 2, n + 1, 2), 1 << 10))
+    d, size = (np.concatenate(column) for column in zip(*chunks))
+    assert (size == np.abs(d).sum(axis=1)).all()
+    assert (np.diff(size) >= 0).all()  # whole sizes, ascending
+    cells = sorted(map(tuple, d.tolist()))
+    assert cells == sorted(map(tuple, np.concatenate(list(surplus_vectors(n))).tolist()))
+    assert len(set(cells)) == len(cells)
 
 
 @pytest.mark.parametrize("rule_id", rules.PAIRWISE_RULE_IDS)
@@ -172,14 +201,13 @@ def test_one_figure4_call_maps_each_cell_of_its_largest_electorate_once(monkeypa
         mapped.append(m.copy())
         return face_positions(m)
 
-    monkeypatch.setattr(enumeration, "_CELL_CHUNK", 64)  # the 12-voter cells take 14 chunks
+    monkeypatch.setattr(enumeration, "_CELL_CHUNK", 64)  # the 12-voter cells take 6 chunks
     monkeypatch.setattr(enumeration, "_face_positions", recording)
     argv = ["figure4", "--rules", "maximin,artificial,plurality,black", "--max-n", "12"]
     assert cli.main(argv) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 5 * 4
-    chunks = [m for m, _ in margin_cells(12)]
-    assert len(mapped) == len(chunks) == 14
-    cells = np.concatenate(chunks)
+    assert len(mapped) == 6
+    cells = np.concatenate([m for m, _ in margin_cells(12)])
     assert sum(map(len, mapped)) == len(cells)
     assert sorted(map(tuple, np.concatenate(mapped).tolist())) == sorted(map(tuple, cells.tolist()))
 
@@ -209,11 +237,22 @@ def keyed_rows(monkeypatch):
     return keyed
 
 
+def same_parity_cube(reach):
+    """Every same-parity triple m with |m_i| <= ``reach``."""
+    span = np.arange(-reach, reach + 1)
+    m = np.stack(np.meshgrid(span, span, span, indexing="ij"), axis=-1).reshape(-1, 3)
+    return m[(m % 2 == m[:, :1] % 2).all(axis=1)]
+
+
 def test_the_box_agrees_with_the_face_keys_as_it_grows(keyed_rows):
-    inside = WIDE_TRIPLES[np.abs(WIDE_TRIPLES).max(axis=1) <= 10]
-    for reach, triples in ((10, inside), (24, WIDE_TRIPLES), (25, WIDE_TRIPLES)):
+    filled = 0
+    for reach in (0, 1, 10, 11, 24, 25):  # both parities of the reach
+        keyed_rows.clear()
         enumeration._grow_box(reach)
-        assert enumeration._box.positions.size == (2 * reach + 1) * (reach + 1) ** 2
+        filled += sum(keyed_rows)
+        assert filled == (reach + 1) ** 3 + reach**3  # each triple keyed once
+        assert enumeration._box.positions.size == (2 * reach + 1) ** 3
+        triples = same_parity_cube(reach)
         keyed_rows.clear()
         faces = enumeration._face_positions(triples)
         assert not keyed_rows  # read from the box
@@ -227,11 +266,16 @@ def test_the_box_agrees_with_the_face_keys_as_it_grows(keyed_rows):
 
 def test_a_pair_of_rows_is_read_through_the_sum_of_their_keys(keyed_rows):
     rng = np.random.default_rng(7)
-    for reach in (10, 11):  # the slot's parity term depends on the reach's parity
+    for reach in (0, 1, 10, 11):
         enumeration._grow_box(reach)
-        rows = WIDE_TRIPLES[np.abs(WIDE_TRIPLES).max(axis=1) <= reach // 2]
+        rows = same_parity_cube(reach)
         keys, read = enumeration._sum_reader(rows, np.arange(267))  # codes: the positions
+        # random pairs whose sum the box holds, and each edge row plus the origin
         i, j = rng.integers(0, len(rows), size=(2, 4000))
+        held = np.abs(rows[i] + rows[j]).max(axis=1) <= reach
+        edge = np.flatnonzero(np.abs(rows).max(axis=1) == reach)
+        origin = np.flatnonzero(~rows.any(axis=1))
+        i, j = np.concatenate((i[held], edge)), np.concatenate((j[held], origin.repeat(edge.size)))
         assert (read(keys[i] + keys[j]) == enumeration._keyed_positions(rows[i] + rows[j])).all()
 
 
@@ -573,7 +617,7 @@ def scoring_counts_cell_by_cell(vector, ns):
     points = enumeration._order_points([rules.integer_scores(vector)] * 6)
     counts = {}
     for n in ns:
-        d = np.concatenate(list(enumeration._surplus_vectors(n)))
+        d = np.concatenate(list(surplus_vectors(n)))
         score = enumeration._order_surplus(d) @ points
         counts[n] = scoring_ties_cell_by_cell(vector, score, (n - np.abs(d).sum(axis=1)) // 2)
     return counts

@@ -2,6 +2,9 @@
 
 import hashlib
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -389,3 +392,11 @@ def test_failed_step_reports_detail():
     script = satgen.TheoremScript("x", "nothing", (step,))
     assert not script.ok
     assert "FAILED" in script.render()
+
+
+def test_importing_satgen_leaves_the_axiom_checkers_unloaded():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    script = "import sys, trivote.satgen; print('trivote.axioms' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert (result.stdout, result.stderr) == ("False\n", "")
