@@ -147,10 +147,10 @@ def _profile_pairs(bound: int) -> Iterator[tuple[Profile, Profile]]:
 _ORDERS, _REVERSES = [0, 1, 4], [5, 3, 2]
 
 #: row i maps the surplus vector d to margin i: (d1+d2+d3, d1+d2-d3, d1-d2-d3)
-_SURPLUS_TO_MARGINS = np.array([[1, 1, 1], [1, 1, -1], [1, -1, -1]])
+_SURPLUS_TO_MARGINS = np.array([[1, 1, 1], [1, 1, -1], [1, -1, -1]], dtype=np.int16)
 
-#: cells per chunk; whole sizes |d|_1 are grouped up to this size, so small
-#: electorates take a few numpy calls and memory stays O(n^2) for large ones
+#: the most cells of a chunk of rows (|d|_1, d1), a larger shell split by d1: small
+#: electorates take a few numpy calls, and a pass holds this many cells at any n
 _CELL_CHUNK = 1 << 16
 
 
@@ -167,6 +167,15 @@ def _order_surplus(d: np.ndarray) -> np.ndarray:
         np.maximum(d[:, i], 0, out=surplus[:, order])  # as index arrays are slow here
         np.maximum(-d[:, i], 0, out=surplus[:, reverse])
     return surplus
+
+
+def _surplus_scores(d: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """``_order_surplus(d) @ points`` in int64, 4,096 cells at a time, so
+    that no int64 copy of a whole chunk's int16 surplus is made."""
+    scores = np.empty((len(d), points.shape[1]), dtype=np.int64)
+    for lo in range(0, len(d), 4096):
+        np.matmul(_order_surplus(d[lo : lo + 4096]), points, out=scores[lo : lo + 4096])
+    return scores
 
 
 # --- sign faces -------------------------------------------------------------
@@ -206,14 +215,22 @@ def _order_surplus(d: np.ndarray) -> np.ndarray:
 
 
 def _face_keys(m: np.ndarray) -> np.ndarray:
-    """Per cell, the signs of the 12 forms as a base-3 number in [0, 3**12)."""
+    """Per cell, the signs of the 12 forms as a base-3 number in [0, 3**12),
+    made one form at a time, so that few columns are alive."""
     ab, ac, bc = np.ascontiguousarray(m.T, dtype=np.int32)  # the forms stay within 4n
+
+    def forms() -> Iterator[np.ndarray]:
+        yield from (ab, ac, bc)
+        for x, y in ((ab, ac), (ab, bc), (ac, bc)):
+            yield x + y
+            yield x - y
+        yield 2 * ab + ac - bc  # the Borda differences
+        yield ab + 2 * ac + bc
+        yield ac + 2 * bc - ab
     key = np.zeros(len(m), dtype=np.int32)
-    for form in (
-        ab, ac, bc, ab + ac, ab - ac, ab + bc, ab - bc, ac + bc, ac - bc,
-        2 * ab + ac - bc, ab + 2 * ac + bc, ac + 2 * bc - ab,  # the Borda differences
-    ):
-        key = 3 * key + np.sign(form) + 1
+    for form in forms():
+        key *= 3
+        key += np.sign(form) + 1
     return key
 
 
@@ -339,34 +356,47 @@ def _cell_count(bound: int) -> int:
     return (2 * bound + 1) * (2 * bound * bound + 2 * bound + 3) // 3
 
 
-def _shells(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The surplus vectors d with |d|_1 in ``sizes``, one row each, and their
-    |d|_1, size by size: per d1, the 4r points t of the diamond |d2| + |d3| =
-    r = |d|_1 - |d1| > 0, walked around from (r, 0) in closed form, or the
-    origin."""
-    owner, k = _expand(2 * sizes + 1)
-    size = sizes[owner]
-    d1 = k - size
+def _shells(size: np.ndarray, d1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The surplus vectors d of the int32 rows (|d|_1, d1) = (``size``,
+    ``d1``), one int16 row each, and their int16 |d|_1: per row, the 4r
+    points t of the diamond |d2| + |d3| = r = |d|_1 - |d1| > 0, walked
+    around from (r, 0) in closed form in int32, or the origin."""
     r = size - np.abs(d1)
     around = np.maximum(4 * r, 1)
-    owner, t = _expand(around)
-    r = r[owner]
-    d2 = np.abs(t - 2 * r) - r
-    d3 = np.abs((t + 3 * r) % around[owner] - 2 * r) - r
-    return np.stack((d1[owner], d2, d3), axis=1), size[owner]
+    t = np.arange(around.sum(), dtype=np.int32)
+    t -= np.repeat(np.cumsum(around, dtype=np.int32) - around, around)
+    r, d = np.repeat(r, around), np.empty((t.size, 3), dtype=np.int16)
+    d[:, 0] = np.repeat(d1, around)
+    d[:, 1] = np.abs(t - 2 * r) - r
+    d[:, 2] = np.minimum(t, np.abs(t - 3 * r) - r)
+    return d, np.repeat(size.astype(np.int16), around)
+
+
+def _runs(counts: np.ndarray, limit: int) -> Iterator[slice]:
+    """Consecutive runs of ``counts``, each as long as its sum stays at most
+    ``limit``, or of one count alone above it."""
+    ends, start = np.cumsum(counts), 0
+    while start < len(ends):
+        reach = ends[start] - counts[start] + limit  # the most a run from start may end at
+        stop = max(start + 1, int(np.searchsorted(ends, reach, side="right")))
+        yield slice(start, stop)
+        start = stop
 
 
 def _shell_chunks(sizes: np.ndarray, cells: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """What :func:`_shells` gives for ``sizes``, ascending, in chunks of whole
-    sizes of about ``cells`` cells: 4 L^2 + 2 of size L > 0."""
-    cuts = np.flatnonzero(np.diff(np.cumsum(4 * sizes * sizes + 2) // cells)) + 1
-    for group in np.split(sizes, cuts):
-        yield _shells(group)
+    """What :func:`_shells` gives for the rows (L, d1) of ``sizes``, ascending,
+    in chunks of at most ``cells`` cells, or of one row that alone holds more:
+    a row holds 4 (L - |d1|) cells (1 at |d1| = L), so a shell of 4 L^2 + 2
+    cells may be split between chunks."""
+    size = np.repeat(sizes.astype(np.int32), 2 * sizes + 1)
+    d1 = _expand(2 * sizes + 1)[1].astype(np.int32) - size
+    for run in _runs(np.maximum(4 * (size - np.abs(d1)), 1), cells):
+        yield _shells(size[run], d1[run])
 
 
 def _grow_cells(reach: int) -> _Cells:
     """The cell table, grown to hold every d with |d|_1 <= ``reach``: the new
-    sizes are appended, built in chunks of about a quarter of _CELL_CHUNK
+    sizes are appended, built in chunks of at most a quarter of _CELL_CHUNK
     cells, each new cell keyed to its face once."""
     global _cells
     if reach <= _cells.reach:
@@ -422,7 +452,7 @@ def _condorcet_winner_set(m: Margins) -> ChoiceSet:
 # line in t, and its points in the fibre are one interval of integers: the
 # positional and artificial rules are counted in closed form.  A positional
 # rule's count on a cell depends only on |d|_1 and the base score differences
-# K_b - K_a and K_c - K_a, so each chunk's cells are tallied by these score
+# K_b - K_a and K_c - K_a, so each size's cells are tallied by these score
 # classes, as H tallies them by face, and the interval formula is evaluated
 # once per row (class, n), weighted by the class's cells.  The artificial
 # rule's score table changes with n, so it is counted on the rows (n, cell
@@ -437,20 +467,28 @@ def _order_points(by_position: Sequence[Sequence[int]]) -> np.ndarray:
     return np.take_along_axis(rows, np.array(ORDER_RANK_OF), axis=1)
 
 
-def _score_classes(size: np.ndarray, diff: np.ndarray) -> tuple[np.ndarray, ...]:
+def _score_classes(
+    size: np.ndarray, diff: np.ndarray, weight: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, ...]:
     """The score classes of cells of sizes ``size`` (|d|_1) and base score
     differences ``diff`` (K_b - K_a, K_c - K_a): per class, ascending by
-    size, its size, its differences and its number of cells.  The class key
-    packs the three into one int64 when (N + 1) (2 R + 1)^2 fits, N the
-    largest size and R the largest |difference|; otherwise each difference
-    is replaced by its rank first, so that the key is exact for any points."""
+    size, its size, its differences and its number of cells (or sum of
+    ``weight``, for rows that are classes).  The class key packs the three
+    into one int64 when (N + 1) (2 R + 1)^2 fits, N the largest size and R
+    the largest |difference|; otherwise each difference is replaced by its
+    rank first, so that the key is exact for any points."""
     reach = int(np.abs(diff).max(initial=0))
     if (int(size.max()) + 1) * (2 * reach + 1) ** 2 <= np.iinfo(np.int64).max:
         values, codes, sides = None, (diff + reach).T, (2 * reach + 1,) * 2
     else:
         values, codes = zip(*(np.unique(column, return_inverse=True) for column in diff.T))
         sides = tuple(map(len, values))
-    key, weight = np.unique((size * sides[0] + codes[0]) * sides[1] + codes[1], return_counts=True)
+    key = (size.astype(np.int64) * sides[0] + codes[0]) * sides[1] + codes[1]
+    if weight is None:
+        key, weight = np.unique(key, return_counts=True)
+    else:  # a weight is at most the cells of one size, so a float64 sum is exact
+        key, inverse = np.unique(key, return_inverse=True)
+        weight = np.bincount(inverse, weight).astype(np.int64)
     del codes
     rest, code_c = np.divmod(key, sides[1])
     size, code_b = np.divmod(rest, sides[0])
@@ -585,6 +623,8 @@ def _tie_counts(ns: Sequence[int], targets: Sequence) -> dict[int, list[int]]:
     """Per n in ``ns``, the ``n``-voter profiles each target counts: a face
     mask those on its faces, a score vector those where it ties and
     ``rules.artificial_rule`` those where that rule ties."""
+    if max(ns, default=0) >= 1 << 15:
+        raise _rules.BoundExceededError(f"the int16 cells hold no count of {max(ns)} voters")
     counts = {n: [0] * len(targets) for n in ns}
     masks = [(i, t) for i, t in enumerate(targets) if isinstance(t, np.ndarray)]
     vectors = [(i, t) for i, t in enumerate(targets) if isinstance(t, tuple)]
@@ -593,45 +633,53 @@ def _tie_counts(ns: Sequence[int], targets: Sequence) -> dict[int, list[int]]:
     for top in {max(m for m in ns if m % 2 == n % 2) for n in ns}:
         own = sorted({n for n in ns if n % 2 == top % 2})
         histogram = np.zeros((len(_FACE_CELLS), top + 1), dtype=np.int64)  # H
+        held = {}  # per positional rule, the classes of a size split by the last chunk
         for d, size in _shell_chunks(np.arange(top % 2, top + 1, 2), _CELL_CHUNK):
+            opened, split = d[0, 0] > -size[0], d[-1, 0] < size[-1]  # start, end inside a size
             faces = _face_positions(d @ _SURPLUS_TO_MARGINS.T)
-            histogram.flat += np.bincount(
-                np.ravel_multi_index((faces, size), histogram.shape), minlength=histogram.size
-            )
+            place = faces.astype(np.int64) * (top + 1) + size  # each cell's place in H
+            histogram += np.bincount(place, minlength=histogram.size).reshape(histogram.shape)
             # a positional rule: one closed-form count per row (n, score class
-            # of a cell of n); the chunk's classes are freed once counted
+            # of a cell of n); the classes of a size split between chunks are
+            # held and merged, so that each is counted once, when it is whole
             for i, vector in vectors:
                 s1, s2, s3 = _rules.integer_scores(vector)
-                points = _order_points([(s1, s2, s3)] * 6)
-                gamma = s1 - 2 * s2 + s3
-                class_size, parts = _scoring_parts(gamma, *_score_classes(
-                    size, _order_surplus(d) @ (points[:, 1:] - points[:, :1])
-                ))
+                points, gamma = _order_points([(s1, s2, s3)] * 6), s1 - 2 * s2 + s3
+                classes = _score_classes(size, _surplus_scores(d, points[:, 1:] - points[:, :1]))
+                if opened:  # the held classes are of the chunk's first size
+                    first = np.searchsorted(classes[0], size[0], side="right")
+                    merged = _score_classes(*(
+                        np.concatenate((h, c[:first])) for h, c in zip(held[i], classes)
+                    ))
+                    classes = tuple(np.concatenate((m, c[first:])) for m, c in zip(merged, classes))
+                cut = np.searchsorted(classes[0], classes[0][-1]) if split else len(classes[0])
+                held[i] = tuple(c[cut:] for c in classes)
+                class_size, parts = _scoring_parts(gamma, *(c[:cut] for c in classes))
                 for n, end in zip(own, np.searchsorted(class_size, own, side="right")):
-                    counts[n][i] += _scoring_ties(gamma, [part[:end] for part in parts], n)
-                del class_size, parts
+                    if end:
+                        counts[n][i] += _scoring_ties(gamma, [part[:end] for part in parts], n)
+                del classes, class_size, parts
             if not artificial:
                 continue
-            # the cells where maximin ties, by size as the shells are, their winners and surplus
+            # the cells where maximin ties, by size as the shells are, and their winners
             tied = np.flatnonzero(_SEVERAL[maximin[faces]])
-            winners, tied_size = _MEMBERS[maximin[faces[tied]]], size[tied]
-            surplus = _order_surplus(d[tied])
+            winners, tied_size, tied_d = _MEMBERS[maximin[faces[tied]]], size[tied], d[tied]
             # the artificial rule: one closed-form count per score table over the
-            # rows (n, tied cell of n) of all its n; most rows are in the first
-            # chunk, whose small sizes every n counts (at most 213,843 rows a
-            # chunk up to n = 240)
+            # rows (n, tied cell of n) of all its n, in groups of whole n of at
+            # most _CELL_CHUNK rows; a chunk's cells of n are at most as many
             for table in dict.fromkeys(map(_rules.artificial_table, own)):
                 points = _order_points([(top, mid, 0) for top, mid in table])
+                pair, score = points[_ORDERS] + points[_REVERSES], _surplus_scores(tied_d, points)
                 group = np.array([n for n in own if _rules.artificial_table(n) == table])
-                owner, cell = _expand(np.searchsorted(tied_size, group, side="right"))
-                ties = np.zeros(len(group), dtype=np.int64)
-                np.add.at(ties, owner, _fibre_ties(
-                    points[_ORDERS] + points[_REVERSES], (surplus @ points)[cell],
-                    (group[owner] - tied_size[cell]) // 2, winners[cell],
-                ))
-                for n, count in zip(group.tolist(), ties.tolist()):
-                    for i in artificial:
-                        counts[n][i] += count
+                rows = np.searchsorted(tied_size, group, side="right")  # per n, its tied cells
+                for lot in _runs(rows, _CELL_CHUNK):
+                    owner, cell = _expand(rows[lot])
+                    j = (group[lot][owner] - tied_size[cell]) // 2
+                    ties = np.zeros(lot.stop - lot.start, dtype=np.int64)
+                    np.add.at(ties, owner, _fibre_ties(pair, score[cell], j, winners[cell]))
+                    for n, count in zip(group[lot].tolist(), ties.tolist()):
+                        for i in artificial:
+                            counts[n][i] += count
         j = (np.array(own) - np.arange(top + 1)[:, None]) // 2
         profiles = histogram @ np.where(j >= 0, (j + 1) * (j + 2) // 2, 0)  # H @ W
         for i, mask in masks:
@@ -675,10 +723,10 @@ class FrequencyRow:
 #: the most work one count may take, in ns of a 2-vCPU host where a cell of
 #: the margin pass took about 100, a cell of one n 75 per positional rule and
 #: a row (n, cell of n where maximin ties) 525 for the artificial rule, when
-#: positional rules were counted cell by cell.  Counted per score class, a
-#: cell of one n takes 12-16 there, the margin pass 70-85 and an artificial
-#: row 200-390, so the estimate is an upper bound: the seven figure4 rules
-#: pass to n = 200 (1.9-2.9 s there) and are refused at 202
+#: positional rules were counted cell by cell.  Counted per score class in
+#: chunks of int16 cells, a cell of one n takes 6-7 there, the margin pass
+#: 50-75 and an artificial row 270-400, so the estimate is an upper bound: the
+#: seven figure4 rules pass to n = 200 (1.4-1.7 s there) and are refused at 202
 COUNT_BUDGET = 11_750_000_000
 
 

@@ -1,5 +1,6 @@
 """Profile enumeration, irresoluteness counting, and witness searching."""
 
+import hashlib
 import itertools
 import math
 from collections import Counter
@@ -132,23 +133,63 @@ def test_cell_histogram_matches_brute_force_margins(n):
     assert cell_histogram(n) == brute
 
 
+def one_row(d, size):
+    """Whether a chunk is one row (|d|_1, d1)."""
+    return len(set(zip(size.tolist(), d[:, 0].tolist()))) == 1
+
+
 def test_cells_arrive_in_bounded_chunks():
-    chunks = list(enumeration._shell_chunks(np.arange(0, 61, 2), enumeration._CELL_CHUNK))
-    assert len(chunks) > 1
-    shell = 4 * 60 * 60 + 2
-    assert all(len(d) < enumeration._CELL_CHUNK + shell for d, _ in chunks)
-    assert sum(len(d) for d, _ in chunks) == len(cell_histogram(60))
+    cells = enumeration._CELL_CHUNK
+    for n in (199, 200):
+        chunks = list(enumeration._shell_chunks(np.arange(n % 2, n + 1, 2), cells))
+        assert len(chunks) > 1
+        assert all(len(d) <= cells or one_row(d, size) for d, size in chunks)
+        assert sum(len(d) for d, _ in chunks) == enumeration._cells_of(n)
+        assert all(d.dtype == size.dtype == np.int16 for d, size in chunks)
 
 
 @pytest.mark.parametrize("n", range(41))
 def test_the_shell_chunks_hold_the_cells_of_the_oracle_each_once(n):
-    chunks = list(enumeration._shell_chunks(np.arange(n % 2, n + 1, 2), 1 << 10))
-    d, size = (np.concatenate(column) for column in zip(*chunks))
-    assert (size == np.abs(d).sum(axis=1)).all()
-    assert (np.diff(size) >= 0).all()  # whole sizes, ascending
-    cells = sorted(map(tuple, d.tolist()))
-    assert cells == sorted(map(tuple, np.concatenate(list(surplus_vectors(n))).tolist()))
-    assert len(set(cells)) == len(cells)
+    oracle = sorted(map(tuple, np.concatenate(list(surplus_vectors(n))).tolist()))
+    for cells in (1 << 16, 1 << 10, 12):  # whole shells, split shells, a row a chunk
+        chunks = list(enumeration._shell_chunks(np.arange(n % 2, n + 1, 2), cells))
+        assert all(len(d) <= cells or one_row(d, size) for d, size in chunks)
+        rows = [set(zip(size.tolist(), d[:, 0].tolist())) for d, size in chunks]
+        assert sum(map(len, rows)) == len(set().union(*rows))  # no row split between chunks
+        d, size = (np.concatenate(column) for column in zip(*chunks))
+        assert (size == np.abs(d).sum(axis=1)).all()
+        assert (np.diff(size) >= 0).all()  # sizes ascending
+        assert sorted(map(tuple, d.tolist())) == oracle, cells
+    assert len(set(oracle)) == len(oracle)
+
+
+def shells_in_int64(size, d1):
+    """The surplus vectors of the rows (|d|_1, d1) = (``size``, ``d1``) and
+    their sizes, by the walk of :func:`enumeration._shells` in int64: per
+    row, t in [0, 4r), d2 = |t - 2r| - r and d3 = |(t + 3r) mod 4r - 2r| - r."""
+    size, d1 = size.astype(np.int64), d1.astype(np.int64)
+    r = size - np.abs(d1)
+    around = np.maximum(4 * r, 1)
+    row = np.repeat(np.arange(size.size), around)
+    t = np.arange(row.size) - (np.cumsum(around) - around)[row]
+    r = r[row]
+    d2 = np.abs(t - 2 * r) - r
+    d3 = np.abs((t + 3 * r) % around[row] - 2 * r) - r
+    return np.stack((d1[row], d2, d3), axis=1), size[row]
+
+
+def test_the_int16_shells_equal_an_int64_walk_at_the_largest_sizes():
+    # the CLI refuses a count past 560 voters (maximin), and _tie_counts one of 2^15
+    rows = [(size, d1) for size in range(5) for d1 in range(-size, size + 1)]
+    for top in (559, 560, (1 << 15) - 1):
+        rows += [(top, d1) for d1 in (-top, 1 - top, -2, -1, 0, 1, 2, top - 1, top)]
+    size, d1 = np.array(rows, dtype=np.int32).T
+    d, cell_size = enumeration._shells(size, d1)
+    wide_d, wide_size = shells_in_int64(size, d1)
+    assert d.dtype == cell_size.dtype == np.int16
+    assert (d == wide_d).all() and (cell_size == wide_size).all()
+    assert (np.abs(wide_d).sum(axis=1) == wide_size).all()
+    assert len(set(map(tuple, wide_d.tolist()))) == len(wide_d)
 
 
 @pytest.mark.parametrize("rule_id", rules.PAIRWISE_RULE_IDS)
@@ -201,12 +242,12 @@ def test_one_figure4_call_maps_each_cell_of_its_largest_electorate_once(monkeypa
         mapped.append(m.copy())
         return face_positions(m)
 
-    monkeypatch.setattr(enumeration, "_CELL_CHUNK", 64)  # the 12-voter cells take 6 chunks
+    monkeypatch.setattr(enumeration, "_CELL_CHUNK", 64)  # the 12-voter cells take 29 chunks
     monkeypatch.setattr(enumeration, "_face_positions", recording)
     argv = ["figure4", "--rules", "maximin,artificial,plurality,black", "--max-n", "12"]
     assert cli.main(argv) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 5 * 4
-    assert len(mapped) == 6
+    assert len(mapped) == 29
     cells = np.concatenate([m for m, _ in margin_cells(12)])
     assert sum(map(len, mapped)) == len(cells)
     assert sorted(map(tuple, np.concatenate(mapped).tolist())) == sorted(map(tuple, cells.tolist()))
@@ -644,7 +685,8 @@ def random_score_vectors(count, seed):
 
 
 def test_the_score_class_count_matches_the_count_cell_by_cell(monkeypatch):
-    monkeypatch.setattr(enumeration, "_CELL_CHUNK", 64)  # classes recur across chunks
+    # classes recur across chunks, and every shell from |d|_1 = 16 on is split
+    monkeypatch.setattr(enumeration, "_CELL_CHUNK", 1 << 10)
     points = POINTS_AT_8 - 1  # odd: the last vector has gamma = -1
     at_the_bound = [(POINTS_AT_8, 1, 0), (POINTS_AT_8, -POINTS_AT_8, POINTS_AT_8),
                     (points, (points + 1) // 2, 0)]
@@ -673,6 +715,59 @@ def test_figure4_counts_plurality_on_score_classes_not_cells(monkeypatch, capsys
     # 2,856 classes of the 19,871 cells of 30 voters: 13,048 rows (class, n),
     # where the cells of n = 4, 6, ..., 30 would be 87,276
     assert len(rows) == 14 and sum(rows) <= 13_048
+
+
+@pytest.mark.parametrize("vector", [(1, 0, 0), (7, 2, -3)], ids=["plurality", "7,2,-3"])
+def test_a_score_class_split_between_chunks_is_counted_as_one(monkeypatch, vector):
+    ns = range(4, 41, 2)
+
+    def count(cells):
+        rows = []
+        scoring_ties = enumeration._scoring_ties
+
+        def recording(gamma, parts, n):
+            rows.append(len(parts[0]))
+            return scoring_ties(gamma, parts, n)
+
+        monkeypatch.setattr(enumeration, "_CELL_CHUNK", cells)
+        monkeypatch.setattr(enumeration, "_scoring_ties", recording)
+        counts = {n: c[0] for n, c in enumeration._tie_counts(ns, [vector]).items()}
+        return counts, sum(rows)
+
+    whole, whole_rows = count(1 << 16)  # the 45,961 cells of 40 voters in one chunk
+    assert count(300) == (whole, whole_rows)  # every shell from |d|_1 = 10 on is split
+    assert whole == scoring_counts_cell_by_cell(vector, ns)
+
+
+#: the artificial rule's irresolute profiles at n = 4, ..., 240, in one list
+#: (sha256 of its repr) and their sum, as counted before its rows were grouped
+ARTIFICIAL_TO_240 = ("05321a59196819e6", 3157156)
+
+
+def test_the_artificial_rows_reach_the_fibre_count_in_bounded_groups(monkeypatch):
+    calls = []
+    fibre_ties = enumeration._fibre_ties
+
+    def recording(pair, score, j, winners):
+        calls.append(len(j))
+        return fibre_ties(pair, score, j, winners)
+
+    monkeypatch.setattr(enumeration, "_fibre_ties", recording)
+    counts = [row.irresolute for row in enumeration.frequency_rows(["artificial"], range(4, 241))]
+    digest = hashlib.sha256(repr(counts).encode()).hexdigest()[:16]
+    assert (digest, sum(counts)) == ARTIFICIAL_TO_240
+    assert max(calls) <= enumeration._CELL_CHUNK
+
+
+def test_a_count_past_the_int16_cells_is_refused_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError(f"work on {args} before the size was checked")
+
+    monkeypatch.setattr(enumeration, "_shell_chunks", no_work)
+    with pytest.raises(rules.BoundExceededError, match="int16"):
+        enumeration._tie_counts([4, 1 << 15], [(1, 0, 0)])
+    with pytest.raises(AssertionError, match="before the size was checked"):
+        enumeration._tie_counts([(1 << 15) - 1], [(1, 0, 0)])
 
 
 def test_figure4_counts_the_artificial_rule_once_per_score_table(monkeypatch, capsys):
