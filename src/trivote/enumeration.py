@@ -169,15 +169,6 @@ def _order_surplus(d: np.ndarray) -> np.ndarray:
     return surplus
 
 
-def _surplus_scores(d: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """``_order_surplus(d) @ points`` in int64, 4,096 cells at a time, so
-    that no int64 copy of a whole chunk's int16 surplus is made."""
-    scores = np.empty((len(d), points.shape[1]), dtype=np.int64)
-    for lo in range(0, len(d), 4096):
-        np.matmul(_order_surplus(d[lo : lo + 4096]), points, out=scores[lo : lo + 4096])
-    return scores
-
-
 # --- sign faces -------------------------------------------------------------
 #
 # A face is the set of margin triples on which 12 linear forms have the same
@@ -215,22 +206,14 @@ def _surplus_scores(d: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 
 def _face_keys(m: np.ndarray) -> np.ndarray:
-    """Per cell, the signs of the 12 forms as a base-3 number in [0, 3**12),
-    made one form at a time, so that few columns are alive."""
+    """Per cell, the signs of the 12 forms as a base-3 number in [0, 3**12)."""
     ab, ac, bc = np.ascontiguousarray(m.T, dtype=np.int32)  # the forms stay within 4n
-
-    def forms() -> Iterator[np.ndarray]:
-        yield from (ab, ac, bc)
-        for x, y in ((ab, ac), (ab, bc), (ac, bc)):
-            yield x + y
-            yield x - y
-        yield 2 * ab + ac - bc  # the Borda differences
-        yield ab + 2 * ac + bc
-        yield ac + 2 * bc - ab
     key = np.zeros(len(m), dtype=np.int32)
-    for form in forms():
-        key *= 3
-        key += np.sign(form) + 1
+    for form in (
+        ab, ac, bc, ab + ac, ab - ac, ab + bc, ab - bc, ac + bc, ac - bc,
+        2 * ab + ac - bc, ab + 2 * ac + bc, ac + 2 * bc - ab,  # the Borda differences
+    ):
+        key = 3 * key + np.sign(form) + 1
     return key
 
 
@@ -645,13 +628,12 @@ def _tie_counts(ns: Sequence[int], targets: Sequence) -> dict[int, list[int]]:
             for i, vector in vectors:
                 s1, s2, s3 = _rules.integer_scores(vector)
                 points, gamma = _order_points([(s1, s2, s3)] * 6), s1 - 2 * s2 + s3
-                classes = _score_classes(size, _surplus_scores(d, points[:, 1:] - points[:, :1]))
+                classes = _score_classes(size, _order_surplus(d) @ (points[:, 1:] - points[:, :1]))
                 if opened:  # the held classes are of the chunk's first size
                     first = np.searchsorted(classes[0], size[0], side="right")
-                    merged = _score_classes(*(
-                        np.concatenate((h, c[:first])) for h, c in zip(held[i], classes)
-                    ))
-                    classes = tuple(np.concatenate((m, c[first:])) for m, c in zip(merged, classes))
+                    head = map(np.concatenate, zip(held[i], (c[:first] for c in classes)))
+                    rest = (c[first:] for c in classes)
+                    classes = tuple(map(np.concatenate, zip(_score_classes(*head), rest)))
                 cut = np.searchsorted(classes[0], classes[0][-1]) if split else len(classes[0])
                 held[i] = tuple(c[cut:] for c in classes)
                 class_size, parts = _scoring_parts(gamma, *(c[:cut] for c in classes))
@@ -669,7 +651,7 @@ def _tie_counts(ns: Sequence[int], targets: Sequence) -> dict[int, list[int]]:
             # most _CELL_CHUNK rows; a chunk's cells of n are at most as many
             for table in dict.fromkeys(map(_rules.artificial_table, own)):
                 points = _order_points([(top, mid, 0) for top, mid in table])
-                pair, score = points[_ORDERS] + points[_REVERSES], _surplus_scores(tied_d, points)
+                pair, score = points[_ORDERS] + points[_REVERSES], _order_surplus(tied_d) @ points
                 group = np.array([n for n in own if _rules.artificial_table(n) == table])
                 rows = np.searchsorted(tied_size, group, side="right")  # per n, its tied cells
                 for lot in _runs(rows, _CELL_CHUNK):

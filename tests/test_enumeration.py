@@ -685,15 +685,17 @@ def random_score_vectors(count, seed):
 
 
 def test_the_score_class_count_matches_the_count_cell_by_cell(monkeypatch):
-    # classes recur across chunks, and every shell from |d|_1 = 16 on is split
-    monkeypatch.setattr(enumeration, "_CELL_CHUNK", 1 << 10)
     points = POINTS_AT_8 - 1  # odd: the last vector has gamma = -1
     at_the_bound = [(POINTS_AT_8, 1, 0), (POINTS_AT_8, -POINTS_AT_8, POINTS_AT_8),
                     (points, (points + 1) // 2, 0)]
     vectors = random_score_vectors(40, 21) + [(2, 1, 0), (1, 1, 1), (0, 0, 0)]
     gammas = Counter()
-    cases = [(v, range(1, 31)) for v in vectors] + [(v, range(1, 9)) for v in at_the_bound]
-    for vector, ns in cases:
+    # classes recur across chunks, and every shell from |d|_1 = 16 on is split
+    # (from 4 on at the bound, whose ranked classes are merged between chunks)
+    cases = [(v, range(1, 31), 1 << 10) for v in vectors]
+    cases += [(v, range(1, 9), 64) for v in at_the_bound]
+    for vector, ns, cells in cases:
+        monkeypatch.setattr(enumeration, "_CELL_CHUNK", cells)
         s1, s2, s3 = rules.integer_scores(vector)
         gammas[np.sign(s1 - 2 * s2 + s3)] += 1
         counts = {n: c[0] for n, c in enumeration._tie_counts(ns, [vector]).items()}
